@@ -60,7 +60,7 @@ from .errors import (
     UndeterminedLimitError,
     UnsupportedScenarioError,
 )
-from .measures import HerglotzEvaluator, SpectralMeasure, borel, poisson_density
+from .measures import SpectralMeasure
 from .resolvent import (
     CouplingParams,
     DiscretizedModel,
@@ -70,7 +70,6 @@ from .resolvent import (
     green,
     green_all,
     green_closed,
-    green_evaluator,
     green_oracle,
     green_oracle_all,
 )

@@ -161,7 +161,7 @@ def rank_one_average(
 ) -> float:
     """Average of the rank-one-perturbed Poisson kernel over the bond strength.
 
-    With g = borel(measure, E + i eps) the perturbed transform is
+    With g = measure.borel(E + i eps) the perturbed transform is
     g / (1 + s g); its imaginary part integrates to pi exactly, independent
     of the measure and of (E, eps) — the averaged measure is Lebesgue.
     """

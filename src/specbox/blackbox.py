@@ -280,17 +280,6 @@ class BlackBoxModel:
             return 0j if z_arr.ndim == 0 else np.zeros(z_arr.shape, dtype=complex)
         return self.system.green(phi, psi, z)
 
-    def g0_basics(self, z):
-        """The six nonzero uncoupled values at z as a dict keyed (phi, psi)."""
-        return {
-            (CHI_L, CHI_L): self.res_l.borel(z),
-            (CHI_R, CHI_R): self.res_r.borel(z),
-            (DELTA_L, DELTA_L): self.system.green(DELTA_L, DELTA_L, z),
-            (DELTA_R, DELTA_R): self.system.green(DELTA_R, DELTA_R, z),
-            (DELTA_L, DELTA_R): self.system.green(DELTA_L, DELTA_R, z),
-            (DELTA_R, DELTA_L): self.system.green(DELTA_R, DELTA_L, z),
-        }
-
     def d_function(self, E: float) -> float:
         """det of the 2x2 system Green matrix at real E outside sigma(H_S).
 
@@ -301,8 +290,11 @@ class BlackBoxModel:
         b = self.system.green(DELTA_R, DELTA_R, float(E))
         c = self.system.green(DELTA_L, DELTA_R, float(E))
         cb = self.system.green(DELTA_R, DELTA_L, float(E))
-        val = a * b - c * cb
-        if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
+        ab, ccb = a * b, c * cb
+        val = ab - ccb
+        # scale by the products: where d vanishes identically, val is pure
+        # cancellation and its roundoff is relative to |a b|, not to |val|
+        if abs(val.imag) > 1e-12 * max(1.0, abs(ab), abs(ccb)):
             raise ArithmeticError(
                 f"d(E) acquired an imaginary part {val.imag:.3e} at E = {E}"
             )
@@ -385,36 +377,6 @@ class BlackBoxModel:
             reservoirs_nontrivial=(self.res_l.total_mass > 0 and self.res_r.total_mass > 0),
             degenerate_n=exc.degenerate,
             n_outside_sigma_hs=outside,
-        )
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        def cvec(v):
-            return [[float(x.real), float(x.imag)] for x in v]
-
-        return {
-            "system": {
-                "matrix": [cvec(row) for row in self.system.h_s],
-                "delta_l": cvec(self.system.delta_l),
-                "delta_r": cvec(self.system.delta_r),
-            },
-            "reservoir_left": self.res_l.to_dict(),
-            "reservoir_right": self.res_r.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BlackBoxModel":
-        def parse_cvec(entries):
-            return np.array([complex(re, im) for re, im in entries])
-
-        sysd = data["system"]
-        h = np.array([[complex(re, im) for re, im in row] for row in sysd["matrix"]])
-        block = SystemBlock(h, parse_cvec(sysd["delta_l"]), parse_cvec(sysd["delta_r"]))
-        return cls(
-            block,
-            SpectralMeasure.from_dict(data["reservoir_left"]),
-            SpectralMeasure.from_dict(data["reservoir_right"]),
         )
 
 

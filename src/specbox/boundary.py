@@ -42,6 +42,7 @@ __all__ = [
     "boundary_value",
     "classify_energy",
     "ac_density",
+    "density_from_record",
     "point_mass",
     "point_mass_scan",
     "FINITE_NONZERO",
@@ -82,9 +83,6 @@ class EpsilonLadder:
     def epsilons(self) -> np.ndarray:
         count = int(math.floor(math.log(self.eps_min / self.eps_max) / math.log(self.ratio)))
         return self.eps_max * self.ratio ** np.arange(count + 1)
-
-    def refined(self, factor: float = 100.0) -> "EpsilonLadder":
-        return EpsilonLadder(self.eps_max, self.eps_min / factor, self.ratio)
 
 
 @dataclass
@@ -361,18 +359,26 @@ def ac_density(
     rec = boundary_value(
         lambda z: green(model, coupling, phi, phi, z), E, ladder
     )
+    return density_from_record(rec)
+
+
+def density_from_record(rec: BoundaryRecord) -> float:
+    """(1/pi) Im of the boundary value in ``rec``; 0 where it vanishes.
+
+    Raises PointMassPresentError on a DIVERGENT record and
+    UndeterminedLimitError on an UNDETERMINED one.
+    """
     if rec.status == FINITE_NONZERO:
-        val = rec.value.imag / np.pi
-        return max(val, 0.0)
+        return max(rec.value.imag, 0.0) / np.pi
     if rec.status == ZERO:
         return 0.0
     if rec.status == DIVERGENT:
         raise PointMassPresentError(
-            f"boundary value diverges at E = {E}; a point mass sits here",
+            f"boundary value diverges at E = {rec.E}; a point mass sits here",
             record=rec,
         )
     raise UndeterminedLimitError(
-        f"ladder did not resolve the boundary value at E = {E}", record=rec
+        f"ladder did not resolve the boundary value at E = {rec.E}", record=rec
     )
 
 

@@ -12,11 +12,11 @@ failure under --strict (any UNDETERMINED or NUMERICALLY_UNRESOLVED outcome),
 
 from __future__ import annotations
 
+import functools
 import sys
 import traceback
 
 import click
-import numpy as np
 
 from .averaging import (
     averaged_poisson_closed,
@@ -25,20 +25,18 @@ from .averaging import (
 )
 from .blackbox import CHI_L, DELTA_L, DELTA_R, TAGS
 from .boundary import (
-    DIVERGENT,
-    FINITE_NONZERO,
     UNDETERMINED,
-    ZERO,
     boundary_value,
     classify_energy,
+    density_from_record,
     point_mass,
     point_mass_scan,
 )
 from .certify import NUMERICALLY_UNRESOLVED, certify_no_sc, eigen_residual, remark2_model
 from .config import RunConfig, build_run_config, load_config
 from .emit import render_csv, render_json, write_output
-from .errors import ConfigError, SpecboxError, UndeterminedLimitError
-from .resolvent import green_all
+from .errors import ConfigError, PointMassPresentError, SpecboxError, UndeterminedLimitError
+from .resolvent import green, green_all
 
 __all__ = ["cli", "main"]
 
@@ -47,39 +45,50 @@ class StrictFailure(SpecboxError):
     """Raised when --strict is set and an unresolved outcome occurred."""
 
 
-def _common_options(fn):
-    decorators = [
-        click.option("--config", "config_path", type=str, default=None,
-                     help="Path to the JSON run configuration."),
-        click.option("--lambda", "lam", type=float, default=None,
-                     help="Left bond strength (overrides config)."),
-        click.option("--nu", type=float, default=None,
-                     help="Right bond strength (overrides config)."),
-        click.option("--grid", "grid_flag", type=str, default=None,
-                     help="Energy grid a:b:n (overrides config)."),
-        click.option("--eps-min", type=float, default=None,
-                     help="Smallest ladder epsilon."),
-        click.option("--eps-max", type=float, default=None,
-                     help="Largest ladder epsilon."),
-        click.option("--nodes", type=int, default=None,
-                     help="Oracle quadrature nodes per density piece."),
-        click.option("--strict", is_flag=True, default=False,
-                     help="Exit 2 if any outcome is numerically unresolved."),
-        click.option("--seed", type=int, default=None,
-                     help="PRNG seed recorded in the output."),
-        click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
-                     default=None, help="Output format (default json)."),
-        click.option("--out", "out_path", type=str, default=None,
-                     help="Write output to this path instead of stdout."),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+_OPTIONS = [
+    click.option("--config", "config_path", type=str, default=None,
+                 help="Path to the JSON run configuration."),
+    click.option("--lambda", "lam", type=float, default=None,
+                 help="Left bond strength (overrides config)."),
+    click.option("--nu", type=float, default=None,
+                 help="Right bond strength (overrides config)."),
+    click.option("--grid", type=str, default=None,
+                 help="Energy grid a:b:n (overrides config)."),
+    click.option("--eps-min", type=float, default=None,
+                 help="Smallest ladder epsilon."),
+    click.option("--eps-max", type=float, default=None,
+                 help="Largest ladder epsilon."),
+    click.option("--nodes", type=int, default=None,
+                 help="Oracle quadrature nodes per density piece."),
+    click.option("--strict", is_flag=True, default=False,
+                 help="Exit 2 if any outcome is numerically unresolved."),
+    click.option("--seed", type=int, default=None,
+                 help="PRNG seed recorded in the output."),
+    click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
+                 default=None, help="Output format (default json)."),
+    click.option("--out", "out_path", type=str, default=None,
+                 help="Write output to this path instead of stdout."),
+]
 
 
-def _load(config_path, **overrides) -> RunConfig:
-    raw = load_config(config_path) if config_path else None
-    return build_run_config(raw, overrides)
+def _run_config(command):
+    """Give ``command(cfg)`` the shared flags.
+
+    The flags other than --config and --strict are written over the config
+    document, which is then parsed into the RunConfig passed to the command.
+    The command returns its number of unresolved outcomes (None counts as
+    none); under --strict a nonzero count raises StrictFailure (exit 2).
+    """
+    @functools.wraps(command)
+    def run(config_path, strict, **overrides):
+        raw = load_config(config_path) if config_path else None
+        unresolved = command(build_run_config(raw, overrides))
+        if strict and unresolved:
+            raise StrictFailure(f"{unresolved} unresolved outcome(s) under --strict")
+
+    for option in reversed(_OPTIONS):
+        run = option(run)
+    return run
 
 
 def _emit(cfg: RunConfig, payload: dict, header: list[str], rows: list[list]) -> None:
@@ -87,6 +96,11 @@ def _emit(cfg: RunConfig, payload: dict, header: list[str], rows: list[list]) ->
         write_output(render_csv(header, rows), cfg.out_path)
     else:
         write_output(render_json(payload), cfg.out_path)
+
+
+def _columns(header: list[str], records: list[dict]) -> list[list]:
+    """CSV rows of records whose keys are the CSV columns."""
+    return [[rec[key] for key in header] for rec in records]
 
 
 def _meta(cfg: RunConfig, command: str) -> dict:
@@ -97,24 +111,15 @@ def _meta(cfg: RunConfig, command: str) -> dict:
     }
 
 
-def _strict_gate(strict: bool, unresolved: int) -> None:
-    if strict and unresolved:
-        raise StrictFailure(f"{unresolved} unresolved outcome(s) under --strict")
-
-
 @click.group()
 def cli():
     """Spectral analysis of a finite system coupled to two reservoirs."""
 
 
 @cli.command()
-@_common_options
-def validate(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
-             seed, out_format, out_path):
+@_run_config
+def validate(cfg):
     """Model diagnostics and the certified exceptional sets."""
-    cfg = _load(config_path, lam=lam, nu=nu, grid=grid_flag, eps_min=eps_min,
-                eps_max=eps_max, nodes=nodes, seed=seed,
-                out_format=out_format, out_path=out_path)
     model = cfg.require_model()
     report = model.validate()
     exc = model.exceptional_sets
@@ -132,13 +137,9 @@ GREENS_HEADER = ["z_re", "z_im", "phi", "psi", "g_re", "g_im"]
 
 
 @cli.command()
-@_common_options
-def greens(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
-           seed, out_format, out_path):
+@_run_config
+def greens(cfg):
     """Coupled Green's functions, all 16 pairs, over the energy grid."""
-    cfg = _load(config_path, lam=lam, nu=nu, grid=grid_flag, eps_min=eps_min,
-                eps_max=eps_max, nodes=nodes, seed=seed,
-                out_format=out_format, out_path=out_path)
     model = cfg.require_model()
     grid = cfg.require_grid()
     zs = grid + 1j * cfg.greens_im_z
@@ -167,14 +168,16 @@ CLASSIFY_HEADER = [
 ]
 
 
+def _parts(rec):
+    if rec.value is None:
+        return None, None
+    return float(rec.value.real), float(rec.value.imag)
+
+
 @cli.command()
-@_common_options
-def classify(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
-             seed, out_format, out_path):
+@_run_config
+def classify(cfg):
     """Per-energy set membership and boundary-value diagnostics."""
-    cfg = _load(config_path, lam=lam, nu=nu, grid=grid_flag, eps_min=eps_min,
-                eps_max=eps_max, nodes=nodes, seed=seed,
-                out_format=out_format, out_path=out_path)
     model = cfg.require_model()
     grid = cfg.require_grid()
     tol = cfg.tolerances
@@ -187,12 +190,6 @@ def classify(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
         entries.append(c.to_dict())
         if UNDETERMINED in (c.rec_chi_l.status, c.rec_chi_r.status):
             unresolved += 1
-
-        def _parts(rec):
-            if rec.value is None:
-                return None, None
-            return float(rec.value.real), float(rec.value.imag)
-
         l_re, l_im = _parts(c.rec_chi_l)
         r_re, r_im = _parts(c.rec_chi_r)
         rows.append([
@@ -207,78 +204,67 @@ def classify(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
     payload = _meta(cfg, "classify")
     payload["points"] = entries
     _emit(cfg, payload, CLASSIFY_HEADER, rows)
-    _strict_gate(strict, unresolved)
+    return unresolved
 
 
 DENSITY_HEADER = ["E", "phi", "status", "ac_density", "point_mass"]
 
 
 @cli.command()
-@_common_options
-def density(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
-            seed, out_format, out_path):
+@_run_config
+def density(cfg):
     """Absolutely continuous densities over the grid plus a point-mass scan."""
-    from .resolvent import green
-
-    cfg = _load(config_path, lam=lam, nu=nu, grid=grid_flag, eps_min=eps_min,
-                eps_max=eps_max, nodes=nodes, seed=seed,
-                out_format=out_format, out_path=out_path)
     model = cfg.require_model()
     grid = cfg.require_grid()
     tol = cfg.tolerances
-    rows, entries, unresolved = [], [], 0
+    entries, unresolved = [], 0
     for E in grid:
         for phi in TAGS:
             rec = boundary_value(
                 lambda z: green(model, cfg.coupling, phi, phi, z),
                 float(E), cfg.ladder, div_tol=tol.div_tol, zero_tol=tol.zero_tol,
             )
+            # a divergent ladder asks for the point mass; an undetermined
+            # ladder or a point mass that does not converge is unresolved
             ac = pm = None
-            if rec.status == FINITE_NONZERO:
-                ac = max(rec.value.imag, 0.0) / np.pi
-            elif rec.status == ZERO:
-                ac = 0.0
-            elif rec.status == DIVERGENT:
+            try:
                 try:
+                    ac = density_from_record(rec)
+                except PointMassPresentError:
                     pm = point_mass(model, cfg.coupling, phi, float(E), cfg.ladder)
-                except UndeterminedLimitError:
-                    unresolved += 1
-            else:
+            except UndeterminedLimitError:
                 unresolved += 1
-            rows.append([float(E), phi, rec.status, ac, pm])
             entries.append({"E": float(E), "phi": phi, "status": rec.status,
                             "ac_density": ac, "point_mass": pm})
-    atoms = []
-    for phi in (DELTA_L, DELTA_R):
+    atoms = [
+        {"phi": phi, "E": E0, "weight": w}
+        for phi in (DELTA_L, DELTA_R)
         for E0, w in point_mass_scan(model, cfg.coupling, phi, cfg.ladder,
-                                     nodes_per_piece=min(cfg.nodes_per_piece, 80)):
-            atoms.append({"phi": phi, "E": E0, "weight": w})
-            rows.append([E0, phi, "ATOM_SCAN", None, w])
+                                     nodes_per_piece=min(cfg.nodes_per_piece, 80))
+    ]
     payload = _meta(cfg, "density")
     payload["points"] = entries
     payload["atom_scan"] = atoms
-    _emit(cfg, payload, DENSITY_HEADER, rows)
-    _strict_gate(strict, unresolved)
+    scan_rows = [{"E": a["E"], "phi": a["phi"], "status": "ATOM_SCAN",
+                  "ac_density": None, "point_mass": a["weight"]} for a in atoms]
+    _emit(cfg, payload, DENSITY_HEADER, _columns(DENSITY_HEADER, entries + scan_rows))
+    return unresolved
 
 
 AVERAGE_HEADER = ["E", "phi", "closed", "quadrature", "rel_diff", "ladder_status"]
 
 
 @cli.command()
-@_common_options
-def average(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
-            seed, out_format, out_path):
+@_run_config
+def average(cfg):
     """Averaged Poisson transforms: closed form vs quadrature, plus the
     absolute-continuity scan."""
-    cfg = _load(config_path, lam=lam, nu=nu, grid=grid_flag, eps_min=eps_min,
-                eps_max=eps_max, nodes=nodes, seed=seed,
-                out_format=out_format, out_path=out_path)
     model = cfg.require_model()
     grid = cfg.require_grid()
     eps = cfg.average_eps
     report = verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder)
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
-    rows, entries, unresolved = [], [], 0
+    entries = []
     for E in grid:
         for phi in TAGS:
             kappa = cfg.coupling.nu if phi in (CHI_L, DELTA_L) else cfg.coupling.lam
@@ -287,21 +273,17 @@ def average(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
                 model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol
             )
             rel = abs(closed - quadr) / max(abs(closed), abs(quadr), 1e-300)
-            status = status_by_key.get((float(E), phi))
-            if status == UNDETERMINED:
-                unresolved += 1
-            rows.append([float(E), phi, closed, quadr, rel, status])
             entries.append({"E": float(E), "phi": phi, "closed": closed,
                             "quadrature": quadr, "rel_diff": rel,
-                            "ladder_status": status})
+                            "ladder_status": status_by_key.get((float(E), phi))})
     payload = _meta(cfg, "average")
     payload["eps"] = eps
     payload["table"] = entries
     payload["abs_continuity"] = report.to_dict()
     if cfg.out_format == "csv":
         click.echo(f"abs_continuity verdict: {report.verdict}", err=True)
-    _emit(cfg, payload, AVERAGE_HEADER, rows)
-    _strict_gate(strict, unresolved)
+    _emit(cfg, payload, AVERAGE_HEADER, _columns(AVERAGE_HEADER, entries))
+    return sum(e["ladder_status"] == UNDETERMINED for e in entries)
 
 
 CERTIFY_HEADER = ["E", "verdict", "in_scope", "abs_D",
@@ -309,24 +291,18 @@ CERTIFY_HEADER = ["E", "verdict", "in_scope", "abs_D",
 
 
 @cli.command()
-@_common_options
-def certify(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes, strict,
-            seed, out_format, out_path):
+@_run_config
+def certify(cfg):
     """Pointwise no-singular-continuous certificate over the grid."""
-    cfg = _load(config_path, lam=lam, nu=nu, grid=grid_flag, eps_min=eps_min,
-                eps_max=eps_max, nodes=nodes, seed=seed,
-                out_format=out_format, out_path=out_path)
     model = cfg.require_model()
     grid = cfg.require_grid()
     cert = certify_no_sc(model, cfg.coupling, grid, cfg.ladder,
                          d_floor=cfg.tolerances.d_floor)
-    rows = [[p.E, p.verdict, p.in_scope, p.abs_D,
-             p.aux1_lhs, p.aux1_rhs, p.aux2_lhs, p.aux2_rhs]
-            for p in cert.points]
     payload = _meta(cfg, "certify")
     payload["certificate"] = cert.to_dict()
-    _emit(cfg, payload, CERTIFY_HEADER, rows)
-    _strict_gate(strict, cert.counts()[NUMERICALLY_UNRESOLVED])
+    _emit(cfg, payload, CERTIFY_HEADER,
+          _columns(CERTIFY_HEADER, payload["certificate"]["points"]))
+    return cert.counts()[NUMERICALLY_UNRESOLVED]
 
 
 @cli.group()
@@ -335,14 +311,10 @@ def scenario():
 
 
 @scenario.command("remark2")
-@_common_options
-def scenario_remark2(config_path, lam, nu, grid_flag, eps_min, eps_max, nodes,
-                     strict, seed, out_format, out_path):
+@_run_config
+def scenario_remark2(cfg):
     """Persistent zero mode of the reference model: residual, atom weight,
     and the two independent routes to the same weight."""
-    cfg = _load(config_path, lam=lam, nu=nu, grid=grid_flag, eps_min=eps_min,
-                eps_max=eps_max, nodes=nodes, seed=seed,
-                out_format=out_format, out_path=out_path)
     model = remark2_model()
     nodes_pp = cfg.nodes_per_piece
     residual, weight = eigen_residual(model, cfg.coupling, nodes_pp)

@@ -18,7 +18,7 @@ import numpy as np
 from .blackbox import BlackBoxModel, SystemBlock
 from .boundary import DIV_TOL, IM_TOL, ZERO_TOL, EpsilonLadder
 from .certify import D_FLOOR
-from .errors import ConfigError, InvalidModelError, SpecboxError
+from .errors import ConfigError, DomainError, InvalidModelError
 from .measures import SpectralMeasure
 from .resolvent import CouplingParams
 
@@ -39,7 +39,7 @@ class Tolerances:
     def from_dict(cls, raw: dict) -> "Tolerances":
         tol = cls()
         for key, value in raw.items():
-            if not hasattr(tol, key):
+            if key not in cls.__dataclass_fields__:
                 raise ConfigError(f"unknown tolerance {key!r}", field=f"tolerances.{key}")
             value = _number(value, f"tolerances.{key}")
             if value <= 0:
@@ -171,18 +171,20 @@ def _grid(raw, where: str = "grid") -> np.ndarray:
     )
 
 
-def parse_grid_flag(text: str) -> np.ndarray:
-    """CLI shorthand a:b:n."""
+def _grid_flag(text: str) -> dict:
+    """The grid section that the CLI shorthand a:b:n stands for."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("grid flag must look like a:b:n", field="--grid")
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        return {"start": float(parts[0]), "stop": float(parts[1]), "points": int(parts[2])}
     except ValueError as exc:
         raise ConfigError(f"bad grid flag: {exc}", field="--grid") from exc
-    if n < 1:
-        raise ConfigError("grid needs at least one point", field="--grid")
-    return np.linspace(a, b, n)
+
+
+def parse_grid_flag(text: str) -> np.ndarray:
+    """CLI shorthand a:b:n."""
+    return _grid(_grid_flag(text))
 
 
 def load_config(path: str) -> dict:
@@ -199,92 +201,88 @@ def load_config(path: str) -> dict:
     return raw
 
 
+def _section(doc: dict, name: str) -> dict:
+    """A top-level section: {} when absent, an error when not an object."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object", field=name)
+    return section
+
+
+# flag -> (section, key) of the document field it overrides; --grid is apart
+# because it replaces the whole grid section
+_FLAG_FIELDS = {
+    "lam": ("coupling", "lambda"),
+    "nu": ("coupling", "nu"),
+    "eps_min": ("ladder", "eps_min"),
+    "eps_max": ("ladder", "eps_max"),
+    "nodes": ("oracle", "nodes_per_piece"),
+    "seed": (None, "seed"),
+    "out_format": ("output", "format"),
+    "out_path": ("output", "path"),
+}
+
+
 def build_run_config(raw: dict | None, overrides: dict | None = None) -> RunConfig:
-    """Merge a parsed config document with CLI flag overrides."""
-    raw = raw or {}
-    overrides = overrides or {}
+    """Parse a config document after writing each given flag into the
+    document field it overrides; flags left at None change nothing."""
+    doc = dict(raw or {})
+    for flag, value in (overrides or {}).items():
+        if value is None:
+            continue
+        if flag == "grid":
+            doc["grid"] = _grid_flag(value)
+            continue
+        section, key = _FLAG_FIELDS[flag]
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section] = {**_section(doc, section), key: value}
+
     cfg = RunConfig()
+    if "model" in doc:
+        cfg.model = _model(doc["model"])
+    if "grid" in doc:
+        cfg.grid = _grid(doc["grid"])
 
-    if "model" in raw:
-        cfg.model = _model(raw["model"])
-    if "grid" in raw:
-        cfg.grid = _grid(raw["grid"])
-
-    coupling = raw.get("coupling", {})
-    if not isinstance(coupling, dict):
-        raise ConfigError("coupling must be an object", field="coupling")
-    lam = coupling.get("lambda", 0.0)
-    nu = coupling.get("nu", 0.0)
-    cfg.coupling = CouplingParams(
-        _number(lam, "coupling.lambda"), _number(nu, "coupling.nu")
-    )
-
-    ladder_raw = raw.get("ladder", {})
-    if not isinstance(ladder_raw, dict):
-        raise ConfigError("ladder must be an object", field="ladder")
-    ladder_kwargs = {}
-    for key in ("eps_max", "eps_min", "ratio"):
-        if key in ladder_raw:
-            ladder_kwargs[key] = _number(ladder_raw[key], f"ladder.{key}")
+    coupling = _section(doc, "coupling")
     try:
-        cfg.ladder = EpsilonLadder(**ladder_kwargs)
-    except SpecboxError as exc:
+        cfg.coupling = CouplingParams(
+            _number(coupling.get("lambda", 0.0), "coupling.lambda"),
+            _number(coupling.get("nu", 0.0), "coupling.nu"),
+        )
+    except DomainError as exc:
+        raise ConfigError(str(exc), field="coupling") from exc
+
+    ladder = _section(doc, "ladder")
+    try:
+        cfg.ladder = EpsilonLadder(**{
+            key: _number(ladder[key], f"ladder.{key}")
+            for key in ("eps_max", "eps_min", "ratio") if key in ladder
+        })
+    except DomainError as exc:
         raise ConfigError(str(exc), field="ladder") from exc
 
-    oracle = raw.get("oracle", {})
-    if "nodes_per_piece" in oracle:
-        nodes = oracle["nodes_per_piece"]
-        if not isinstance(nodes, int) or nodes < 2:
-            raise ConfigError("nodes_per_piece must be an integer >= 2",
-                              field="oracle.nodes_per_piece")
-        cfg.nodes_per_piece = nodes
+    nodes = _section(doc, "oracle").get("nodes_per_piece", cfg.nodes_per_piece)
+    if not isinstance(nodes, int) or nodes < 2:
+        raise ConfigError("nodes_per_piece must be an integer >= 2",
+                          field="oracle.nodes_per_piece")
+    cfg.nodes_per_piece = nodes
 
-    if "tolerances" in raw:
-        cfg.tolerances = Tolerances.from_dict(raw["tolerances"])
-    if "greens" in raw and "im_z" in raw["greens"]:
-        cfg.greens_im_z = _number(raw["greens"]["im_z"], "greens.im_z")
-    if "average" in raw and "eps" in raw["average"]:
-        cfg.average_eps = _number(raw["average"]["eps"], "average.eps")
-    if "seed" in raw:
-        if not isinstance(raw["seed"], int):
-            raise ConfigError("seed must be an integer", field="seed")
-        cfg.seed = raw["seed"]
+    cfg.tolerances = Tolerances.from_dict(_section(doc, "tolerances"))
+    cfg.greens_im_z = _number(_section(doc, "greens").get("im_z", cfg.greens_im_z),
+                              "greens.im_z")
+    cfg.average_eps = _number(_section(doc, "average").get("eps", cfg.average_eps),
+                              "average.eps")
+    seed = doc.get("seed", cfg.seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError("seed must be an integer", field="seed")
+    cfg.seed = seed
 
-    output = raw.get("output", {})
-    if "format" in output:
-        if output["format"] not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}", field="output.format")
-        cfg.out_format = output["format"]
-    if "path" in output and output["path"] is not None:
+    output = _section(doc, "output")
+    cfg.out_format = output.get("format", cfg.out_format)
+    if cfg.out_format not in _FORMATS:
+        raise ConfigError(f"format must be one of {_FORMATS}", field="output.format")
+    if output.get("path") is not None:
         cfg.out_path = str(output["path"])
-
-    # flag overrides beat the document
-    if overrides.get("lam") is not None or overrides.get("nu") is not None:
-        cfg.coupling = CouplingParams(
-            cfg.coupling.lam if overrides.get("lam") is None else overrides["lam"],
-            cfg.coupling.nu if overrides.get("nu") is None else overrides["nu"],
-        )
-    if overrides.get("grid") is not None:
-        cfg.grid = parse_grid_flag(overrides["grid"])
-    eps_min = overrides.get("eps_min")
-    eps_max = overrides.get("eps_max")
-    if eps_min is not None or eps_max is not None:
-        try:
-            cfg.ladder = EpsilonLadder(
-                eps_max=eps_max if eps_max is not None else cfg.ladder.eps_max,
-                eps_min=eps_min if eps_min is not None else cfg.ladder.eps_min,
-                ratio=cfg.ladder.ratio,
-            )
-        except SpecboxError as exc:
-            raise ConfigError(str(exc), field="--eps-min/--eps-max") from exc
-    if overrides.get("nodes") is not None:
-        if overrides["nodes"] < 2:
-            raise ConfigError("--nodes must be >= 2", field="--nodes")
-        cfg.nodes_per_piece = overrides["nodes"]
-    if overrides.get("seed") is not None:
-        cfg.seed = overrides["seed"]
-    if overrides.get("out_format") is not None:
-        cfg.out_format = overrides["out_format"]
-    if overrides.get("out_path") is not None:
-        cfg.out_path = overrides["out_path"]
     return cfg

@@ -23,19 +23,14 @@ when |z| is much larger than the support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, InvalidModelError
 
-__all__ = [
-    "SpectralMeasure",
-    "HerglotzEvaluator",
-    "borel",
-    "poisson_density",
-]
+__all__ = ["SpectralMeasure"]
 
 # Tolerance for "the density dips negative" at construction; absorbs roundoff
 # in user-supplied coefficients.
@@ -155,40 +150,11 @@ class SpectralMeasure:
         self._atom_x = np.array([x for x, _ in self.atoms])
         self._atom_w = np.array([w for _, w in self.atoms])
 
-    # -- basic queries ------------------------------------------------------
-
-    @property
-    def support_min(self) -> float:
-        lows = [p.a for p in self.pieces] + [x for x, _ in self.atoms]
-        return min(lows)
-
-    @property
-    def support_max(self) -> float:
-        highs = [p.b for p in self.pieces] + [x for x, _ in self.atoms]
-        return max(highs)
-
     def __repr__(self) -> str:
         return (
             f"SpectralMeasure(atoms={len(self.atoms)}, pieces={len(self.pieces)}, "
             f"mass={self.total_mass:.6g})"
         )
-
-    # -- serialization (config schema: atoms [[x, w], ...], pieces
-    #    [{"interval": [a, b], "poly": [c0, ...]}, ...]) ---------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "atoms": [[x, w] for x, w in self.atoms],
-            "pieces": [
-                {"interval": [p.a, p.b], "poly": list(p.coef)} for p in self.pieces
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpectralMeasure":
-        atoms = data.get("atoms", [])
-        pieces = [(p["interval"], p["poly"]) for p in data.get("pieces", [])]
-        return cls(atoms=atoms, pieces=pieces)
 
     # -- transforms ---------------------------------------------------------
 
@@ -234,9 +200,6 @@ class SpectralMeasure:
             raise ArithmeticError(f"Poisson kernel went negative: {val}")
         return max(val, 0.0)
 
-    def evaluator(self) -> "HerglotzEvaluator":
-        return HerglotzEvaluator(self.borel, tag="log-rational")
-
 
 def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
     """Closed-form int_a^b p(x)/(x-z) dx for an array of z off [a, b]."""
@@ -261,36 +224,3 @@ def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
             power *= inv
         out[far] = acc
     return out
-
-
-def borel(measure: SpectralMeasure, z):
-    """Module-level alias for :meth:`SpectralMeasure.borel`."""
-    return measure.borel(z)
-
-
-def poisson_density(measure: SpectralMeasure, E: float, eps: float) -> float:
-    """Module-level alias for :meth:`SpectralMeasure.poisson`."""
-    return measure.poisson(E, eps)
-
-
-@dataclass(frozen=True)
-class HerglotzEvaluator:
-    """A map z -> complex defined for Im z > 0 with Im(value) >= 0.
-
-    ``tag`` records the closed-form family when known (``rational``,
-    ``log-rational``, ``composite``).  ``reflected`` extends the map to the
-    lower half-plane through conjugate symmetry, value(conj(z)) =
-    conj(value(z)).
-    """
-
-    fn: Callable
-    tag: str | None = None
-
-    def __call__(self, z):
-        return self.fn(z)
-
-    def reflected(self, z):
-        z = complex(z)
-        if z.imag >= 0:
-            return complex(self.fn(z))
-        return complex(np.conj(self.fn(np.conj(z))))

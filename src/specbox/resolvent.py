@@ -23,6 +23,7 @@ solve is available behind ``method="dense"`` and must agree to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,7 +43,6 @@ __all__ = [
     "green",
     "green_all",
     "green_closed",
-    "green_evaluator",
     "discretize",
     "DiscretizedModel",
     "green_oracle",
@@ -60,8 +60,9 @@ class CouplingParams:
     nu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and np.isfinite(self.nu)):
-            raise DomainError("coupling parameters must be finite")
+        # D(z) needs lam**2 and nu**2, so the squares must be finite as well
+        if not all(math.isfinite(float(x) * float(x)) for x in (self.lam, self.nu)):
+            raise DomainError("coupling parameters must be finite with finite squares")
 
     def swapped(self) -> "CouplingParams":
         return CouplingParams(self.nu, self.lam)
@@ -87,14 +88,14 @@ class G0Basics:
 
     @classmethod
     def at(cls, model: BlackBoxModel, z) -> "G0Basics":
-        basics = model.g0_basics(z)
+        system = model.system
         return cls(
-            l=basics[(CHI_L, CHI_L)],
-            r=basics[(CHI_R, CHI_R)],
-            a=basics[(DELTA_L, DELTA_L)],
-            b=basics[(DELTA_R, DELTA_R)],
-            c=basics[(DELTA_L, DELTA_R)],
-            cb=basics[(DELTA_R, DELTA_L)],
+            l=model.res_l.borel(z),
+            r=model.res_r.borel(z),
+            a=system.green(DELTA_L, DELTA_L, z),
+            b=system.green(DELTA_R, DELTA_R, z),
+            c=system.green(DELTA_L, DELTA_R, z),
+            cb=system.green(DELTA_R, DELTA_L, z),
         )
 
     def det_D(self, coupling: CouplingParams):
@@ -201,18 +202,6 @@ def green_closed(model: BlackBoxModel, coupling, phi: str, z):
     return num / D
 
 
-def green_evaluator(model: BlackBoxModel, coupling, phi: str, psi: str):
-    """Herglotz evaluator z -> G_{lam,nu}(phi, psi, z) for ladder scans."""
-    from .measures import HerglotzEvaluator
-
-    cp = _coupling(coupling)
-
-    def fn(z):
-        return green(model, cp, phi, psi, z)
-
-    return HerglotzEvaluator(fn, tag="composite")
-
-
 # ---------------------------------------------------------------------------
 # discretization oracle
 # ---------------------------------------------------------------------------
@@ -231,7 +220,6 @@ class DiscretizedModel:
             raise DomainError(f"nodes_per_piece must be >= 2, got {nodes_per_piece}")
         self.model = model
         self.nodes_per_piece = int(nodes_per_piece)
-        self.quadrature_rule = "gauss-legendre+exact-atoms"
 
         xl, wl = _measure_nodes(model.res_l, nodes_per_piece)
         xr, wr = _measure_nodes(model.res_r, nodes_per_piece)

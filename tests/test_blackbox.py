@@ -137,6 +137,22 @@ class TestDFunction:
         with pytest.raises(PoleError):
             t2_model.d_function(ev)
 
+    def test_vanishing_d_with_complex_couplings(self):
+        # One level with complex coupling vectors: d vanishes identically, so
+        # near the pole its value is pure cancellation between a*b and c*cb
+        # (about 2e4 each); roundoff in the imaginary part must not be
+        # measured against |d| itself.
+        system = SystemBlock(
+            [[-0.05102686225800991]],
+            [0.8918839501895515 + 0.9447132740916125j],
+            [-0.5322495239537628 - 0.06831474306671874j],
+        )
+        model = BlackBoxModel(system, two_band_measure(), two_band_measure())
+        for E in [-0.04615554630029628, *np.linspace(-1.0, 1.0, 2001)]:
+            E = float(E)
+            ab = system.green(DELTA_L, DELTA_L, E) * system.green(DELTA_R, DELTA_R, E)
+            assert abs(model.d_function(E)) <= 1e-12 * max(1.0, abs(ab))
+
 
 class TestExceptionalSets:
     def test_remark2_sets(self, remark2):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specbox.blackbox import CHI_L, DELTA_L, DELTA_R
+from specbox.blackbox import CHI_L, DELTA_L, DELTA_R, TAGS
 from specbox.boundary import (
     DIVERGENT,
     FINITE_NONZERO,
@@ -34,9 +34,6 @@ class TestLadder:
             EpsilonLadder(eps_max=1e-9, eps_min=1e-1)
         with pytest.raises(DomainError):
             EpsilonLadder(ratio=1.5)
-
-    def test_refined(self):
-        assert EpsilonLadder().refined(100).eps_min == pytest.approx(1e-11)
 
 
 class TestBoundaryValue:
@@ -136,17 +133,17 @@ class TestClassify:
 
 class TestGreenEvaluator:
     def test_ladder_and_reflection(self, remark2):
-        from specbox.resolvent import green, green_evaluator
+        from specbox.resolvent import green
 
-        ev = green_evaluator(remark2, (1.0, 1.0), DELTA_L, DELTA_L)
-        assert ev.tag == "composite"
-        rec = boundary_value(ev, 1.5)
+        rec = boundary_value(lambda z: green(remark2, (1.0, 1.0), DELTA_L, DELTA_L, z), 1.5)
         assert rec.status == FINITE_NONZERO
         assert rec.value.imag > 0
+        # conjugate symmetry of the diagonal pairs
         z = 0.4 + 0.7j
-        assert ev.reflected(np.conj(z)) == pytest.approx(
-            np.conj(green(remark2, (1.0, 1.0), DELTA_L, DELTA_L, z)), rel=1e-14
-        )
+        for phi in TAGS:
+            assert green(remark2, (1.0, 1.0), phi, phi, np.conj(z)) == pytest.approx(
+                np.conj(green(remark2, (1.0, 1.0), phi, phi, z)), rel=1e-14
+            )
 
 
 class TestAcDensity:

@@ -97,6 +97,17 @@ class TestConfig:
         assert cfg.ladder.eps_min == 1e-7
         assert cfg.seed == 42 and cfg.out_format == "csv"
 
+    def test_flags_write_document_fields(self, config_file):
+        raw = load_config(config_file)
+        cfg = build_run_config(raw, {"nu": 0.5, "eps_max": 0.05, "out_path": "x.csv"})
+        assert cfg.coupling.lam == 1.0 and cfg.coupling.nu == 0.5
+        assert cfg.ladder.eps_max == 0.05 and cfg.out_path == "x.csv"
+        assert raw == remark2_config()  # the parsed document is left as it was
+        with pytest.raises(ConfigError, match="coupling.lambda"):
+            build_run_config(raw, {"lam": float("nan")})
+        with pytest.raises(ConfigError, match="oracle.nodes_per_piece"):
+            build_run_config(raw, {"nodes": 1})
+
 
 class TestExitCodes:
     def test_scenario_remark2_success(self, capsys):
@@ -130,6 +141,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "Hermitian" in err
+
+    @pytest.mark.parametrize("extra, flags", [
+        ({"oracle": 5}, []),
+        ({"output": 1}, []),
+        ({"greens": 3}, []),
+        ({"tolerances": [1]}, []),
+        ({"seed": True}, []),
+        ({}, ["--lambda", "nan"]),
+        ({}, ["--nu", "inf"]),
+        ({}, ["--lambda", "1e200"]),
+    ])
+    def test_malformed_input_exits_1(self, tmp_path, capsys, extra, flags):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(remark2_config(**extra)))
+        code = main(["greens", "--config", str(path), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error at" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand_exits_1(self, capsys):
         code = main(["frobnicate"])
