@@ -22,10 +22,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, BlackBoxModel
-from .boundary import DIVERGENT, EpsilonLadder, boundary_value
+from .boundary import DIVERGENT, EpsilonLadder, _richardson, boundary_value
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
-from .resolvent import CouplingParams, G0Basics, green_from_basics
+from .resolvent import _TAG_INDEX, CouplingParams, G0Basics, _solve_all, green_from_basics
 
 __all__ = [
     "averaged_poisson_closed",
@@ -50,25 +50,29 @@ def _zero_bond_coupling(phi: str, kappa: float) -> CouplingParams:
     return CouplingParams(kappa, 0.0)
 
 
-def _vw(model: BlackBoxModel, nu: float, phi: str, z: complex):
+def _vw(model: BlackBoxModel, nu: float, phi: str, z):
+    """Zero-bond values v = G(phi, phi) and w = G(partner, partner) at z
+    (array-capable), read off one solve."""
     cp = _zero_bond_coupling(phi, nu)
     basics = G0Basics.at(model, z)
-    v = complex(green_from_basics(basics, cp, phi, phi))
-    w = complex(green_from_basics(basics, cp, _PARTNER[phi], _PARTNER[phi]))
-    return v, w, basics, cp
+    pairs = _solve_all(basics, cp)
+    i, j = _TAG_INDEX[phi], _TAG_INDEX[_PARTNER[phi]]
+    return pairs[..., i, i], pairs[..., j, j], basics
 
 
-def averaged_poisson_closed(
-    model: BlackBoxModel, nu: float, phi: str, E: float, eps: float
-) -> float:
-    """Closed-form averaged Poisson transform at E + i eps; always >= 0."""
-    if eps <= 0:
+def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E: float, eps):
+    """Closed-form averaged Poisson transform at E + i eps; always >= 0.
+
+    A scalar eps gives a float, an array of eps an array of the same shape.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
         raise DomainError(f"eps must be > 0, got {eps}")
-    v, w, _, _ = _vw(model, float(nu), phi, complex(E, eps))
-    if w == 0:
+    v, w, _ = _vw(model, float(nu), phi, E + 1j * eps)
+    if np.any(w == 0):
         raise DomainError("partner Green's function vanished exactly; input singular")
-    s = np.sqrt(v / w)
-    return float(np.pi * abs(s.real))
+    p = np.pi * np.abs(np.sqrt(v / w).real)
+    return float(p) if p.ndim == 0 else p
 
 
 def _pole_breakpoints(poles, lambda_cap: float) -> list[float]:
@@ -136,9 +140,9 @@ def averaged_poisson_quadrature(
     """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
-    z = complex(E, eps)
     nu = float(nu)
-    v, w, basics, _ = _vw(model, nu, phi, z)
+    v, w, basics = _vw(model, nu, phi, complex(E, eps))
+    v, w = complex(v), complex(w)
     left = phi in _LEFT
 
     def integrand(s: float) -> float:
@@ -228,10 +232,10 @@ def verify_abs_continuity(
             report.excluded.append({"E": float(E), "marker": "EXCLUDED_N"})
             continue
         for phi in (CHI_L, DELTA_L, CHI_R, DELTA_R):
-            def p_of_z(z):
-                return averaged_poisson_closed(model, nu, phi, float(E), float(np.imag(z)))
-
-            rec = boundary_value(p_of_z, float(E), ladder)
+            rec = boundary_value(
+                lambda z: averaged_poisson_closed(model, nu, phi, float(E), z.imag),
+                float(E), ladder,
+            )
             entry = {
                 "E": float(E),
                 "phi": phi,
@@ -241,10 +245,8 @@ def verify_abs_continuity(
             report.points.append(entry)
             if rec.status == DIVERGENT:
                 diverged = True
-                eps = ladder.epsilons()
-                m_last = eps[-1] * p_of_z(complex(E, eps[-1]))
-                m_prev = eps[-2] * p_of_z(complex(E, eps[-2]))
-                indicator = (m_last - ladder.ratio * m_prev) / (1 - ladder.ratio)
+                (e0, p0), (e1, p1) = rec.ladder_trace[-2:]
+                indicator = _richardson(e1 * p1.real, e0 * p0.real, ladder.ratio)
                 report.atoms.append(
                     {"E": float(E), "phi": phi, "indicator": float(indicator)}
                 )

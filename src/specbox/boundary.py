@@ -31,6 +31,7 @@ from .blackbox import DELTA_L, DELTA_R, BlackBoxModel
 from .errors import (
     DomainError,
     PointMassPresentError,
+    SpecboxError,
     UndeterminedLimitError,
 )
 from .resolvent import green
@@ -79,6 +80,8 @@ class EpsilonLadder:
             )
         if not 0 < self.ratio < 1:
             raise DomainError(f"ratio must be in (0, 1), got {self.ratio}")
+        if len(self.epsilons()) < 4:  # point_mass compares the last three steps
+            raise DomainError("the ladder needs at least 4 rungs")
 
     def epsilons(self) -> np.ndarray:
         count = int(math.floor(math.log(self.eps_min / self.eps_max) / math.log(self.ratio)))
@@ -129,44 +132,30 @@ def boundary_value(
 ) -> BoundaryRecord:
     """Extrapolate f(E + i 0) along the ladder and classify the outcome.
 
-    ``f`` may be vectorized over arrays of z; if a vector call fails the
-    ladder falls back to per-rung evaluation so the trace survives partial
-    failures.
+    ``f`` must accept the array of ladder points z and is called once per
+    ladder; a constant result is broadcast over the rungs.  A numerical
+    failure of that call gives UNDETERMINED with an empty trace, and
+    non-finite rungs give UNDETERMINED with the finite prefix as trace.
     """
     ladder = ladder or EpsilonLadder()
     eps = ladder.epsilons()
     zs = E + 1j * eps
-    vals: list[complex] | None = None
     try:
-        arr = np.asarray(f(zs))
-        if arr.shape == zs.shape and np.all(np.isfinite(arr)):
-            vals = [complex(v) for v in arr]
-    except Exception:
-        vals = None
-    if vals is None:
-        vals = []
-        for z in zs:
-            try:
-                v = complex(f(z))
-            except Exception:
-                trace = list(zip(eps[: len(vals)], vals))
-                return BoundaryRecord(E, UNDETERMINED, ladder_trace=trace)
-            if not np.isfinite(v):
-                return BoundaryRecord(
-                    E, UNDETERMINED, ladder_trace=list(zip(eps[: len(vals)], vals))
-                )
-            vals.append(v)
-
+        vals = np.broadcast_to(np.asarray(f(zs), dtype=complex), zs.shape)
+    except (SpecboxError, ArithmeticError, np.linalg.LinAlgError):
+        return BoundaryRecord(E, UNDETERMINED)
     trace = list(zip(eps, vals))
-    a_vals = np.array(vals)
-    mags = np.abs(a_vals)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        return BoundaryRecord(E, UNDETERMINED, ladder_trace=trace[: bad.argmax()])
+    mags = np.abs(vals)
     window = min(SLOPE_WINDOW, len(eps))
     log_eps = np.log(eps[-window:])
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.maximum(mags[-window:], 1e-300))
     slope = float(np.polyfit(log_eps, log_mag, 1)[0])
 
-    last, prev = a_vals[-1], a_vals[-2]
+    last, prev = vals[-1], vals[-2]
 
     if slope <= -0.5 and mags[-1] > div_tol:
         pole_weight = None
@@ -185,7 +174,7 @@ def boundary_value(
             E, ZERO, value=value, im_limit=0.0, slope=slope, ladder_trace=trace
         )
 
-    diffs = np.abs(np.diff(a_vals[-(window + 1):]))
+    diffs = np.abs(np.diff(vals[-(window + 1):]))
     floor = 1e-12 * max(1.0, mags[-1])
     converged = all(
         d_next <= d_prev / _CAUCHY_FACTOR or d_next <= floor
@@ -198,12 +187,11 @@ def boundary_value(
                 E, ZERO, value=value, im_limit=0.0, slope=slope, ladder_trace=trace
             )
         if abs(value) < div_tol:
-            im_limit = float(value.imag)
             return BoundaryRecord(
                 E,
                 FINITE_NONZERO,
                 value=value,
-                im_limit=im_limit,
+                im_limit=float(value.imag),
                 slope=slope,
                 ladder_trace=trace,
             )

@@ -26,6 +26,9 @@ __all__ = ["RunConfig", "Tolerances", "load_config", "build_run_config"]
 
 _FORMATS = ("json", "csv")
 
+#: largest grid accepted, checked before anything is allocated
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass
 class Tolerances:
@@ -110,6 +113,8 @@ def _measure(raw, where: str) -> SpectralMeasure:
             raise ConfigError("interval must be [a, b]", field=f"{pw}.interval")
         a = _number(interval[0], f"{pw}.interval[0]")
         b = _number(interval[1], f"{pw}.interval[1]")
+        if not isinstance(piece["poly"], list):
+            raise ConfigError("poly must be a list of coefficients", field=f"{pw}.poly")
         poly = [_number(c, f"{pw}.poly[{j}]") for j, c in enumerate(piece["poly"])]
         parsed_pieces.append(([a, b], poly))
     parsed_atoms = []
@@ -139,6 +144,9 @@ def _model(raw, where: str = "model") -> BlackBoxModel:
     mat = []
     for i, row in enumerate(rows):
         mat.append(_complex_vector(row, f"{where}.system.matrix[{i}]"))
+        if len(row) != len(rows):
+            raise ConfigError(f"the matrix is square: each row needs {len(rows)} entries",
+                              field=f"{where}.system.matrix[{i}]")
     matrix = np.array(mat)
     delta_l = _complex_vector(sysd.get("delta_l"), f"{where}.system.delta_l")
     delta_r = _complex_vector(sysd.get("delta_r"), f"{where}.system.delta_r")
@@ -155,16 +163,19 @@ def _model(raw, where: str = "model") -> BlackBoxModel:
 
 def _grid(raw, where: str = "grid") -> np.ndarray:
     if isinstance(raw, dict) and "list" in raw:
-        vals = [_number(v, f"{where}.list[{i}]") for i, v in enumerate(raw["list"])]
-        if not vals:
-            raise ConfigError("grid list must be nonempty", field=f"{where}.list")
-        return np.array(vals)
+        if not isinstance(raw["list"], list) or not 1 <= len(raw["list"]) <= MAX_GRID_POINTS:
+            raise ConfigError(f"grid list must hold 1 to {MAX_GRID_POINTS} numbers",
+                              field=f"{where}.list")
+        return np.array([_number(v, f"{where}.list[{i}]") for i, v in enumerate(raw["list"])])
     if isinstance(raw, dict) and {"start", "stop", "points"} <= set(raw):
         start = _number(raw["start"], f"{where}.start")
         stop = _number(raw["stop"], f"{where}.stop")
         points = raw["points"]
-        if not isinstance(points, int) or points < 1:
-            raise ConfigError("points must be an integer >= 1", field=f"{where}.points")
+        if not isinstance(points, int) or not 1 <= points <= MAX_GRID_POINTS:
+            raise ConfigError(f"points must be an integer from 1 to {MAX_GRID_POINTS}",
+                              field=f"{where}.points")
+        if not math.isfinite(stop - start):
+            raise ConfigError("stop - start overflows", field=where)
         return np.linspace(start, stop, points)
     raise ConfigError(
         "grid must be {'start','stop','points'} or {'list': [...]}", field=where

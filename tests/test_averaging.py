@@ -35,6 +35,17 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             averaged_poisson_closed(remark2, 1.0, DELTA_L, 0.5, 0.0)
 
+    def test_array_eps_matches_scalar(self, t2_model):
+        eps = EpsilonLadder().epsilons()
+        for phi in (CHI_L, DELTA_L, CHI_R, DELTA_R):
+            for E in (-1.5, 0.3, 2.5):
+                vec = averaged_poisson_closed(t2_model, 0.8, phi, E, eps)
+                scalar = [averaged_poisson_closed(t2_model, 0.8, phi, E, e) for e in eps]
+                assert vec.shape == eps.shape
+                assert np.array_equal(vec, scalar)
+        with pytest.raises(DomainError):
+            averaged_poisson_closed(t2_model, 0.8, DELTA_L, 0.3, np.array([1e-2, 0.0]))
+
     def test_matches_quadrature_remark2_band(self, remark2):
         closed = averaged_poisson_closed(remark2, 1.0, CHI_L, 1.5, 1e-3)
         quadr = averaged_poisson_quadrature(remark2, 1.0, CHI_L, 1.5, 1e-3)
@@ -120,6 +131,20 @@ class TestVerifyAbsContinuity:
         atoms_at_zero = [a for a in report.atoms if abs(a["E"]) < 1e-12]
         assert atoms_at_zero, "expected a divergent averaged ladder at E = 0"
         assert all(a["indicator"] > 0 for a in atoms_at_zero)
+
+    def test_one_closed_call_per_ladder(self, remark2, monkeypatch):
+        from specbox import averaging
+
+        shapes = []
+        closed = averaging.averaged_poisson_closed
+
+        def counted(model, nu, phi, E, eps):
+            shapes.append(np.shape(eps))
+            return closed(model, nu, phi, E, eps)
+
+        monkeypatch.setattr(averaging, "averaged_poisson_closed", counted)
+        verify_abs_continuity(remark2, 1.0, [0.0, 1.5])
+        assert shapes == [EpsilonLadder().epsilons().shape] * 8
 
     def test_exclusion_markers(self, t2_model):
         exc = t2_model.exceptional_sets

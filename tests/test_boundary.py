@@ -16,7 +16,7 @@ from specbox.boundary import (
     point_mass,
     point_mass_scan,
 )
-from specbox.errors import DomainError, PointMassPresentError
+from specbox.errors import DomainError, NearSingularError, PointMassPresentError
 from specbox.resolvent import discretize, green_oracle
 
 
@@ -66,14 +66,31 @@ class TestBoundaryValue:
         assert rec.status == UNDETERMINED
 
     def test_evaluation_failure_gives_trace(self):
+        # non-finite values on the small rungs: the trace keeps the finite prefix
         def bad(z):
-            if abs(z.imag) < 1e-5:
-                raise ValueError("deliberate failure")
-            return 1.0 + 0j
+            return np.where(z.imag < 1e-5, np.nan, 1.0 + 0j)
 
         rec = boundary_value(bad, 0.0)
         assert rec.status == UNDETERMINED
         assert len(rec.ladder_trace) > 0
+        eps = EpsilonLadder().epsilons()
+        assert len(rec.ladder_trace) == int(np.sum(eps >= 1e-5))
+        assert all(np.isfinite(v) for _, v in rec.ladder_trace)
+
+    def test_numerical_failure_undetermined(self):
+        def singular(z):
+            raise NearSingularError("deliberate resonance")
+
+        rec = boundary_value(singular, 0.0)
+        assert rec.status == UNDETERMINED
+        assert rec.ladder_trace == []
+
+    def test_programming_error_propagates(self):
+        def broken(z):
+            raise TypeError("deliberate bug")
+
+        with pytest.raises(TypeError):
+            boundary_value(broken, 0.0)
 
     def test_richardson_stability(self, remark2):
         base = boundary_value(remark2.res_l.borel, 1.5)

@@ -1,9 +1,15 @@
 """CLI tests: exit codes, output stability, config validation."""
 
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from specbox.cli import (
     AVERAGE_HEADER,
@@ -13,7 +19,7 @@ from specbox.cli import (
     GREENS_HEADER,
     main,
 )
-from specbox.config import build_run_config, load_config, parse_grid_flag
+from specbox.config import MAX_GRID_POINTS, build_run_config, load_config, parse_grid_flag
 from specbox.errors import ConfigError
 
 
@@ -68,6 +74,44 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             build_run_config(bad)
         assert "model" in str(exc.value)
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("reservoir_left", "pieces", 0, "poly"), 5, "model.reservoir_left.pieces[0].poly"),
+        (("reservoir_left", "pieces", 1, "poly"), None, "model.reservoir_left.pieces[1].poly"),
+        (("system", "matrix"), [[[1, 2]], [[0.5, 0], [-1, 0]]], "model.system.matrix[0]"),
+    ])
+    def test_malformed_model_names_field(self, path, value, field):
+        bad = remark2_config()
+        node = bad["model"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as exc:
+            build_run_config(bad)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"list": 5}, "grid.list"),
+        ({"list": [0.0] * (MAX_GRID_POINTS + 1)}, "grid.list"),
+        ({"start": 0, "stop": 1, "points": 10**30}, "grid.points"),
+        ({"start": 0, "stop": 1, "points": MAX_GRID_POINTS + 1}, "grid.points"),
+        ({"start": -1e308, "stop": 1e308, "points": 3}, "grid"),
+    ])
+    def test_grid_rejected_before_allocation(self, grid, field):
+        with pytest.raises(ConfigError) as exc:
+            build_run_config(remark2_config(grid=grid))
+        assert exc.value.field == field
+
+    def test_grid_cap(self):
+        cfg = build_run_config(remark2_config(
+            grid={"start": 0, "stop": 1, "points": MAX_GRID_POINTS}))
+        assert len(cfg.grid) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="grid.points"):
+            parse_grid_flag(f"0:1:{MAX_GRID_POINTS + 1}")
+
+    def test_ladder_needs_four_rungs(self):
+        with pytest.raises(ConfigError, match="ladder"):
+            build_run_config(remark2_config(ladder={"ratio": 1e-300}))
 
     def test_non_hermitian_rejected(self):
         bad = remark2_config()
@@ -250,3 +294,86 @@ class TestEmission:
             assert float(fmt_cell(float(x))) == float(x)
         assert fmt_cell(None) == ""
         assert fmt_cell(True) == "true"
+
+
+SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
+SAMPLE = json.loads(SAMPLE_PATH.read_text())
+
+
+def _node_paths(node, path=()):
+    """Every path into a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_NODES = list(_node_paths(SAMPLE))
+_BAD_VALUES = [
+    "x", "", ".", None, True, 0, -1, 1.5, 1e-300, 10**30, float("nan"), float("inf"),
+    [], {}, [1, "x"], [[1, 2], [3]], [[[1, 2]], [[0.5, 0], [-1, 0]]], {"a": 1},
+]
+_FLAGS = ["--lambda", "--nu", "--eps-min", "--eps-max", "--nodes", "--seed", "--grid"]
+_BAD_FLAG_VALUES = [
+    "nan", "inf", "-inf", "1e400", "1e-300", "-1", "0", "x", "",
+    "0:1:nan", "nan:1:3", "0:1:-1", f"0:1:{10**31}", "-1e308:1e308:3",
+]
+
+
+def _run_main(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+def _mutated(path, value):
+    doc = copy.deepcopy(SAMPLE)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_FUZZ = settings(derandomize=True, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestConfigFuzz:
+    """One malformed node of the sample config, or one malformed flag: every
+    run ends with a documented exit code (0, 1 or 2), never a traceback."""
+
+    @settings(_FUZZ, max_examples=300)
+    @given(command=st.sampled_from(["validate", "certify"]),
+           path=st.sampled_from(_NODES), value=st.sampled_from(_BAD_VALUES))
+    @example(command="validate", path=("model", "reservoir_left", "pieces", 0, "poly"), value=5)
+    @example(command="validate", path=("model", "reservoir_right", "pieces", 1, "poly"),
+             value=None)
+    @example(command="validate", path=("grid",), value={"list": 5})
+    @example(command="validate", path=("model", "system", "matrix"),
+             value=[[[1, 2]], [[0.5, 0], [-1, 0]]])
+    @example(command="certify", path=("grid", "points"), value=10**30)
+    @example(command="certify", path=("ladder", "ratio"), value=1e-300)
+    def test_mutated_config(self, tmp_path, monkeypatch, command, path, value):
+        monkeypatch.chdir(tmp_path)  # a mutated output.path writes here
+        config = tmp_path / "fuzz.json"
+        config.write_text(json.dumps(_mutated(path, value)))
+        code, err = _run_main([command, "--config", str(config)])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+
+    @settings(_FUZZ, max_examples=100)
+    @given(command=st.sampled_from(["validate", "certify"]),
+           flag=st.sampled_from(_FLAGS), value=st.sampled_from(_BAD_FLAG_VALUES))
+    @example(command="certify", flag="--grid", value=f"0:1:{10**31}")
+    @example(command="certify", flag="--grid", value="-1e308:1e308:3")
+    def test_malformed_flag(self, command, flag, value):
+        code, err = _run_main([command, "--config", str(SAMPLE_PATH), flag, value])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
