@@ -16,13 +16,13 @@ Lebesgue measure, Poisson density pi) runs on the same quadrature engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, BlackBoxModel
-from .boundary import DIVERGENT, EpsilonLadder, _richardson, boundary_value
+from .boundary import DIVERGENT, EpsilonLadder, Tolerances, _richardson, boundary_value
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
 from .resolvent import _TAG_INDEX, CouplingParams, G0Basics, _solve_all, green_from_basics
@@ -197,13 +197,7 @@ class AveragingReport:
     atoms: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "verdict": self.verdict,
-            "points": self.points,
-            "excluded": self.excluded,
-            "atoms": self.atoms,
-        }
+        return asdict(self)
 
 
 def verify_abs_continuity(
@@ -211,6 +205,8 @@ def verify_abs_continuity(
     nu: float,
     grid,
     ladder: EpsilonLadder | None = None,
+    *,
+    tol: Tolerances = Tolerances(),
 ) -> AveragingReport:
     """Scan the grid for divergence of the averaged Poisson ladder.
 
@@ -234,7 +230,7 @@ def verify_abs_continuity(
         for phi in (CHI_L, DELTA_L, CHI_R, DELTA_R):
             rec = boundary_value(
                 lambda z: averaged_poisson_closed(model, nu, phi, float(E), z.imag),
-                float(E), ladder,
+                float(E), ladder, tol=tol,
             )
             entry = {
                 "E": float(E),

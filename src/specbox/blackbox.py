@@ -16,7 +16,7 @@ polynomial root finding (companion matrix) instead of grid scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -227,19 +227,9 @@ class ValidationReport:
         return self.vanish_ok and self.reservoirs_nontrivial
 
     def to_dict(self) -> dict:
-        return {
-            "herm_residual": self.herm_residual,
-            "eig_residual": self.eig_residual,
-            "vanish_ok": self.vanish_ok,
-            "vanish_numerator_max": self.vanish_numerator_max,
-            "cyclicity_rank": self.cyclicity_rank,
-            "system_dim": self.system_dim,
-            "cyclic_system_heuristic": self.cyclic_system_heuristic,
-            "reservoirs_nontrivial": self.reservoirs_nontrivial,
-            "degenerate_n": self.degenerate_n,
-            "n_outside_sigma_hs": list(self.n_outside_sigma_hs),
-            "ok": self.ok,
-        }
+        # a list, not a tuple: CSV writes a tuple with its parentheses
+        return {**asdict(self), "n_outside_sigma_hs": list(self.n_outside_sigma_hs),
+                "ok": self.ok}
 
 
 class BlackBoxModel:

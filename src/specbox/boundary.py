@@ -37,6 +37,7 @@ from .errors import (
 from .resolvent import green
 
 __all__ = [
+    "Tolerances",
     "EpsilonLadder",
     "BoundaryRecord",
     "EnergyClassification",
@@ -57,12 +58,32 @@ ZERO = "ZERO"
 DIVERGENT = "DIVERGENT"
 UNDETERMINED = "UNDETERMINED"
 
-DIV_TOL = 1e6
-ZERO_TOL = 1e-6
-IM_TOL = 1e-8
 SLOPE_WINDOW = 5
 _CAUCHY_FACTOR = 1.5
 _MATCH_TOL = 1e-9
+#: relative match tolerance of the c2/c3 limit-profile checks
+C_TOL = 1e-6
+#: point masses at or below this weight are reported as 0
+ATOM_FLOOR = 1e-10
+#: atom-scan candidates closer than this to a reservoir band are skipped
+GAP_MARGIN = 1e-3
+#: most rungs a ladder may have, checked before any rung is allocated
+MAX_RUNGS = 10_000
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The thresholds every layer reads: ladder classification (div_tol,
+    zero_tol), the dissipative sets (im_tol), the certificate floor on
+    |D(E + i0)| (d_floor) and the quadrature duel (quad_tol)."""
+
+    div_tol: float = 1e6
+    zero_tol: float = 1e-6
+    im_tol: float = 1e-8
+    #: below this |D(E + i0)| the verdict is withheld rather than risked: the
+    #: theory guarantees D != 0 but not a quantitative lower bound
+    d_floor: float = 1e-8
+    quad_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,12 +101,17 @@ class EpsilonLadder:
             )
         if not 0 < self.ratio < 1:
             raise DomainError(f"ratio must be in (0, 1), got {self.ratio}")
-        if len(self.epsilons()) < 4:  # point_mass compares the last three steps
+        rungs = self._rungs()
+        if rungs < 4:  # point_mass compares the last three steps
             raise DomainError("the ladder needs at least 4 rungs")
+        if rungs > MAX_RUNGS:
+            raise DomainError(f"the ladder may have at most {MAX_RUNGS} rungs, got {rungs}")
+
+    def _rungs(self) -> int:
+        return int(math.floor(math.log(self.eps_min / self.eps_max) / math.log(self.ratio))) + 1
 
     def epsilons(self) -> np.ndarray:
-        count = int(math.floor(math.log(self.eps_min / self.eps_max) / math.log(self.ratio)))
-        return self.eps_max * self.ratio ** np.arange(count + 1)
+        return self.eps_max * self.ratio ** np.arange(self._rungs())
 
 
 @dataclass
@@ -127,8 +153,7 @@ def boundary_value(
     E: float,
     ladder: EpsilonLadder | None = None,
     *,
-    div_tol: float = DIV_TOL,
-    zero_tol: float = ZERO_TOL,
+    tol: Tolerances = Tolerances(),
 ) -> BoundaryRecord:
     """Extrapolate f(E + i 0) along the ladder and classify the outcome.
 
@@ -157,7 +182,7 @@ def boundary_value(
 
     last, prev = vals[-1], vals[-2]
 
-    if slope <= -0.5 and mags[-1] > div_tol:
+    if slope <= -0.5 and mags[-1] > tol.div_tol:
         pole_weight = None
         if slope <= -0.8:
             m_last = eps[-1] * last.imag
@@ -168,7 +193,7 @@ def boundary_value(
         )
 
     tail = mags[-window:]
-    if mags[-1] < zero_tol and np.all(np.diff(tail) <= 1e-12 + 0.1 * tail[:-1]):
+    if mags[-1] < tol.zero_tol and np.all(np.diff(tail) <= 1e-12 + 0.1 * tail[:-1]):
         value = _richardson(last, prev, ladder.ratio)
         return BoundaryRecord(
             E, ZERO, value=value, im_limit=0.0, slope=slope, ladder_trace=trace
@@ -182,11 +207,11 @@ def boundary_value(
     )
     if converged:
         value = _richardson(last, prev, ladder.ratio)
-        if abs(value) <= zero_tol:
+        if abs(value) <= tol.zero_tol:
             return BoundaryRecord(
                 E, ZERO, value=value, im_limit=0.0, slope=slope, ladder_trace=trace
             )
-        if abs(value) < div_tol:
+        if abs(value) < tol.div_tol:
             return BoundaryRecord(
                 E,
                 FINITE_NONZERO,
@@ -247,10 +272,7 @@ def classify_energy(
     nu: float | None = None,
     ladder: EpsilonLadder | None = None,
     *,
-    im_tol: float = IM_TOL,
-    div_tol: float = DIV_TOL,
-    zero_tol: float = ZERO_TOL,
-    c_tol: float = 1e-6,
+    tol: Tolerances = Tolerances(),
 ) -> EnergyClassification:
     """Classify E against the certified sets and the boundary-value sets.
 
@@ -265,21 +287,19 @@ def classify_energy(
     in_s = _near(E, exc.s_zeros)
     in_n = None if exc.degenerate else _near(E, exc.n_points)
 
-    rec_l = boundary_value(model.res_l.borel, E, ladder, div_tol=div_tol, zero_tol=zero_tol)
-    rec_r = boundary_value(model.res_r.borel, E, ladder, div_tol=div_tol, zero_tol=zero_tol)
+    rec_l = boundary_value(model.res_l.borel, E, ladder, tol=tol)
+    rec_r = boundary_value(model.res_r.borel, E, ladder, tol=tol)
     in_m0 = rec_l.status == FINITE_NONZERO and rec_r.status == FINITE_NONZERO
     in_ml = bool(
-        in_m0 and rec_l.im_limit is not None and im_tol < rec_l.im_limit < 1.0 / im_tol
+        in_m0 and rec_l.im_limit is not None and tol.im_tol < rec_l.im_limit < 1.0 / tol.im_tol
     )
     in_mr = bool(
-        in_m0 and rec_r.im_limit is not None and im_tol < rec_r.im_limit < 1.0 / im_tol
+        in_m0 and rec_r.im_limit is not None and tol.im_tol < rec_r.im_limit < 1.0 / tol.im_tol
     )
 
     c2 = c3 = None
     if nu is not None:
-        c2, c3 = _c_set_diagnostics(
-            model, E, float(nu), rec_l, rec_r, in_sigma, c_tol
-        )
+        c2, c3 = _c_set_diagnostics(model, E, float(nu), rec_l, rec_r, in_sigma)
 
     return EnergyClassification(
         E=float(E),
@@ -296,7 +316,7 @@ def classify_energy(
     )
 
 
-def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma, c_tol):
+def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
     """Limit-profile checks behind the averaged singular support, given nu.
 
     Profile 2: left chi transform diverges while the right one approaches
@@ -319,7 +339,7 @@ def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma, c_tol):
         c2["target"] = target2
         if rec_l.status == DIVERGENT and r_val is not None:
             c2["satisfied"] = bool(
-                abs(r_val - target2) <= c_tol * max(1.0, abs(target2))
+                abs(r_val - target2) <= C_TOL * max(1.0, abs(target2))
             )
     if b != 0.0:
         target3 = 1.0 / (nu**2 * b)
@@ -327,7 +347,7 @@ def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma, c_tol):
         c3["target"] = target3
         if rec_l.status == ZERO and r_val is not None:
             c3["satisfied"] = bool(
-                abs(r_val - target3) <= c_tol * max(1.0, abs(target3))
+                abs(r_val - target3) <= C_TOL * max(1.0, abs(target3))
             )
     return c2, c3
 
@@ -376,8 +396,6 @@ def point_mass(
     phi: str,
     E: float,
     ladder: EpsilonLadder | None = None,
-    *,
-    atom_floor: float = 1e-10,
 ) -> float:
     """mu_phi({E}) as the Richardson limit of eps * Im G(phi, phi, E + i eps)."""
     ladder = ladder or EpsilonLadder()
@@ -393,7 +411,7 @@ def point_mass(
             record=BoundaryRecord(E, UNDETERMINED, ladder_trace=list(zip(eps, m))),
         )
     w = float(_richardson(m[-1], m[-2], ladder.ratio).real)
-    return w if w > atom_floor else 0.0
+    return w if w > ATOM_FLOOR else 0.0
 
 
 def point_mass_scan(
@@ -402,14 +420,11 @@ def point_mass_scan(
     phi: str,
     ladder: EpsilonLadder | None = None,
     nodes_per_piece: int = 60,
-    *,
-    gap_margin: float = 1e-3,
-    atom_floor: float = 1e-10,
 ) -> list[tuple[float, float]]:
     """Detect atoms of mu_phi: evaluate the point mass at every isolated
     eigenvalue of the discretized compound operator.
 
-    Candidates are discrete eigenvalues at distance > gap_margin from the
+    Candidates are discrete eigenvalues at distance > GAP_MARGIN from the
     reservoir bands (in-band discretization eigenvalues are quadrature
     artifacts); genuinely embedded atoms at band energies are outside the
     scan's reach and documented as such.
@@ -422,12 +437,12 @@ def point_mass_scan(
     bands = [(p.a, p.b) for meas in (model.res_l, model.res_r) for p in meas.pieces]
     found: list[tuple[float, float]] = []
     for E in eigs:
-        if any(a - gap_margin <= E <= b + gap_margin for a, b in bands):
+        if any(a - GAP_MARGIN <= E <= b + GAP_MARGIN for a, b in bands):
             continue
         if found and abs(E - found[-1][0]) < 1e-8:
             continue
         try:
-            w = point_mass(model, coupling, phi, float(E), ladder, atom_floor=atom_floor)
+            w = point_mass(model, coupling, phi, float(E), ladder)
         except UndeterminedLimitError:
             continue
         if w > 0:

@@ -18,15 +18,15 @@ full statement tolerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
-from .boundary import EpsilonLadder, classify_energy
+from .boundary import EpsilonLadder, Tolerances, classify_energy
 from .errors import UnsupportedScenarioError
 from .measures import SpectralMeasure
-from .resolvent import CouplingParams, discretize
+from .resolvent import G0Basics, _coupling, discretize
 
 __all__ = [
     "Certificate",
@@ -43,9 +43,6 @@ CERTIFIED = "CERTIFIED"
 OUT_OF_SCOPE = "OUT_OF_SCOPE"
 NUMERICALLY_UNRESOLVED = "NUMERICALLY_UNRESOLVED"
 
-#: below this |D(E + i0)| the verdict is withheld rather than risked: the
-#: theory guarantees D != 0 but not a quantitative lower bound
-D_FLOOR = 1e-8
 _SIGN_SLACK = 1e-12
 _STRICT_NEG = 1e-10
 
@@ -62,16 +59,7 @@ class CertificatePoint:
     aux2_rhs: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "verdict": self.verdict,
-            "in_scope": self.in_scope,
-            "abs_D": self.abs_D,
-            "aux1_lhs": self.aux1_lhs,
-            "aux1_rhs": self.aux1_rhs,
-            "aux2_lhs": self.aux2_lhs,
-            "aux2_rhs": self.aux2_rhs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -114,7 +102,7 @@ def certify_no_sc(
     grid,
     ladder: EpsilonLadder | None = None,
     *,
-    d_floor: float = D_FLOOR,
+    tol: Tolerances = Tolerances(),
 ) -> Certificate:
     """Evaluate the certificate at every grid energy.
 
@@ -124,16 +112,13 @@ def certify_no_sc(
     failure.
     """
     ladder = ladder or EpsilonLadder()
-    if isinstance(coupling, CouplingParams):
-        cp = coupling
-    else:
-        cp = CouplingParams(*coupling)
+    cp = _coupling(coupling)
     lam2, nu2 = cp.lam**2, cp.nu**2
     cert = Certificate(lam=cp.lam, nu=cp.nu)
 
     for E in np.asarray(grid, dtype=float):
         E = float(E)
-        cls = classify_energy(model, E, ladder=ladder)
+        cls = classify_energy(model, E, ladder=ladder, tol=tol)
         if cls.rec_chi_l.status == "UNDETERMINED" or cls.rec_chi_r.status == "UNDETERMINED":
             cert.points.append(CertificatePoint(E, NUMERICALLY_UNRESOLVED, False))
             continue
@@ -149,8 +134,8 @@ def certify_no_sc(
         l = cls.rec_chi_l.value
         r = cls.rec_chi_r.value
 
-        D = (1 - nu2 * r * b) * (1 - lam2 * l * a) - nu2 * lam2 * r * l * abs(c) ** 2
-        abs_D = float(abs(D))
+        # on the real axis G0(delta_r, delta_l, E) = conj G0(delta_l, delta_r, E)
+        abs_D = float(abs(G0Basics(l, r, a, b, c, c.conjugate()).det_D(cp)))
         aux1_lhs = float(-nu2 * abs(c) ** 2 * r.imag)
         aux1_rhs = float(lam2 * l.imag * abs(a - nu2 * d * r) ** 2)
         aux2_lhs = float(-lam2 * abs(c) ** 2 * l.imag)
@@ -171,7 +156,7 @@ def certify_no_sc(
         if strict_applicable:
             sign_ok = sign_ok and (aux1_lhs < -_STRICT_NEG or aux2_lhs < -_STRICT_NEG)
 
-        verdict = CERTIFIED if (abs_D > d_floor and sign_ok) else NUMERICALLY_UNRESOLVED
+        verdict = CERTIFIED if (abs_D > tol.d_floor and sign_ok) else NUMERICALLY_UNRESOLVED
         cert.points.append(
             CertificatePoint(
                 E,
@@ -233,10 +218,7 @@ def eigen_residual(
                 "needs purely a.c. reservoirs whose transform vanishes at 0"
             )
 
-    if isinstance(coupling, CouplingParams):
-        cp = coupling
-    else:
-        cp = CouplingParams(*coupling)
+    cp = _coupling(coupling)
     disc = discretize(model, nodes_per_piece)
     psi = np.zeros(disc.dim, dtype=complex)
     psi[: disc.m_l] = -cp.lam * np.sqrt(disc.weights_l) / disc.nodes_l

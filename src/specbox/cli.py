@@ -180,13 +180,11 @@ def classify(cfg):
     """Per-energy set membership and boundary-value diagnostics."""
     model = cfg.require_model()
     grid = cfg.require_grid()
-    tol = cfg.tolerances
     nu_val = cfg.coupling.nu if cfg.coupling.nu != 0.0 else None
     rows, entries, unresolved = [], [], 0
     for E in grid:
         c = classify_energy(model, float(E), nu=nu_val, ladder=cfg.ladder,
-                            im_tol=tol.im_tol, div_tol=tol.div_tol,
-                            zero_tol=tol.zero_tol)
+                            tol=cfg.tolerances)
         entries.append(c.to_dict())
         if UNDETERMINED in (c.rec_chi_l.status, c.rec_chi_r.status):
             unresolved += 1
@@ -216,13 +214,12 @@ def density(cfg):
     """Absolutely continuous densities over the grid plus a point-mass scan."""
     model = cfg.require_model()
     grid = cfg.require_grid()
-    tol = cfg.tolerances
     entries, unresolved = [], 0
     for E in grid:
         for phi in TAGS:
             rec = boundary_value(
                 lambda z: green(model, cfg.coupling, phi, phi, z),
-                float(E), cfg.ladder, div_tol=tol.div_tol, zero_tol=tol.zero_tol,
+                float(E), cfg.ladder, tol=cfg.tolerances,
             )
             # a divergent ladder asks for the point mass; an undetermined
             # ladder or a point mass that does not converge is unresolved
@@ -262,7 +259,8 @@ def average(cfg):
     model = cfg.require_model()
     grid = cfg.require_grid()
     eps = cfg.average_eps
-    report = verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder)
+    report = verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder,
+                                   tol=cfg.tolerances)
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
     entries = []
     for E in grid:
@@ -296,8 +294,7 @@ def certify(cfg):
     """Pointwise no-singular-continuous certificate over the grid."""
     model = cfg.require_model()
     grid = cfg.require_grid()
-    cert = certify_no_sc(model, cfg.coupling, grid, cfg.ladder,
-                         d_floor=cfg.tolerances.d_floor)
+    cert = certify_no_sc(model, cfg.coupling, grid, cfg.ladder, tol=cfg.tolerances)
     payload = _meta(cfg, "certify")
     payload["certificate"] = cert.to_dict()
     _emit(cfg, payload, CERTIFY_HEADER,

@@ -16,39 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from .blackbox import BlackBoxModel, SystemBlock
-from .boundary import DIV_TOL, IM_TOL, ZERO_TOL, EpsilonLadder
-from .certify import D_FLOOR
+from .boundary import EpsilonLadder, Tolerances
 from .errors import ConfigError, DomainError, InvalidModelError
 from .measures import SpectralMeasure
 from .resolvent import CouplingParams
 
-__all__ = ["RunConfig", "Tolerances", "load_config", "build_run_config"]
+__all__ = ["RunConfig", "load_config", "build_run_config"]
 
 _FORMATS = ("json", "csv")
 
 #: largest grid accepted, checked before anything is allocated
 MAX_GRID_POINTS = 1_000_000
-
-
-@dataclass
-class Tolerances:
-    div_tol: float = DIV_TOL
-    zero_tol: float = ZERO_TOL
-    im_tol: float = IM_TOL
-    d_floor: float = D_FLOOR
-    quad_tol: float = 1e-9
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Tolerances":
-        tol = cls()
-        for key, value in raw.items():
-            if key not in cls.__dataclass_fields__:
-                raise ConfigError(f"unknown tolerance {key!r}", field=f"tolerances.{key}")
-            value = _number(value, f"tolerances.{key}")
-            if value <= 0:
-                raise ConfigError("tolerance must be positive", field=f"tolerances.{key}")
-            setattr(tol, key, value)
-        return tol
 
 
 @dataclass
@@ -159,6 +137,17 @@ def _model(raw, where: str = "model") -> BlackBoxModel:
         )
     except InvalidModelError as exc:
         raise ConfigError(str(exc), field=where) from exc
+
+
+def _tolerances(raw: dict) -> Tolerances:
+    values = {}
+    for key, value in raw.items():
+        if key not in Tolerances.__dataclass_fields__:
+            raise ConfigError(f"unknown tolerance {key!r}", field=f"tolerances.{key}")
+        values[key] = _number(value, f"tolerances.{key}")
+        if values[key] <= 0:
+            raise ConfigError("tolerance must be positive", field=f"tolerances.{key}")
+    return Tolerances(**values)
 
 
 def _grid(raw, where: str = "grid") -> np.ndarray:
@@ -280,11 +269,16 @@ def build_run_config(raw: dict | None, overrides: dict | None = None) -> RunConf
                           field="oracle.nodes_per_piece")
     cfg.nodes_per_piece = nodes
 
-    cfg.tolerances = Tolerances.from_dict(_section(doc, "tolerances"))
+    cfg.tolerances = _tolerances(_section(doc, "tolerances"))
     cfg.greens_im_z = _number(_section(doc, "greens").get("im_z", cfg.greens_im_z),
                               "greens.im_z")
+    if cfg.greens_im_z == 0:
+        raise ConfigError("im_z must be nonzero: z = E + i im_z stays off the real axis",
+                          field="greens.im_z")
     cfg.average_eps = _number(_section(doc, "average").get("eps", cfg.average_eps),
                               "average.eps")
+    if cfg.average_eps <= 0:
+        raise ConfigError("eps must be > 0", field="average.eps")
     seed = doc.get("seed", cfg.seed)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer", field="seed")

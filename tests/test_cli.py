@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -113,6 +114,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ladder"):
             build_run_config(remark2_config(ladder={"ratio": 1e-300}))
 
+    def test_ladder_rung_cap(self):
+        # imported first: without the cap, the ratio 1 - 1e-8 below would
+        # allocate about 1.8e9 rungs
+        from specbox.boundary import MAX_RUNGS
+
+        log_span = math.log(1e-9 / 0.1)  # the default eps_min / eps_max
+        at_cap = math.exp(log_span / (MAX_RUNGS - 0.5))
+        over_cap = math.exp(log_span / (MAX_RUNGS + 0.5))
+        assert math.floor(log_span / math.log(over_cap)) + 1 == MAX_RUNGS + 1
+        cfg = build_run_config(remark2_config(ladder={"ratio": at_cap}))
+        assert len(cfg.ladder.epsilons()) == MAX_RUNGS
+        for ratio in (over_cap, 1 - 1e-8):
+            with pytest.raises(ConfigError, match="ladder") as exc:
+                build_run_config(remark2_config(ladder={"ratio": ratio}))
+            assert exc.value.field == "ladder"
+
     def test_non_hermitian_rejected(self):
         bad = remark2_config()
         bad["model"]["system"]["matrix"] = [
@@ -195,6 +212,8 @@ class TestExitCodes:
         ({}, ["--lambda", "nan"]),
         ({}, ["--nu", "inf"]),
         ({}, ["--lambda", "1e200"]),
+        ({"greens": {"im_z": 0}}, []),
+        ({"average": {"eps": -1}}, []),
     ])
     def test_malformed_input_exits_1(self, tmp_path, capsys, extra, flags):
         path = tmp_path / "bad.json"
@@ -227,6 +246,30 @@ class TestExitCodes:
         code = main(["certify", "--config", config_file, "--grid", "1:2:3",
                      "--strict"])
         assert code == 2
+
+    def test_certify_scope_honours_tolerances(self, tmp_path, capsys):
+        # im_tol = 0.5 puts Im chi(1.5 + i0) outside (im_tol, 1/im_tol)
+        doc = copy.deepcopy(SAMPLE)
+        doc["tolerances"] = {"im_tol": 0.5}
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(doc))
+        args = ["--config", str(path), "--grid", "1.5:1.5:1"]
+        assert main(["classify", *args]) == 0
+        (point,) = json.loads(capsys.readouterr().out)["points"]
+        assert point["in_Ml"] is False and point["in_Mr"] is False
+        assert main(["certify", *args]) == 0
+        (point,) = json.loads(capsys.readouterr().out)["certificate"]["points"]
+        assert point["verdict"] == "OUT_OF_SCOPE" and point["in_scope"] is False
+
+    def test_average_scan_honours_tolerances(self, tmp_path, capsys):
+        # the remark2 atom at 0 diverges past the default div_tol but not 1e300
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(remark2_config(tolerances={"div_tol": 1e300})))
+        code = main(["average", "--config", str(path), "--grid", "0:0:1"])
+        assert code == 0
+        points = json.loads(capsys.readouterr().out)["abs_continuity"]["points"]
+        statuses = {p["phi"]: p["status"] for p in points}
+        assert statuses["delta_l"] != "DIVERGENT" and statuses["delta_r"] != "DIVERGENT"
 
     def test_validate_json(self, config_file, capsys):
         code = main(["validate", "--config", config_file])
@@ -350,7 +393,7 @@ class TestConfigFuzz:
     run ends with a documented exit code (0, 1 or 2), never a traceback."""
 
     @settings(_FUZZ, max_examples=300)
-    @given(command=st.sampled_from(["validate", "certify"]),
+    @given(command=st.sampled_from(["validate", "certify", "greens"]),
            path=st.sampled_from(_NODES), value=st.sampled_from(_BAD_VALUES))
     @example(command="validate", path=("model", "reservoir_left", "pieces", 0, "poly"), value=5)
     @example(command="validate", path=("model", "reservoir_right", "pieces", 1, "poly"),
@@ -360,6 +403,8 @@ class TestConfigFuzz:
              value=[[[1, 2]], [[0.5, 0], [-1, 0]]])
     @example(command="certify", path=("grid", "points"), value=10**30)
     @example(command="certify", path=("ladder", "ratio"), value=1e-300)
+    @example(command="greens", path=("greens", "im_z"), value=0)
+    @example(command="average", path=("average", "eps"), value=-1)
     def test_mutated_config(self, tmp_path, monkeypatch, command, path, value):
         monkeypatch.chdir(tmp_path)  # a mutated output.path writes here
         config = tmp_path / "fuzz.json"
@@ -369,7 +414,7 @@ class TestConfigFuzz:
         assert "Traceback" not in err
 
     @settings(_FUZZ, max_examples=100)
-    @given(command=st.sampled_from(["validate", "certify"]),
+    @given(command=st.sampled_from(["validate", "certify", "greens"]),
            flag=st.sampled_from(_FLAGS), value=st.sampled_from(_BAD_FLAG_VALUES))
     @example(command="certify", flag="--grid", value=f"0:1:{10**31}")
     @example(command="certify", flag="--grid", value="-1e308:1e308:3")
