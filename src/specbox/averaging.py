@@ -19,7 +19,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, BlackBoxModel
 from .boundary import DIVERGENT, EpsilonLadder, Tolerances, _richardson, boundary_value
@@ -92,6 +91,16 @@ def _pole_breakpoints(poles, lambda_cap: float) -> list[float]:
             if abs(c) < lambda_cap:
                 pts.add(c)
     return sorted(pts)
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call: only the quadrature duel
+    needs it, and importing it eagerly would more than double the start-up
+    time of every CLI command.  ``_tan_quadrature`` calls it through this
+    module attribute, so a tracer can patch the one name."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _tan_quadrature(integrand, lambda_cap: float, tol: float, poles=()):

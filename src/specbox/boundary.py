@@ -34,7 +34,7 @@ from .errors import (
     SpecboxError,
     UndeterminedLimitError,
 )
-from .resolvent import green
+from .resolvent import discretize, green
 
 __all__ = [
     "Tolerances",
@@ -101,6 +101,10 @@ class EpsilonLadder:
             )
         if not 0 < self.ratio < 1:
             raise DomainError(f"ratio must be in (0, 1), got {self.ratio}")
+        if self.eps_min / self.eps_max == 0:  # the log in _rungs would fail
+            raise DomainError(
+                f"eps_min / eps_max underflows to 0 for ({self.eps_min}, {self.eps_max})"
+            )
         rungs = self._rungs()
         if rungs < 4:  # point_mass compares the last three steps
             raise DomainError("the ladder needs at least 4 rungs")
@@ -429,8 +433,6 @@ def point_mass_scan(
     artifacts); genuinely embedded atoms at band energies are outside the
     scan's reach and documented as such.
     """
-    from .resolvent import discretize
-
     ladder = ladder or EpsilonLadder()
     disc = discretize(model, nodes_per_piece)
     eigs = np.linalg.eigvalsh(disc.assemble(coupling))

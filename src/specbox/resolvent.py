@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
@@ -276,8 +274,13 @@ class DiscretizedModel:
                 )
         return H
 
-    def assemble_shifted_sparse(self, coupling, z: complex) -> sp.csc_matrix:
+    def assemble_shifted_sparse(self, coupling, z: complex) -> "scipy.sparse.csc_matrix":
         """Sparse (H(lam, nu) - z I) in CSC form."""
+        # scipy loads here, not at module level: only the oracle needs it, and
+        # importing it eagerly would more than double the start-up time of
+        # every CLI command.
+        import scipy.sparse as sp
+
         cp = _coupling(coupling)
         n = self.model.system.dim
         sys0 = self.m_l
@@ -379,6 +382,8 @@ def green_oracle_all(
             A = disc.assemble(cp) - z * np.eye(disc.dim)
             U = np.linalg.solve(A, B)
         elif method == "sparse":
+            import scipy.sparse.linalg as spla  # oracle only; see assemble_shifted_sparse
+
             A = disc.assemble_shifted_sparse(cp, z)
             lu = spla.splu(A)
             U = lu.solve(B)

@@ -123,6 +123,39 @@ class TestRankOne:
             assert rank_one_average(m, E, eps) == pytest.approx(np.pi, abs=1e-8)
 
 
+class TestQuadHook:
+    """Both quadrature callers integrate through the module attribute
+    ``averaging.quad``, the hook that lets a tracer count integrand
+    evaluations by patching one name."""
+
+    def test_callers_go_through_module_quad(self, remark2, monkeypatch):
+        from specbox import averaging
+
+        cases = [
+            lambda: averaged_poisson_quadrature(remark2, 1.0, CHI_L, 1.5, 1e-2),
+            lambda: rank_one_average(remark2.res_l, 1.5, 1e-2),
+        ]
+        plain = [case() for case in cases]
+        counts = {"calls": 0, "evals": 0}
+        quad = averaging.quad
+
+        def counting_quad(func, *args, **kwargs):
+            counts["calls"] += 1
+
+            def counted(x):
+                counts["evals"] += 1
+                return func(x)
+
+            return quad(counted, *args, **kwargs)
+
+        monkeypatch.setattr(averaging, "quad", counting_quad)
+        for case, expected in zip(cases, plain):
+            before = dict(counts)
+            assert case() == expected  # bit-identical through the hook
+            assert counts["calls"] > before["calls"]
+            assert counts["evals"] > before["evals"]
+
+
 class TestVerifyAbsContinuity:
     def test_degenerate_model_vacuous_with_atom(self, remark2):
         grid = np.linspace(-0.5, 0.5, 11)  # includes E = 0 exactly

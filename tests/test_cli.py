@@ -214,6 +214,7 @@ class TestExitCodes:
         ({}, ["--lambda", "1e200"]),
         ({"greens": {"im_z": 0}}, []),
         ({"average": {"eps": -1}}, []),
+        ({}, ["--eps-min", "1e-300", "--eps-max", "1e300"]),
     ])
     def test_malformed_input_exits_1(self, tmp_path, capsys, extra, flags):
         path = tmp_path / "bad.json"

@@ -1,0 +1,76 @@
+"""Cold-path imports: scipy loads only inside the two oracles that call it.
+
+Every check runs in a fresh interpreter, because this test process has
+already imported scipy through other tests.  Only module sets are asserted,
+never timings.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLE = ROOT / "sample-config.json"
+
+
+def _run(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path; it prints
+    one JSON object on its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    out = _run(f"""
+        import json, sys
+        import specbox
+        after_package = {_SCIPY}
+        import specbox.cli
+        print(json.dumps({{"package": after_package, "cli": {_SCIPY}}}))
+    """)
+    assert out == {"package": [], "cli": []}
+
+
+def test_production_commands_load_no_scipy():
+    out = _run(f"""
+        import contextlib, io, json, sys
+        from specbox.cli import main
+        cfg = {str(SAMPLE)!r}
+        commands = [
+            ["validate", "--config", cfg],
+            ["greens", "--config", cfg, "--grid", "-3:3:7"],
+            ["classify", "--config", cfg, "--grid", "-3:3:7"],
+            ["density", "--config", cfg, "--grid", "1.1:1.9:3"],
+            ["certify", "--config", cfg, "--grid", "1.05:1.95:3"],
+            ["scenario", "remark2", "--nodes", "20"],
+        ]
+        codes = []
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(json.dumps({{"codes": codes, "scipy": {_SCIPY}}}))
+    """)
+    assert out == {"codes": [0] * 6, "scipy": []}
+
+
+def test_average_loads_scipy_integrate():
+    out = _run(f"""
+        import contextlib, io, json, sys
+        from specbox.cli import main
+        argv = ["average", "--config", {str(SAMPLE)!r}, "--grid", "1.5:1.5:1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        print(json.dumps({{"code": code, "integrate": "scipy.integrate" in sys.modules}}))
+    """)
+    assert out == {"code": 0, "integrate": True}
