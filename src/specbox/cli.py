@@ -6,8 +6,8 @@ drives every run; results are emitted as JSON or RFC-4180 CSV with stable
 column sets.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical-resolution
-failure under --strict (any UNDETERMINED or NUMERICALLY_UNRESOLVED outcome),
-3 internal error.
+failure under --strict (any UNDETERMINED or NUMERICALLY_UNRESOLVED outcome, or
+an averaged-transform duel whose rel_diff exceeds quad_tol), 3 internal error.
 """
 
 from __future__ import annotations
@@ -281,7 +281,10 @@ def average(cfg):
     if cfg.out_format == "csv":
         click.echo(f"abs_continuity verdict: {report.verdict}", err=True)
     _emit(cfg, payload, AVERAGE_HEADER, _columns(AVERAGE_HEADER, entries))
-    return sum(e["ladder_status"] == UNDETERMINED for e in entries)
+    # a row is unresolved when its ladder is, or when the duel fails (a NaN
+    # rel_diff fails too)
+    return sum(e["ladder_status"] == UNDETERMINED
+               or not e["rel_diff"] <= cfg.tolerances.quad_tol for e in entries)
 
 
 CERTIFY_HEADER = ["E", "verdict", "in_scope", "abs_D",

@@ -23,7 +23,6 @@ solve is available behind ``method="dense"`` and must agree to roundoff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -52,14 +51,22 @@ _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """The real coupling pair; ``lam`` scales the left bond, ``nu`` the right."""
+    """The real coupling pair; ``lam`` scales the left bond, ``nu`` the right.
 
-    lam: float
-    nu: float
+    Either field may be an array of bond strengths (the quadrature nodes of
+    the averaged transform); it then broadcasts against the evaluation points.
+    """
+
+    lam: float | np.ndarray
+    nu: float | np.ndarray
 
     def __post_init__(self):
-        # D(z) needs lam**2 and nu**2, so the squares must be finite as well
-        if not all(math.isfinite(float(x) * float(x)) for x in (self.lam, self.nu)):
+        # D(z) needs lam**2 and nu**2, so the squares must be finite as well;
+        # an overflowing square is the error here, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(np.all(np.isfinite(np.square(np.asarray(x, dtype=float))))
+                         for x in (self.lam, self.nu))
+        if not finite:
             raise DomainError("coupling parameters must be finite with finite squares")
 
     def swapped(self) -> "CouplingParams":

@@ -1,25 +1,34 @@
 """Tests for the averaged Poisson machinery.
 
 Core correctness duel: the residue closed form against adaptive quadrature of
-the linear-system path, across fixed and randomized cases.
+the linear-system path, across fixed and randomized cases, with scipy's
+QUADPACK on the scalar integrand as a third referee.
 """
+
+import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specbox.averaging import (
+    _pole_breakpoints,
+    _vw,
     averaged_poisson_closed,
     averaged_poisson_quadrature,
     rank_one_average,
     verify_abs_continuity,
 )
-from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R
-from specbox.boundary import EpsilonLadder
+from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS
+from specbox.boundary import EpsilonLadder, Tolerances
+from specbox.config import build_run_config, load_config
 from specbox.errors import DomainError
 from specbox.measures import SpectralMeasure
-from specbox.resolvent import green
+from specbox.resolvent import CouplingParams, green, green_from_basics
 
 from conftest import random_model
+from test_acceptance import SEED as ACCEPTANCE_SEED
 from test_measures import random_measure
 
 
@@ -76,16 +85,16 @@ class TestQuadrature:
         E, eps, nu = 1.5, 1e-2, 0.6
         full = averaged_poisson_quadrature(remark2, nu, CHI_L, E, eps, lambda_cap=50.0)
         # integrate [0, 50] as [-50, 50] minus the mirror half
-        import math
-
         from specbox.averaging import _tan_quadrature
-        from specbox.resolvent import CouplingParams, G0Basics, green_from_basics
+        from specbox.resolvent import G0Basics
 
         basics = G0Basics.at(remark2, complex(E, eps))
 
         def integrand(s):
-            return float(
-                np.imag(green_from_basics(basics, CouplingParams(abs(s), nu), CHI_L, CHI_L))
+            nodes = G0Basics(*(np.broadcast_to(x, s.shape) for x in (
+                basics.l, basics.r, basics.a, basics.b, basics.c, basics.cb)))
+            return np.imag(
+                green_from_basics(nodes, CouplingParams(np.abs(s), nu), CHI_L, CHI_L)
             )
 
         sym = _tan_quadrature(integrand, 50.0, 1e-12)
@@ -102,6 +111,71 @@ class TestQuadrature:
             closed = averaged_poisson_closed(model, nu, phi, E, eps)
             quadr = averaged_poisson_quadrature(model, nu, phi, E, eps)
             assert quadr == pytest.approx(closed, rel=1e-6, abs=1e-12)
+
+
+SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
+
+
+def _quadpack_duel(model, nu, phi, E, eps, tol):
+    """The averaged transform by scipy's QUADPACK on the scalar integrand:
+    one 4x4 solve per node, tan-substituted, at the same pole breakpoints."""
+    from scipy.integrate import quad
+
+    v, w, basics = _vw(model, nu, phi, complex(E, eps))
+    v, w = complex(v), complex(w)
+
+    def g(theta):
+        s = math.tan(theta)
+        cp = CouplingParams(s, nu) if phi in (CHI_L, DELTA_L) else CouplingParams(nu, s)
+        return float(np.imag(green_from_basics(basics, cp, phi, phi))) * (1.0 + s * s)
+
+    poles = ()
+    if v != 0 and w != 0:
+        p = 1.0 / np.sqrt(v * w)
+        poles = (p, -p)
+    pts = [math.atan(b) for b in _pole_breakpoints(poles, math.inf)]
+    val, _ = quad(g, -math.pi / 2, math.pi / 2, epsabs=1e-300, epsrel=tol, limit=800,
+                  points=pts or None)
+    return val
+
+
+def _sample_cases(grid):
+    cfg = build_run_config(load_config(str(SAMPLE_PATH)), {})
+    for E in grid:
+        for phi in TAGS:
+            kappa = cfg.coupling.nu if phi in (CHI_L, DELTA_L) else cfg.coupling.lam
+            yield cfg.require_model(), kappa, phi, float(E), cfg.average_eps
+
+
+def _criterion_2_cases():
+    rng = np.random.default_rng(ACCEPTANCE_SEED + 1)  # criterion 2's ensemble
+    for _ in range(50):
+        model = random_model(rng, max_dim=5, max_pieces=2)
+        nu = float(rng.uniform(-3, 3))
+        E = float(rng.uniform(-3, 3))
+        eps = float(10 ** rng.uniform(-3, -1))
+        yield model, nu, TAGS[rng.integers(0, 4)], E, eps
+
+
+class TestQuadpackReferee:
+    """QUADPACK referees the duel: it, the Gauss-Kronrod rule and the closed
+    form agree pairwise within quad_tol."""
+
+    @pytest.mark.parametrize("cases", [
+        pytest.param(lambda: _sample_cases(np.linspace(1.2, 1.8, 7)), id="readme-grid"),
+        pytest.param(lambda: _sample_cases(np.linspace(-3, 3, 13)), id="wide-grid"),
+        pytest.param(_criterion_2_cases, id="criterion-2"),
+    ])
+    def test_three_way_agreement(self, cases):
+        tol = Tolerances().quad_tol
+        for model, nu, phi, E, eps in cases():
+            values = (
+                averaged_poisson_closed(model, nu, phi, E, eps),
+                averaged_poisson_quadrature(model, nu, phi, E, eps, tol=tol),
+                _quadpack_duel(model, nu, phi, E, eps, tol),
+            )
+            for x, y in itertools.combinations(values, 2):
+                assert abs(x - y) <= tol * max(abs(x), abs(y)), (E, phi, values)
 
 
 class TestRankOne:

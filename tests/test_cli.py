@@ -248,6 +248,20 @@ class TestExitCodes:
                      "--strict"])
         assert code == 2
 
+    def test_strict_average_counts_failed_duel(self, monkeypatch, capsys):
+        # a quadrature off by more than quad_tol is an unresolved row
+        import specbox.cli
+
+        quadrature = specbox.cli.averaged_poisson_quadrature
+        args = ["average", "--config", str(SAMPLE_PATH), "--grid", "1.5:1.5:1"]
+        assert main([*args, "--strict"]) == 0
+        monkeypatch.setattr(specbox.cli, "averaged_poisson_quadrature",
+                            lambda *a, **k: quadrature(*a, **k) * (1 + 1e-6))
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main([*args, "--strict"]) == 2
+        assert "4 unresolved outcome(s)" in capsys.readouterr().err
+
     def test_certify_scope_honours_tolerances(self, tmp_path, capsys):
         # im_tol = 0.5 puts Im chi(1.5 + i0) outside (im_tol, 1/im_tol)
         doc = copy.deepcopy(SAMPLE)

@@ -1,4 +1,4 @@
-"""Cold-path imports: scipy loads only inside the two oracles that call it.
+"""Cold-path imports: scipy loads only inside the sparse discretization oracle.
 
 Every check runs in a fresh interpreter, because this test process has
 already imported scipy through other tests.  Only module sets are asserted,
@@ -64,13 +64,13 @@ def test_production_commands_load_no_scipy():
     assert out == {"codes": [0] * 6, "scipy": []}
 
 
-def test_average_loads_scipy_integrate():
+def test_average_loads_no_scipy():
     out = _run(f"""
         import contextlib, io, json, sys
         from specbox.cli import main
-        argv = ["average", "--config", {str(SAMPLE)!r}, "--grid", "1.5:1.5:1"]
+        argv = ["average", "--config", {str(SAMPLE)!r}, "--grid", "1.2:1.8:7"]
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
-        print(json.dumps({{"code": code, "integrate": "scipy.integrate" in sys.modules}}))
+        print(json.dumps({{"code": code, "scipy": {_SCIPY}}}))
     """)
-    assert out == {"code": 0, "integrate": True}
+    assert out == {"code": 0, "scipy": []}

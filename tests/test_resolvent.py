@@ -1,5 +1,7 @@
 """Tests for the coupled Green's functions and the discretization oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,35 @@ from specbox.resolvent import (
     green,
     green_all,
     green_closed,
+    green_from_basics,
     green_oracle,
     green_oracle_all,
 )
 
 from conftest import random_model
+
+
+class TestCouplingParams:
+    def test_array_bond_matches_scalar_bonds(self, t2_model):
+        bonds = np.array([-2.0, 0.0, 0.5, 3.0])
+        z = 0.3 + 0.05j
+        basics = G0Basics.at(t2_model, np.full(bonds.shape, z))
+        pairs = green_from_basics(basics, CouplingParams(bonds, 1.3), DELTA_L, DELTA_L)
+        for bond, pair in zip(bonds, pairs):
+            scalar = green(t2_model, CouplingParams(bond, 1.3), DELTA_L, DELTA_L, z)
+            assert pair == pytest.approx(scalar, rel=1e-14)
+
+    def test_array_validation_keeps_scalar_error(self):
+        # an overflowing square is rejected with the scalar message, not a
+        # numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            CouplingParams(np.array([0.0, 1e150]), 1e150)
+            for bad in (np.array([1.0, 1e200]), np.array([0.0, np.nan]), 1e200, -np.inf):
+                with pytest.raises(DomainError) as info:
+                    CouplingParams(0.5, bad)
+                assert str(info.value) == (
+                    "coupling parameters must be finite with finite squares")
 
 
 class TestDetD:
