@@ -37,6 +37,7 @@ __all__ = [
     "BlackBoxModel",
     "ExceptionalSets",
     "ValidationReport",
+    "cleared_sum",
 ]
 
 CHI_L = "chi_l"
@@ -169,14 +170,45 @@ class SystemBlock:
         wscale = float(np.linalg.norm(self._coef[phi]) * np.linalg.norm(self._coef[psi]))
         keep = np.abs(weights) > 1e-14 * max(wscale, 1e-300)
         poles, weights = poles[keep], weights[keep]
-        if poles.size == 0:
-            return np.zeros(1, dtype=complex)
-        num = np.zeros(poles.size, dtype=complex)
+        return -cleared_sum(poles, poles, weights)
+
+    def secular_polynomials(self) -> tuple[np.ndarray, ...]:
+        """The system pairs with their poles cleared, for the secular equation.
+
+        Returns coefficient arrays (low to high) of P, P a, P b and P d, where
+        a = G0(delta_l, delta_l), b = G0(delta_r, delta_r), d = a b - |c|^2
+        and P = prod (E - p)^m over the clusters p.  By Cauchy-Binet,
+        d = sum_{i<j} |x_i y_j - x_j y_i|^2 / ((E - E_i)(E - E_j)) with
+        x, y the eigenvector overlaps of delta_l, delta_r, so d has a double
+        pole at a cluster of two or more eigenvalues; such a cluster is
+        cleared twice (m = 2), every other once.
+        """
+        poles = self.poles
+        groups = self._clusters[1]
+        roots = [p for p, g in zip(poles, groups) for _ in range(min(len(g), 2))]
+        x, y = self._coef[DELTA_L], self._coef[DELTA_R]
+        minors = np.abs(np.outer(x, y) - np.outer(y, x)) ** 2
+        # i = j is no pair; computed, the entry is a rounding residue, not 0
+        np.fill_diagonal(minors, 0.0)
+        member = np.zeros((self.dim, poles.size))
+        for k, g in enumerate(groups):
+            member[list(g), k] = 1.0
+        # summed over clusters; the diagonal counts each pair i < j twice
+        cluster_minors = member.T @ minors @ member
+        d = np.zeros(max(len(roots) - 1, 1))
         for k in range(poles.size):
-            others = np.delete(poles, k)
-            term = npoly.polyfromroots(others) if others.size else np.array([1.0])
-            num[: term.size] += weights[k] * term
-        return num
+            for j in range(k, poles.size):
+                weight = cluster_minors[k, j] if j > k else 0.5 * cluster_minors[k, k]
+                if weight == 0.0:
+                    continue
+                rest = list(roots)
+                rest.remove(poles[k])
+                rest.remove(poles[j])
+                term = weight * npoly.polyfromroots(rest)
+                d[: term.size] += term
+        a = cleared_sum(roots, poles, self.pair_weights(DELTA_L, DELTA_L).real)
+        b = cleared_sum(roots, poles, self.pair_weights(DELTA_R, DELTA_R).real)
+        return npoly.polyfromroots(roots), a, b, d
 
 
 @dataclass(frozen=True)
@@ -368,6 +400,21 @@ class BlackBoxModel:
             degenerate_n=exc.degenerate,
             n_outside_sigma_hs=outside,
         )
+
+
+def cleared_sum(roots, poles, weights) -> np.ndarray:
+    """Coefficients (low to high) of prod_r (E - r) * sum_k weights[k] / (poles[k] - E).
+
+    Every pole must be among ``roots``; its term drops one copy of it from
+    the product, so no division is left and the value is exact at the poles.
+    """
+    out = np.zeros(max(len(roots), 1), dtype=np.result_type(np.asarray(weights), float))
+    for p, w in zip(poles, weights):
+        rest = list(roots)
+        rest.remove(p)
+        term = -w * npoly.polyfromroots(rest)
+        out[: term.size] += term
+    return out
 
 
 def _real_roots(

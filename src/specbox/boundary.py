@@ -17,6 +17,17 @@ The decision tree (in order) on the ladder values f_k:
 Membership in the certified finite sets (sigma(H_S), S, N) is decided by the
 root lists, never by ladder behavior; those sets have measure zero and a grid
 cannot see them.
+
+Atoms in the gaps of the reservoir bands come from the secular equation,
+not from a ladder.  In a gap D(E) is real, an atom of mu_delta sits at a
+real zero E0 of D, and its weight is the residue -N(E0) / D'(E0) of
+G(delta, delta) = N / D.  ``point_mass_scan`` samples D, cleared of the
+poles of the uncoupled pairs, on every gap inside a norm bound of the
+coupled operator, refines all sign changes at once with regula falsi
+steps, and takes N and D' in closed form.  It does not see atoms embedded
+in a band, nor zeros of D without a sign change (tangential zeros; an atom
+sitting on a degenerate eigenvalue of H_S can be one).  ``point_mass``
+keeps the ladder estimate for grid energies whose ladder diverges.
 """
 
 from __future__ import annotations
@@ -26,15 +37,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .blackbox import DELTA_L, DELTA_R, BlackBoxModel
+from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, cleared_sum
 from .errors import (
     DomainError,
     PointMassPresentError,
     SpecboxError,
     UndeterminedLimitError,
 )
-from .resolvent import discretize, green
+from .resolvent import CouplingParams, _coupling, green
 
 __all__ = [
     "Tolerances",
@@ -65,8 +77,14 @@ _MATCH_TOL = 1e-9
 C_TOL = 1e-6
 #: point masses at or below this weight are reported as 0
 ATOM_FLOOR = 1e-10
-#: atom-scan candidates closer than this to a reservoir band are skipped
-GAP_MARGIN = 1e-3
+#: the atom scan's uniform samples per gap, and its geometric samples
+#: towards each gap end (the distance halves from one to the next)
+SCAN_SAMPLES = 256
+SCAN_EDGE_STEPS = 50
+#: the atom scan covers |E| <= SCAN_BOUND_FACTOR times a norm bound
+SCAN_BOUND_FACTOR = 1.1
+#: a safety cap; the scan's brackets close in about ten steps
+_REFINE_STEPS = 200
 #: most rungs a ladder may have, checked before any rung is allocated
 MAX_RUNGS = 10_000
 
@@ -418,35 +436,163 @@ def point_mass(
     return w if w > ATOM_FLOOR else 0.0
 
 
-def point_mass_scan(
-    model: BlackBoxModel,
-    coupling,
-    phi: str,
-    ladder: EpsilonLadder | None = None,
-    nodes_per_piece: int = 60,
-) -> list[tuple[float, float]]:
-    """Detect atoms of mu_phi: evaluate the point mass at every isolated
-    eigenvalue of the discretized compound operator.
+def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, float]]:
+    """Atoms of mu_{delta_l} and mu_{delta_r} in the open gaps of the
+    reservoir bands, found as the real zeros of the secular determinant D.
 
-    Candidates are discrete eigenvalues at distance > GAP_MARGIN from the
-    reservoir bands (in-band discretization eigenvalues are quadrature
-    artifacts); genuinely embedded atoms at band energies are outside the
-    scan's reach and documented as such.
+    Returns (E, w_delta_l, w_delta_r) by ascending E.  A weight at or below
+    ATOM_FLOOR reads 0, and a zero whose two weights both read 0 is left out.
+    Atoms embedded in a band and zeros of D without a sign change are not
+    scanned.
     """
-    ladder = ladder or EpsilonLadder()
-    disc = discretize(model, nodes_per_piece)
-    eigs = np.linalg.eigvalsh(disc.assemble(coupling))
-    bands = [(p.a, p.b) for meas in (model.res_l, model.res_r) for p in meas.pieces]
-    found: list[tuple[float, float]] = []
-    for E in eigs:
-        if any(a - GAP_MARGIN <= E <= b + GAP_MARGIN for a, b in bands):
-            continue
-        if found and abs(E - found[-1][0]) < 1e-8:
-            continue
-        try:
-            w = point_mass(model, coupling, phi, float(E), ladder)
-        except UndeterminedLimitError:
-            continue
-        if w > 0:
-            found.append((float(E), w))
+    cp = _coupling(coupling)
+    secular = _secular_function(model, cp)
+    x, gap = _scan_points(model, cp)
+    f = secular(x)[0].v
+    sign = np.sign(f)
+    cross = np.flatnonzero((gap[1:] == gap[:-1]) & (sign[1:] * sign[:-1] < 0))
+    roots = np.concatenate([
+        x[f == 0.0],
+        _refine(lambda e: secular(e)[0].v, x[cross], x[cross + 1], f[cross], f[cross + 1]),
+    ])
+    roots.sort()
+    det, num_l, num_r = secular(roots)
+    found = []
+    for E, w_l, w_r in zip(roots, -num_l.v / det.d, -num_r.v / det.d):
+        w_l, w_r = (float(w) if w > ATOM_FLOOR else 0.0 for w in (w_l, w_r))
+        if w_l or w_r:
+            found.append((float(E), w_l, w_r))
     return found
+
+
+class _Jet:
+    """A value and its E-derivative; products follow the product rule."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v + other.v, self.d + other.d)
+
+    def __sub__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v - other.v, self.d - other.d)
+
+    def __mul__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            return _Jet(self.v * other.v, self.d * other.v + self.v * other.d)
+        return _Jet(self.v * other, self.d * other)
+
+    __rmul__ = __mul__
+
+
+def _secular_function(model: BlackBoxModel, cp: CouplingParams):
+    """E -> (D, N_l, N_r) as jets at real E in the gaps, with
+    G(delta, delta) = N / D and all three multiplied by prod (E - p) over
+    the poles p of the uncoupled pairs: the sigma(H_S) clusters (see
+    ``SystemBlock.secular_polynomials``) and the reservoir atoms.
+
+    With l, r the reservoir transforms, a, b the system diagonal pairs and
+    d = a b - |c|^2, D = 1 - nu^2 r b - lam^2 l a + lam^2 nu^2 r l d,
+    N_l = a - nu^2 r d and N_r = b - lam^2 l d.  Cleared, each is finite
+    at the poles, so a zero of D sitting on one still has its residue.
+    """
+    polys = [(c, npoly.polyder(c)) for c in model.system.secular_polynomials()]
+    reservoirs = []
+    for measure in (model.res_l, model.res_r):
+        xs = [x for x, _ in measure.atoms]
+        pi = npoly.polyfromroots(xs)
+        atoms = cleared_sum(xs, xs, [w for _, w in measure.atoms])
+        reservoirs.append((measure, (pi, npoly.polyder(pi)), (atoms, npoly.polyder(atoms))))
+    lam2, nu2 = cp.lam**2, cp.nu**2
+
+    def poly(coef, E):
+        return _Jet(npoly.polyval(E, coef[0]), npoly.polyval(E, coef[1]))
+
+    def reservoir(measure, pi, atoms, E):
+        pi = poly(pi, E)
+        return pi, pi * _Jet(*measure.ac_borel(E)) + poly(atoms, E)
+
+    def secular(E):
+        E = np.asarray(E, dtype=float)
+        (pi_l, l), (pi_r, r) = (reservoir(*res, E) for res in reservoirs)
+        p, a, b, d = (poly(c, E) for c in polys)
+        det = p * pi_l * pi_r - nu2 * r * pi_l * b - lam2 * l * pi_r * a \
+            + lam2 * nu2 * r * l * d
+        return det, a * pi_l * pi_r - nu2 * r * pi_l * d, b * pi_l * pi_r - lam2 * l * pi_r * d
+
+    return secular
+
+
+def _scan_points(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Sample energies, ascending, and the index of the gap each lies in.
+
+    The gaps are the open intervals between the reservoir bands inside
+    |E| <= SCAN_BOUND_FACTOR * R, where R = max |x| over both supports and
+    sigma(H_S), plus |lam| |delta_l| sqrt(m_l) + |nu| |delta_r| sqrt(m_r) with
+    m_l, m_r the reservoirs' total masses, bounds the norm of the coupled
+    operator.  Each gap gets SCAN_SAMPLES
+    uniform points, SCAN_EDGE_STEPS geometric points towards each end (the
+    transforms diverge logarithmically at a band edge) and the poles of the
+    uncoupled pairs that lie in it.
+    """
+    measures = (model.res_l, model.res_r)
+    system = model.system
+    bands = sorted((p.a, p.b) for m in measures for p in m.pieces)
+    atoms = [x for m in measures for x, _ in m.atoms]
+    radius = max([abs(x) for band in bands for x in band]
+                 + [abs(x) for x in atoms] + list(np.abs(system.eigenvalues)))
+    radius += abs(cp.lam) * np.linalg.norm(system.delta_l) * np.sqrt(model.res_l.total_mass)
+    radius += abs(cp.nu) * np.linalg.norm(system.delta_r) * np.sqrt(model.res_r.total_mass)
+    bound = SCAN_BOUND_FACTOR * radius
+    gaps, start = [], -bound
+    for a, b in bands:
+        if a > start:
+            gaps.append((start, a))
+        start = max(start, b)
+    gaps.append((start, bound))
+    poles = np.concatenate([system.poles, atoms])
+    points = []
+    for a, b in gaps:
+        steps = (b - a) * 0.5 ** np.arange(1, SCAN_EDGE_STEPS + 1)
+        x = np.concatenate([np.linspace(a, b, SCAN_SAMPLES), a + steps, b - steps, poles])
+        points.append(np.unique(x[(x > a) & (x < b)]))
+    gap = np.repeat(np.arange(len(points)), [p.size for p in points])
+    return np.concatenate(points), gap
+
+
+def _refine(f, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Illinois-type regula falsi steps (the Anderson-Bjorck variant) on
+    every bracket at once, until each bracket is a few ulp wide or lands on
+    an exact zero."""
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    moved = np.zeros(lo.shape, dtype=int)  # the end moved last: -1 lo, +1 hi
+    for _ in range(_REFINE_STEPS):
+        tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
+        i = np.flatnonzero(hi - lo > tol)
+        if i.size == 0:
+            break
+        l, h, fl, fh, step = lo[i], hi[i], f_lo[i], f_hi[i], 0.5 * tol[i]
+        x = (l * fh - h * fl) / (fh - fl)
+        x = np.where(np.isfinite(x), x, 0.5 * (l + h))
+        # half a tolerance inside either end: a zero approached from one side
+        # still collapses its bracket
+        x = np.clip(x, l + step, h - step)
+        fx = f(x)
+        zero = fx == 0.0
+        right = np.sign(fx) == np.sign(fl)  # the zero lies in [x, h]
+        # when the same end moves twice running, scale the value kept at the
+        # other end by 1 - f(x) / f(moved end), or by 1/2 if that is not
+        # positive; a far, steep end then stops holding the step back
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - fx / np.where(right, fl, fh)
+        m = np.where(m > 0.0, m, 0.5)
+        fh = np.where(right & (moved[i] == -1), m * fh, fh)
+        fl = np.where(~right & (moved[i] == 1), m * fl, fl)
+        lo[i] = np.where(right | zero, x, l)
+        hi[i] = np.where(right & ~zero, h, x)
+        f_lo[i] = np.where(right, fx, fl)
+        f_hi[i] = np.where(right, fh, fx)
+        moved[i] = np.where(right, -1, 1)
+    return 0.5 * (lo + hi)

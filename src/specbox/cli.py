@@ -233,11 +233,12 @@ def density(cfg):
                 unresolved += 1
             entries.append({"E": float(E), "phi": phi, "status": rec.status,
                             "ac_density": ac, "point_mass": pm})
+    scan = point_mass_scan(model, cfg.coupling)
     atoms = [
-        {"phi": phi, "E": E0, "weight": w}
-        for phi in (DELTA_L, DELTA_R)
-        for E0, w in point_mass_scan(model, cfg.coupling, phi, cfg.ladder,
-                                     nodes_per_piece=min(cfg.nodes_per_piece, 80))
+        {"phi": phi, "E": E0, "weight": weights[i]}
+        for i, phi in enumerate((DELTA_L, DELTA_R))
+        for E0, *weights in scan
+        if weights[i] > 0
     ]
     payload = _meta(cfg, "density")
     payload["points"] = entries

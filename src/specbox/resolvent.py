@@ -23,6 +23,7 @@ solve is available behind ``method="dense"`` and must agree to roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -332,10 +333,21 @@ class DiscretizedModel:
         return mat.tocsc()
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n (each
+    rule is an n x n eigensolve); the arrays are read-only because every
+    caller shares them."""
+    t, v = leggauss(n)
+    t.setflags(write=False)
+    v.setflags(write=False)
+    return t, v
+
+
 def _measure_nodes(measure: SpectralMeasure, nodes_per_piece: int):
     """Nodes/weights for the measure: GL rule per piece with the polynomial
     density absorbed into the weights; atoms kept exactly."""
-    t, v = leggauss(nodes_per_piece)
+    t, v = _gauss_legendre(nodes_per_piece)
     xs, ws = [], []
     for p in measure.pieces:
         half = 0.5 * (p.b - p.a)

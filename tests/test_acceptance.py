@@ -271,7 +271,8 @@ def test_criterion_8_global_invariants():
         for phi in (DELTA_L, DELTA_R):
             vec = model.system.delta_l if phi == DELTA_L else model.system.delta_r
             budget = float(np.linalg.norm(vec) ** 2) + 2e-2
-            atoms = point_mass_scan(model, coupling, phi, nodes_per_piece=40)
+            atoms = [(E, w_l if phi == DELTA_L else w_r)
+                     for E, w_l, w_r in point_mass_scan(model, coupling)]
             grid = np.linspace(-4.5, 4.5, 601)
             dens = []
             for E in grid:

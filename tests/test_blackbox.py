@@ -77,6 +77,28 @@ class TestSystemBlock:
         assert got == pytest.approx(want, abs=1e-14)
 
 
+    @pytest.mark.parametrize("h, dl, dr", [
+        # a doubly degenerate level with independent overlaps: d = a b - |c|^2
+        # has a double pole there, so P carries that level twice
+        (np.diag([0.0, 0.0, 1.5]), [1, 0, 1], [0, 1, 1j]),
+        (np.array([[1.0, 0.5], [0.5, -1.0]]), [1, 0], [0.6, 0.8]),
+    ])
+    def test_secular_polynomials_clear_the_poles(self, h, dl, dr):
+        system = SystemBlock(h, dl, dr)
+        p, a, b, d = system.secular_polynomials()
+        P = np.polynomial.polynomial
+        assert p.size - 1 == system.dim  # here: a double level twice, a simple one once
+        for E in (-0.7, 0.3, 2.2):
+            g = {(phi, psi): inverse_oracle(system, phi, psi, E)
+                 for phi in (DELTA_L, DELTA_R) for psi in (DELTA_L, DELTA_R)}
+            pe = P.polyval(E, p)
+            det = (g[DELTA_L, DELTA_L] * g[DELTA_R, DELTA_R]
+                   - g[DELTA_L, DELTA_R] * g[DELTA_R, DELTA_L])
+            assert P.polyval(E, a) == pytest.approx(pe * g[DELTA_L, DELTA_L].real, rel=1e-12)
+            assert P.polyval(E, b) == pytest.approx(pe * g[DELTA_R, DELTA_R].real, rel=1e-12)
+            assert P.polyval(E, d) == pytest.approx(pe * det.real, rel=1e-12, abs=1e-14)
+
+
 class TestG0:
     def test_cross_block_pairs_vanish(self, t2_model):
         for z in (1j, 0.5 + 0.1j, 5.0):

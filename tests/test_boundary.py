@@ -1,5 +1,7 @@
 """Tests for boundary-value extrapolation, classification, and atom extraction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,13 @@ from specbox.boundary import (
     point_mass,
     point_mass_scan,
 )
+from specbox.config import build_run_config, load_config
 from specbox.errors import DomainError, NearSingularError, PointMassPresentError
-from specbox.resolvent import discretize, green_oracle
+from specbox.resolvent import discretize, green, green_oracle
+
+from conftest import random_model
+
+SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
 
 
 class TestLadder:
@@ -201,7 +208,7 @@ class TestPointMass:
         assert point_mass(remark2, (0.0, 0.0), DELTA_L, 0.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_scan_finds_gap_atom(self, remark2):
-        found = point_mass_scan(remark2, (1.0, 1.0), DELTA_L, nodes_per_piece=40)
+        found = [(E, w) for E, w, _ in point_mass_scan(remark2, (1.0, 1.0)) if w > 0]
         assert len(found) >= 1
         gap_atoms = [(E, w) for E, w in found if abs(E) < 0.5]
         assert len(gap_atoms) == 1
@@ -213,7 +220,7 @@ class TestPointMass:
         # detected atoms plus the trapezoid integral of the a.c. density
         # cannot exceed ||delta||^2 = 1 beyond the stated slack
         coupling = (1.0, 1.0)
-        atoms = point_mass_scan(remark2, coupling, DELTA_L, nodes_per_piece=40)
+        atoms = [(E, w) for E, w, _ in point_mass_scan(remark2, coupling) if w > 0]
         atom_sum = sum(w for _, w in atoms)
         grid = np.linspace(-4.0, 4.0, 641)
         dens = []
@@ -226,3 +233,79 @@ class TestPointMass:
         assert atom_sum + integral <= 1.0 + 2e-2
         # and the budget is nearly saturated for this model
         assert atom_sum + integral >= 0.9
+
+
+def sample_model():
+    cfg = build_run_config(load_config(str(SAMPLE_PATH)))
+    return cfg.model, cfg.coupling
+
+
+def _bands(model):
+    """The density pieces of both reservoirs, merged into disjoint bands."""
+    merged = []
+    for a, b in sorted((p.a, p.b) for m in (model.res_l, model.res_r) for p in m.pieces):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return merged
+
+
+def _band_distance(model, E):
+    return min(max(a - E, E - b, 0.0) for a, b in _bands(model))
+
+
+@pytest.fixture(scope="module")
+def legendre_4000():
+    # scipy's rule takes 0.6 s here, numpy's leggauss (an eigensolve) 5 s
+    from scipy.special import roots_legendre
+
+    return roots_legendre(4000)
+
+
+class TestSecularScan:
+    @pytest.mark.parametrize("case", ["sample", "remark2", "composite"])
+    def test_two_sided_sum_rule(self, case, remark2, t2_model, legendre_4000):
+        # atoms plus the a.c. integral give back ||phi||^2: a missed atom shows
+        # as a deficit, a spurious one as a surplus
+        model, coupling = {
+            "sample": sample_model(),
+            "remark2": (remark2, (1.0, 1.0)),
+            "composite": (t2_model, (0.8, 1.2)),  # criterion 8's
+        }[case]
+        scan = point_mass_scan(model, coupling)
+        t, v = legendre_4000
+        vectors = (model.system.delta_l, model.system.delta_r)
+        for side, (phi, vec) in enumerate(zip((DELTA_L, DELTA_R), vectors)):
+            ac = 0.0
+            for a, b in _bands(model):
+                E = 0.5 * (a + b) + 0.5 * (b - a) * t
+                g = green(model, coupling, phi, phi, E + 1e-12j)
+                ac += 0.5 * (b - a) * np.sum(v * np.maximum(g.imag, 0.0)) / np.pi
+            atoms = sum(weights[side] for _, *weights in scan)
+            assert abs(atoms + ac - np.vdot(vec, vec).real) <= 1e-6
+
+    def test_scan_matches_discretization_oracle(self):
+        # the eigenvalues of the 400-node operator and their overlaps with
+        # delta, both ways; the rule's nodes cannot place an atom nearer a band
+        # edge than their spacing, so only atoms more than 1e-2 outside the
+        # bands are compared
+        rng = np.random.default_rng(20261018)
+        cases = [sample_model()] + [
+            (random_model(rng, max_dim=8, max_pieces=2),
+             tuple(rng.choice([-1.0, 1.0], 2) * rng.uniform(0.2, 2.0, 2)))
+            for _ in range(5)
+        ]
+        for model, coupling in cases:
+            disc = discretize(model, 400)
+            energies, vecs = np.linalg.eigh(disc.assemble(coupling))
+            overlaps = np.abs(np.stack([disc.delta_l, disc.delta_r]).conj() @ vecs) ** 2
+            scan = point_mass_scan(model, coupling)
+            for E0, *weights in scan:
+                if _band_distance(model, E0) > 1e-2:
+                    j = np.argmin(np.abs(energies - E0))
+                    assert abs(energies[j] - E0) <= 1e-9
+                    assert np.max(np.abs(overlaps[:, j] - weights)) <= 1e-7
+            for E, overlap in zip(energies, overlaps.T):
+                if _band_distance(model, E) > 1e-2 and overlap.max() >= 1e-6:
+                    assert any(abs(E - E0) <= 1e-9 for E0, _, _ in scan)

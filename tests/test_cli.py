@@ -286,6 +286,22 @@ class TestExitCodes:
         statuses = {p["phi"]: p["status"] for p in points}
         assert statuses["delta_l"] != "DIVERGENT" and statuses["delta_r"] != "DIVERGENT"
 
+    def test_density_reports_the_atom_below_the_band(self, capsys):
+        # 2.6e-3 below the band edge at -2, with weights 5.3e-3 and 4.8e-5
+        assert main(["density", "--config", str(SAMPLE_PATH)]) == 0
+        atoms = json.loads(capsys.readouterr().out)["atom_scan"]
+        near = [a["phi"] for a in atoms if abs(a["E"] - (-2.002644088744403)) <= 1e-12]
+        assert near == ["delta_l", "delta_r"]
+
+    def test_density_does_not_discretize(self, monkeypatch, capsys):
+        import specbox.resolvent
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("density built the discretized operator")
+
+        monkeypatch.setattr(specbox.resolvent.DiscretizedModel, "__init__", refuse)
+        assert main(["density", "--config", str(SAMPLE_PATH)]) == 0
+
     def test_validate_json(self, config_file, capsys):
         code = main(["validate", "--config", config_file])
         out = capsys.readouterr().out

@@ -11,6 +11,7 @@ from specbox.measures import SpectralMeasure
 from specbox.resolvent import (
     CouplingParams,
     G0Basics,
+    _gauss_legendre,
     det_D,
     discretize,
     green,
@@ -199,6 +200,22 @@ class TestDiscretize:
         assert errs[2] < errs[1] < errs[0]
         disc = discretize(remark2, 200)
         assert abs(disc.reservoir_borel("l", 2j) - remark2.res_l.borel(2j)) <= 1e-10
+
+    def test_gauss_legendre_rule_computed_once(self, remark2):
+        # the second discretization reads the cached rule: same nodes and
+        # weights as a fresh leggauss, and the shared arrays reject writes
+        t, v = np.polynomial.legendre.leggauss(37)
+        piece = remark2.res_l.pieces[0]
+        half, mid = 0.5 * (piece.b - piece.a), 0.5 * (piece.a + piece.b)
+        nodes = mid + half * t
+        weights = half * v * np.polynomial.polynomial.polyval(nodes, piece.coef)
+        for _ in range(2):
+            disc = discretize(remark2, 37)
+            assert np.array_equal(disc.nodes_l[:37], nodes)
+            assert np.array_equal(disc.weights_l[:37], weights)
+        for cached in _gauss_legendre(37):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
 
     def test_rejects_too_few_nodes(self, remark2):
         with pytest.raises(DomainError):
