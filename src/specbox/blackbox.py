@@ -12,6 +12,12 @@ Because those are rational with a common denominator prod_k (E - E_k), the
 finite exceptional sets (zeros of the cross Green's function, and the zero
 set of the product G_ll * G_rr * G_lr * d) can be certified complete by
 polynomial root finding (companion matrix) instead of grid scans.
+
+The determinant d = a b - |c|^2 of the 2x2 system Green matrix has one
+formula, the Cauchy-Binet sum over the minors of the eigenvector overlaps of
+delta_l and delta_r (``SystemBlock.d`` on the real axis, its cleared
+numerator for N).  It is real by construction, and where it vanishes
+identically N is the whole line (degenerate).
 """
 
 from __future__ import annotations
@@ -110,7 +116,29 @@ class SystemBlock:
             DELTA_L: evecs.conj().T @ dl,
             DELTA_R: evecs.conj().T @ dr,
         }
-        self._clusters = self._cluster_eigenvalues()
+        positions, self._groups = self._cluster_eigenvalues()
+        #: Distinct eigenvalues after clustering (the poles of system pairs).
+        self.poles = np.array(positions)
+        # clustered weights (phi, e_k)(e_k, psi) of the four system pairs
+        self._weights = {}
+        for phi in _SYSTEM_TAGS:
+            for psi in _SYSTEM_TAGS:
+                w = np.conj(self._coef[phi]) * self._coef[psi]
+                self._weights[phi, psi] = np.array([np.sum(w[list(g)]) for g in self._groups])
+        # M: the Cauchy-Binet minors |x_i y_j - x_j y_i|^2 of the overlaps x, y
+        # of delta_l, delta_r, summed over clusters (see secular_polynomials)
+        x, y = self._coef[DELTA_L], self._coef[DELTA_R]
+        minors = np.abs(np.outer(x, y) - np.outer(y, x)) ** 2
+        # i = j is no pair; computed, the entry is a rounding residue, not 0
+        np.fill_diagonal(minors, 0.0)
+        member = np.zeros((n, self.poles.size))
+        for k, g in enumerate(self._groups):
+            member[list(g), k] = 1.0
+        # the diagonal counts each pair i < j twice
+        self._minors = member.T @ minors @ member
+        # shared by every caller
+        for a in (self.poles, self._minors, *self._weights.values()):
+            a.setflags(write=False)
 
     def _cluster_eigenvalues(self):
         positions, groups = [], []
@@ -123,40 +151,50 @@ class SystemBlock:
                 groups.append([k])
         return tuple(positions), tuple(tuple(g) for g in groups)
 
-    @property
-    def poles(self) -> np.ndarray:
-        """Distinct eigenvalues after clustering (the poles of system pairs)."""
-        return np.array(self._clusters[0])
-
     def pair_weights(self, phi: str, psi: str) -> np.ndarray:
-        """Clustered weights (phi, e_k)(e_k, psi), one entry per pole."""
-        cphi = self._coef[phi]
-        cpsi = self._coef[psi]
-        w = np.conj(cphi) * cpsi
-        return np.array([np.sum(w[list(g)]) for g in self._clusters[1]])
+        """Clustered weights (phi, e_k)(e_k, psi), one entry per pole (read-only)."""
+        return self._weights[phi, psi]
+
+    def _check_poles(self, re: np.ndarray) -> None:
+        """Raise PoleError if a real energy in the 1-d array ``re`` hits a pole."""
+        poles = self.poles
+        dist = np.abs(re[:, None] - poles[None, :])
+        hits = np.nonzero(dist <= 1e-12 * np.maximum(1.0, np.abs(poles)))
+        if hits[0].size:
+            idx = int(hits[1][0])
+            raise PoleError(
+                f"real z = {re[hits[0][0]]} hits system eigenvalue {poles[idx]}",
+                energy=float(poles[idx]),
+                index=idx,
+            )
 
     def green(self, phi: str, psi: str, z):
         """System-pair Green's function, array-capable in z."""
         z_arr = np.asarray(z, dtype=complex)
         scalar = z_arr.ndim == 0
         z_flat = np.atleast_1d(z_arr)
-        poles = self.poles
         on_axis = z_flat.imag == 0.0
         if np.any(on_axis):
-            re = z_flat.real[on_axis]
-            dist = np.abs(re[:, None] - poles[None, :])
-            hits = np.nonzero(dist <= 1e-12 * np.maximum(1.0, np.abs(poles)))
-            if hits[0].size:
-                idx = int(hits[1][0])
-                raise PoleError(
-                    f"real z = {re[hits[0][0]]} hits system eigenvalue {poles[idx]}",
-                    energy=float(poles[idx]),
-                    index=idx,
-                )
+            self._check_poles(z_flat.real[on_axis])
         w = self.pair_weights(phi, psi)
-        vals = np.sum(w / (poles - z_flat[..., None]), axis=-1)
+        vals = np.sum(w / (self.poles - z_flat[..., None]), axis=-1)
         vals = vals.reshape(z_arr.shape)
         return complex(vals) if scalar else vals
+
+    def d(self, E):
+        """d = a b - |c|^2, the determinant of the 2x2 system Green matrix,
+        at real E outside sigma(H_S); array-capable in E.
+
+        By Cauchy-Binet d = 1/2 sum_kj M_kj u_k u_j with u_k = 1/(p_k - E)
+        over the clusters p and M the cluster-summed minors: real by
+        construction, and exactly 0 for a 1x1 H_S.
+        """
+        E_arr = np.asarray(E, dtype=float)
+        E_flat = np.atleast_1d(E_arr)
+        self._check_poles(E_flat.ravel())
+        u = 1.0 / (self.poles - E_flat[..., None])
+        vals = 0.5 * np.sum((u @ self._minors) * u, axis=-1)
+        return float(vals[0]) if E_arr.ndim == 0 else vals
 
     def pair_numerator(self, phi: str, psi: str) -> np.ndarray:
         """Coefficients (low-to-high) of N with G(phi,psi,E) = -N(E)/P(E).
@@ -184,21 +222,11 @@ class SystemBlock:
         cleared twice (m = 2), every other once.
         """
         poles = self.poles
-        groups = self._clusters[1]
-        roots = [p for p, g in zip(poles, groups) for _ in range(min(len(g), 2))]
-        x, y = self._coef[DELTA_L], self._coef[DELTA_R]
-        minors = np.abs(np.outer(x, y) - np.outer(y, x)) ** 2
-        # i = j is no pair; computed, the entry is a rounding residue, not 0
-        np.fill_diagonal(minors, 0.0)
-        member = np.zeros((self.dim, poles.size))
-        for k, g in enumerate(groups):
-            member[list(g), k] = 1.0
-        # summed over clusters; the diagonal counts each pair i < j twice
-        cluster_minors = member.T @ minors @ member
+        roots = [p for p, g in zip(poles, self._groups) for _ in range(min(len(g), 2))]
         d = np.zeros(max(len(roots) - 1, 1))
         for k in range(poles.size):
             for j in range(k, poles.size):
-                weight = cluster_minors[k, j] if j > k else 0.5 * cluster_minors[k, k]
+                weight = self._minors[k, j] if j > k else 0.5 * self._minors[k, k]
                 if weight == 0.0:
                     continue
                 rest = list(roots)
@@ -302,37 +330,7 @@ class BlackBoxModel:
             return 0j if z_arr.ndim == 0 else np.zeros(z_arr.shape, dtype=complex)
         return self.system.green(phi, psi, z)
 
-    def d_function(self, E: float) -> float:
-        """det of the 2x2 system Green matrix at real E outside sigma(H_S).
-
-        Real-valued: the diagonal entries are real and the off-diagonal pair
-        multiplies to |G0(delta_l, delta_r, E)|^2.
-        """
-        a = self.system.green(DELTA_L, DELTA_L, float(E))
-        b = self.system.green(DELTA_R, DELTA_R, float(E))
-        c = self.system.green(DELTA_L, DELTA_R, float(E))
-        cb = self.system.green(DELTA_R, DELTA_L, float(E))
-        ab, ccb = a * b, c * cb
-        val = ab - ccb
-        # scale by the products: where d vanishes identically, val is pure
-        # cancellation and its roundoff is relative to |a b|, not to |val|
-        if abs(val.imag) > 1e-12 * max(1.0, abs(ab), abs(ccb)):
-            raise ArithmeticError(
-                f"d(E) acquired an imaginary part {val.imag:.3e} at E = {E}"
-            )
-        return float(val.real)
-
     # -- exceptional sets ---------------------------------------------------
-
-    def _d_numerator(self) -> np.ndarray:
-        n_ll = self.system.pair_numerator(DELTA_L, DELTA_L)
-        n_rr = self.system.pair_numerator(DELTA_R, DELTA_R)
-        n_lr = self.system.pair_numerator(DELTA_L, DELTA_R)
-        n_rl = self.system.pair_numerator(DELTA_R, DELTA_L)
-        num = npoly.polysub(npoly.polymul(n_ll, n_rr), npoly.polymul(n_lr, n_rl))
-        # real for real E; drop the roundoff imaginary part
-        return np.real_if_close(num, tol=1000).real.astype(float) \
-            if np.iscomplexobj(num) else num
 
     @cached_property
     def exceptional_sets(self) -> ExceptionalSets:
@@ -341,28 +339,29 @@ class BlackBoxModel:
         N collects sigma(H_S) with the real zeros of the product
         G_ll * G_rr * G_lr * d; since a polynomial product vanishes exactly
         where a factor does, the roots are taken factor-wise (better
-        conditioned than one degree-4(p-1) product).  The product is
-        identically zero iff d is (the other factors cannot vanish for a
-        valid model), which yields the degenerate flag.
+        conditioned than one degree-4(p-1) product), d's from its
+        Cauchy-Binet numerator P d (``SystemBlock.secular_polynomials``).
+        Each point is listed once: a root within the match tolerance of one
+        already listed is dropped.  The product is identically zero iff d is
+        (the other factors cannot vanish for a valid model), which yields the
+        degenerate flag.
         """
         sigma = tuple(float(x) for x in self.system.poles)
         n_lr = self.system.pair_numerator(DELTA_L, DELTA_R)
         s_zeros = _real_roots(n_lr, avoid=sigma)
-        n_d = self._d_numerator()
-        d_scale = max(
-            float(np.max(np.abs(n_d))), 0.0
-        )
+        n_d = self.system.secular_polynomials()[3]
         ref = self._vanish_numerator_max ** 2
-        if d_scale <= 1e-13 * max(ref, 1.0):
+        if float(np.max(np.abs(n_d))) <= 1e-13 * max(ref, 1.0):
             return ExceptionalSets(sigma, s_zeros, None)
-        points = set(sigma)
-        points.update(s_zeros)
+        points = [*sigma, *s_zeros]
         for num in (
             self.system.pair_numerator(DELTA_L, DELTA_L),
             self.system.pair_numerator(DELTA_R, DELTA_R),
             n_d,
         ):
-            points.update(_real_roots(num))
+            # a root at a listed point is that point; P d, cleared of every
+            # cluster, can vanish on one
+            points += _real_roots(num, avoid=points)
         return ExceptionalSets(sigma, s_zeros, tuple(sorted(points)))
 
     # -- diagnostics ---------------------------------------------------------

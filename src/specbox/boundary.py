@@ -16,7 +16,9 @@ The decision tree (in order) on the ladder values f_k:
 
 Membership in the certified finite sets (sigma(H_S), S, N) is decided by the
 root lists, never by ladder behavior; those sets have measure zero and a grid
-cannot see them.
+cannot see them.  The limit-profile check c2 divides by d = a b - |c|^2
+(``SystemBlock.d``), so it applies only where the model is not degenerate
+and d(E) != 0.
 
 Atoms in the gaps of the reservoir bands come from the secular equation,
 not from a ladder.  In a gap D(E) is real, an atom of mu_delta sits at a
@@ -344,7 +346,9 @@ def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
     Profile 2: left chi transform diverges while the right one approaches
     G0(delta_l, delta_l, E) / (nu^2 d(E)).  Profile 3: left chi transform
     vanishes while the right one approaches 1 / (nu^2 G0(delta_r, delta_r, E)).
-    Both need E outside sigma(H_S) and, for profile 2, d(E) != 0.
+    Both need E outside sigma(H_S).  Profile 2 also needs d(E) != 0 on a
+    model that is not degenerate: where d vanishes identically its computed
+    value is roundoff, and the target would divide by it.
     """
     c2 = {"applicable": False, "satisfied": False, "target": None}
     c3 = {"applicable": False, "satisfied": False, "target": None}
@@ -352,10 +356,10 @@ def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
         return c2, c3
     a = model.g0(DELTA_L, DELTA_L, float(E)).real
     b = model.g0(DELTA_R, DELTA_R, float(E)).real
-    d = model.d_function(float(E))
+    d = model.system.d(float(E))
     r_val = rec_r.value if rec_r.finite else None
 
-    if d != 0.0:
+    if d != 0.0 and not model.exceptional_sets.degenerate:
         target2 = a / (nu**2 * d)
         c2["applicable"] = True
         c2["target"] = target2

@@ -130,7 +130,7 @@ def certify_no_sc(
         a = model.g0(DELTA_L, DELTA_L, E).real
         b = model.g0(DELTA_R, DELTA_R, E).real
         c = model.g0(DELTA_L, DELTA_R, E)
-        d = model.d_function(E)
+        d = model.system.d(E)
         l = cls.rec_chi_l.value
         r = cls.rec_chi_r.value
 

@@ -17,8 +17,7 @@ The oracle replaces each density piece by Gauss-Legendre nodes (density
 absorbed into the weights), keeps atoms as exact nodes, embeds chi as the
 vector of square-root weights, and solves (H - z) u = psi directly.  The
 assembled matrix is diagonal outside a small system block plus two rank-one
-couplings, so the default direct solver is a sparse LU factorization; a dense
-solve is available behind ``method="dense"`` and must agree to roundoff.
+couplings, so the direct solver is a sparse LU factorization.
 """
 
 from __future__ import annotations
@@ -375,10 +374,9 @@ def green_oracle(
     phi: str,
     psi: str,
     z: complex,
-    method: str = "sparse",
 ) -> complex:
     """(phi, (H - z)^{-1} psi) on the discretized model by direct solve."""
-    vals = green_oracle_all(disc, coupling, z, tags=(phi, psi), method=method)
+    vals = green_oracle_all(disc, coupling, z, tags=(phi, psi))
     return vals[(phi, psi)]
 
 
@@ -387,9 +385,8 @@ def green_oracle_all(
     coupling,
     z: complex,
     tags: Iterable[str] = TAGS,
-    method: str = "sparse",
 ) -> dict:
-    """All requested pairs with one factorization of (H - z)."""
+    """All requested pairs with one sparse LU factorization of (H - z)."""
     cp = _coupling(coupling)
     z = complex(z)
     if z.imag == 0.0:
@@ -397,17 +394,11 @@ def green_oracle_all(
     tags = tuple(dict.fromkeys(tags))
     B = np.stack([disc.vector(t) for t in tags], axis=1)
     try:
-        if method == "dense":
-            A = disc.assemble(cp) - z * np.eye(disc.dim)
-            U = np.linalg.solve(A, B)
-        elif method == "sparse":
-            import scipy.sparse.linalg as spla  # oracle only; see assemble_shifted_sparse
+        import scipy.sparse.linalg as spla  # oracle only; see assemble_shifted_sparse
 
-            A = disc.assemble_shifted_sparse(cp, z)
-            lu = spla.splu(A)
-            U = lu.solve(B)
-        else:
-            raise ValueError(f"unknown oracle method {method!r}")
+        A = disc.assemble_shifted_sparse(cp, z)
+        lu = spla.splu(A)
+        U = lu.solve(B)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         cond = None
         if disc.dim <= 3000:

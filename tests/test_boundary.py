@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specbox.blackbox import CHI_L, DELTA_L, DELTA_R, TAGS
+from specbox.blackbox import CHI_L, DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
 from specbox.boundary import (
     DIVERGENT,
     FINITE_NONZERO,
@@ -22,7 +22,7 @@ from specbox.config import build_run_config, load_config
 from specbox.errors import DomainError, NearSingularError, PointMassPresentError
 from specbox.resolvent import discretize, green, green_oracle
 
-from conftest import random_model
+from conftest import random_model, two_band_measure
 
 SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
 
@@ -147,6 +147,25 @@ class TestClassify:
         assert not c.c3["satisfied"]
         assert c.c2 is not None and c.c2["applicable"]
         assert not c.c2["satisfied"]
+
+    def test_c2_needs_d_not_identically_zero(self):
+        # d vanishes identically on both models: on one level (no pair of
+        # levels) and on three with delta_r parallel to delta_l, where the
+        # computed d is roundoff and a / (nu^2 d) would divide by it
+        one_level = SystemBlock(
+            [[-0.05102686225800991]],
+            [0.8918839501895515 + 0.9447132740916125j],
+            [-0.5322495239537628 - 0.06831474306671874j],
+        )
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        dl = rng.normal(size=3) + 1j * rng.normal(size=3)
+        parallel = SystemBlock((raw + raw.conj().T) / 2, dl, (0.83 - 0.41j) * dl)
+        for system in (one_level, parallel):
+            model = BlackBoxModel(system, two_band_measure(), two_band_measure())
+            for E in np.linspace(-3.0, 3.0, 121):
+                c2 = classify_energy(model, float(E), nu=1.0).c2
+                assert not c2["applicable"] and c2["target"] is None, E
 
     def test_exact_sets_from_lists(self, t2_model):
         for E in t2_model.exceptional_sets.sigma_hs:
