@@ -16,8 +16,9 @@ polynomial root finding (companion matrix) instead of grid scans.
 The determinant d = a b - |c|^2 of the 2x2 system Green matrix has one
 formula, the Cauchy-Binet sum over the minors of the eigenvector overlaps of
 delta_l and delta_r (``SystemBlock.d`` on the real axis, its cleared
-numerator for N).  It is real by construction, and where it vanishes
-identically N is the whole line (degenerate).
+numerator for N).  It is real by construction, and it vanishes identically
+exactly when delta_r is parallel to delta_l; N is then the whole line
+(degenerate).
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ class SystemBlock:
         positions, self._groups = self._cluster_eigenvalues()
         #: Distinct eigenvalues after clustering (the poles of system pairs).
         self.poles = np.array(positions)
-        # clustered weights (phi, e_k)(e_k, psi) of the four system pairs
+        # clustered weights (phi, e_k)(e_k, psi) of the four system pairs, one
+        # np.sum per cluster and not `@ member` below: green must keep adding a
+        # cluster's terms in this order, and a matrix product may reorder them
         self._weights = {}
         for phi in _SYSTEM_TAGS:
             for psi in _SYSTEM_TAGS:
@@ -134,10 +137,10 @@ class SystemBlock:
         member = np.zeros((n, self.poles.size))
         for k, g in enumerate(self._groups):
             member[list(g), k] = 1.0
-        # the diagonal counts each pair i < j twice
-        self._minors = member.T @ minors @ member
+        #: Cluster-summed minors (the diagonal counts each pair i < j twice).
+        self.minors = member.T @ minors @ member
         # shared by every caller
-        for a in (self.poles, self._minors, *self._weights.values()):
+        for a in (self.poles, self.minors, *self._weights.values()):
             a.setflags(write=False)
 
     def _cluster_eigenvalues(self):
@@ -193,7 +196,7 @@ class SystemBlock:
         E_flat = np.atleast_1d(E_arr)
         self._check_poles(E_flat.ravel())
         u = 1.0 / (self.poles - E_flat[..., None])
-        vals = 0.5 * np.sum((u @ self._minors) * u, axis=-1)
+        vals = 0.5 * np.sum((u @ self.minors) * u, axis=-1)
         return float(vals[0]) if E_arr.ndim == 0 else vals
 
     def pair_numerator(self, phi: str, psi: str) -> np.ndarray:
@@ -226,7 +229,7 @@ class SystemBlock:
         d = np.zeros(max(len(roots) - 1, 1))
         for k in range(poles.size):
             for j in range(k, poles.size):
-                weight = self._minors[k, j] if j > k else 0.5 * self._minors[k, k]
+                weight = self.minors[k, j] if j > k else 0.5 * self.minors[k, k]
                 if weight == 0.0:
                     continue
                 rest = list(roots)
@@ -346,18 +349,24 @@ class BlackBoxModel:
         (the other factors cannot vanish for a valid model), which yields the
         degenerate flag.
         """
-        sigma = tuple(float(x) for x in self.system.poles)
-        n_lr = self.system.pair_numerator(DELTA_L, DELTA_R)
+        sysb = self.system
+        sigma = tuple(float(x) for x in sysb.poles)
+        n_lr = sysb.pair_numerator(DELTA_L, DELTA_R)
         s_zeros = _real_roots(n_lr, avoid=sigma)
-        n_d = self.system.secular_polynomials()[3]
-        ref = self._vanish_numerator_max ** 2
-        if float(np.max(np.abs(n_d))) <= 1e-13 * max(ref, 1.0):
+        # d vanishes identically iff every minor does: they are >= 0, and at
+        # the lowest pole p_1, d has the terms M_11 / (2 (p_1 - E)^2) and
+        # sum_{j>1} M_1j / ((p_j - p_1)(p_1 - E)).  Half the minors' sum is
+        # |delta_l|^2 |delta_r|^2 - |<delta_l, delta_r>|^2 (Lagrange), so the
+        # test reads the angle between delta_l and delta_r, whatever the
+        # scale of the spectrum.
+        norms = np.linalg.norm(sysb.delta_l) * np.linalg.norm(sysb.delta_r)
+        if 0.5 * float(np.sum(sysb.minors)) <= 1e-13 * norms**2:
             return ExceptionalSets(sigma, s_zeros, None)
         points = [*sigma, *s_zeros]
         for num in (
-            self.system.pair_numerator(DELTA_L, DELTA_L),
-            self.system.pair_numerator(DELTA_R, DELTA_R),
-            n_d,
+            sysb.pair_numerator(DELTA_L, DELTA_L),
+            sysb.pair_numerator(DELTA_R, DELTA_R),
+            sysb.secular_polynomials()[3],
         ):
             # a root at a listed point is that point; P d, cleared of every
             # cluster, can vanish on one
@@ -455,9 +464,6 @@ def _real_roots(
     out.sort()
     dedup: list[float] = []
     for x in out:
-        if dedup and abs(x - dedup[-1]) <= 1e-9 * max(1.0, abs(x)):
-            continue
-        if any(abs(x - s) <= 1e-9 * max(1.0, abs(x)) for s in avoid):
-            continue
-        dedup.append(x)
+        if all(abs(x - s) > 1e-9 * max(1.0, abs(x)) for s in (*avoid, *dedup)):
+            dedup.append(x)
     return tuple(dedup)

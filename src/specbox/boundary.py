@@ -359,22 +359,18 @@ def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
     d = model.system.d(float(E))
     r_val = rec_r.value if rec_r.finite else None
 
+    def profile(target, left_status):
+        # satisfied: the left transform has the profile's limit and the right
+        # one approaches the target
+        satisfied = rec_l.status == left_status and r_val is not None and (
+            abs(r_val - target) <= C_TOL * max(1.0, abs(target))
+        )
+        return {"applicable": True, "satisfied": bool(satisfied), "target": target}
+
     if d != 0.0 and not model.exceptional_sets.degenerate:
-        target2 = a / (nu**2 * d)
-        c2["applicable"] = True
-        c2["target"] = target2
-        if rec_l.status == DIVERGENT and r_val is not None:
-            c2["satisfied"] = bool(
-                abs(r_val - target2) <= C_TOL * max(1.0, abs(target2))
-            )
+        c2 = profile(a / (nu**2 * d), DIVERGENT)
     if b != 0.0:
-        target3 = 1.0 / (nu**2 * b)
-        c3["applicable"] = True
-        c3["target"] = target3
-        if rec_l.status == ZERO and r_val is not None:
-            c3["satisfied"] = bool(
-                abs(r_val - target3) <= C_TOL * max(1.0, abs(target3))
-            )
+        c3 = profile(1.0 / (nu**2 * b), ZERO)
     return c2, c3
 
 

@@ -211,8 +211,8 @@ class TestExceptionalSets:
             assert abs(val) <= 1e-10
 
     def test_n_roots_reproduce_zero(self, t2_slanted_model):
-        # numerators cleared pair by pair put a spurious N point at 0.4 here,
-        # where a = -11.1, b = c = -10 and d = 11.1
+        # d does not vanish at 0.4 (a = -11.1, b = c = -10, d = 11.1), so N
+        # must not contain it
         diagonal = BlackBoxModel(
             SystemBlock(np.diag([0.3, -0.5]), [1, 1], [1, 0]),
             two_band_measure(),
@@ -221,7 +221,13 @@ class TestExceptionalSets:
         assert diagonal.exceptional_sets.n_points == pytest.approx(
             (-0.5, -0.1, 0.3), abs=1e-12
         )
-        for model in (t2_slanted_model, diagonal):
+        # d(0) = 0.0172: not degenerate, however large the poles
+        wide = BlackBoxModel(
+            SystemBlock(np.diag(np.arange(10.0, 90.0, 10.0)), np.ones(8), np.r_[2.0, np.ones(7)]),
+            two_band_measure(),
+            two_band_measure(),
+        )
+        for model in (t2_slanted_model, diagonal, wide):
             exc = model.exceptional_sets
             assert not exc.degenerate
             assert set(exc.sigma_hs) <= set(exc.n_points)
