@@ -28,8 +28,14 @@ poles of the uncoupled pairs, on every gap inside a norm bound of the
 coupled operator, refines all sign changes at once with regula falsi
 steps, and takes N and D' in closed form.  It does not see atoms embedded
 in a band, nor zeros of D without a sign change (tangential zeros; an atom
-sitting on a degenerate eigenvalue of H_S can be one).  ``point_mass``
-keeps the ladder estimate for grid energies whose ladder diverges.
+sitting on a degenerate eigenvalue of H_S can be one).
+
+``diagonal_records`` gives the ladders of the four diagonal pairs
+G(phi, phi) at one grid energy from a single batched 4x4 solve on the
+ladder points.  A DIVERGENT record's ``pole_weight`` is then the
+converged Richardson limit of eps * Im G read off that record's own
+ladder, the estimate ``point_mass`` makes from its ladder, and None where
+eps * Im G does not converge.
 """
 
 from __future__ import annotations
@@ -41,14 +47,14 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, cleared_sum
+from .blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel, cleared_sum
 from .errors import (
     DomainError,
     PointMassPresentError,
     SpecboxError,
     UndeterminedLimitError,
 )
-from .resolvent import CouplingParams, _coupling, green
+from .resolvent import CouplingParams, _coupling, green, green_all
 
 __all__ = [
     "Tolerances",
@@ -57,7 +63,7 @@ __all__ = [
     "EnergyClassification",
     "boundary_value",
     "classify_energy",
-    "ac_density",
+    "diagonal_records",
     "density_from_record",
     "point_mass",
     "point_mass_scan",
@@ -89,6 +95,8 @@ SCAN_BOUND_FACTOR = 1.1
 _REFINE_STEPS = 200
 #: most rungs a ladder may have, checked before any rung is allocated
 MAX_RUNGS = 10_000
+#: the failures of a ladder's evaluation that make it UNDETERMINED
+_NUMERICAL_ERRORS = (SpecboxError, ArithmeticError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,7 @@ def boundary_value(
     zs = E + 1j * eps
     try:
         vals = np.broadcast_to(np.asarray(f(zs), dtype=complex), zs.shape)
-    except (SpecboxError, ArithmeticError, np.linalg.LinAlgError):
+    except _NUMERICAL_ERRORS:
         return BoundaryRecord(E, UNDETERMINED)
     trace = list(zip(eps, vals))
     bad = ~np.isfinite(vals)
@@ -374,22 +382,43 @@ def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
     return c2, c3
 
 
-def ac_density(
+def diagonal_records(
     model: BlackBoxModel,
     coupling,
-    phi: str,
     E: float,
     ladder: EpsilonLadder | None = None,
-) -> float:
-    """(1/pi) Im G(phi, phi, E + i0); 0 where the boundary value vanishes.
+    *,
+    tol: Tolerances = Tolerances(),
+) -> list[BoundaryRecord]:
+    """The ladder records of G(phi, phi, E + i0) for phi in TAGS order.
 
-    Raises PointMassPresentError on a divergent ladder (an atom, not a
-    density) and UndeterminedLimitError when no call can be made.
+    One ``green_all`` call solves all 16 pairs on the ladder points, and
+    each record is ``boundary_value`` of its diagonal slice.  A numerical
+    failure of that solve makes all four records UNDETERMINED with an empty
+    trace.  A DIVERGENT record's ``pole_weight`` is replaced by the estimate
+    of ``point_mass`` on the same ladder: mu_phi({E}), or None where
+    eps * Im G does not converge.
     """
-    rec = boundary_value(
-        lambda z: green(model, coupling, phi, phi, z), E, ladder
-    )
-    return density_from_record(rec)
+    ladder = ladder or EpsilonLadder()
+    try:
+        g, failure = green_all(model, coupling, E + 1j * ladder.epsilons()), None
+    except _NUMERICAL_ERRORS as exc:
+        g, failure = None, exc
+
+    def diagonal(i):
+        # boundary_value evaluates f on the same ladder points solved above
+        def f(z):
+            if failure is not None:
+                raise failure
+            return g[:, i, i]
+        return f
+
+    records = [boundary_value(diagonal(i), E, ladder, tol=tol) for i in range(len(TAGS))]
+    for rec in records:
+        if rec.status == DIVERGENT:
+            eps, vals = (np.array(v) for v in zip(*rec.ladder_trace))
+            rec.pole_weight = _ladder_mass(eps, vals, ladder.ratio)
+    return records
 
 
 def density_from_record(rec: BoundaryRecord) -> float:
@@ -424,15 +453,25 @@ def point_mass(
     eps = ladder.epsilons()
     zs = E + 1j * eps
     vals = np.asarray(green(model, coupling, phi, phi, zs))
+    w = _ladder_mass(eps, vals, ladder.ratio)
+    if w is None:
+        raise UndeterminedLimitError(
+            f"eps * Im G did not converge at E = {E}",
+            record=BoundaryRecord(E, UNDETERMINED, ladder_trace=list(zip(eps, eps * vals.imag))),
+        )
+    return w
+
+
+def _ladder_mass(eps: np.ndarray, vals: np.ndarray, ratio: float) -> float | None:
+    """The Richardson limit of eps * Im f over the ladder values f, read as
+    0 at or below ATOM_FLOOR; None unless the last three steps of eps * Im f
+    stop growing."""
     m = eps * vals.imag
     diffs = np.abs(np.diff(m[-4:]))
     floor = 1e-10 * max(1.0, abs(m[-1]))
     if not (diffs[-1] <= diffs[-2] + floor or diffs[-1] <= floor):
-        raise UndeterminedLimitError(
-            f"eps * Im G did not converge at E = {E}",
-            record=BoundaryRecord(E, UNDETERMINED, ladder_trace=list(zip(eps, m))),
-        )
-    w = float(_richardson(m[-1], m[-2], ladder.ratio).real)
+        return None
+    w = float(_richardson(m[-1], m[-2], ratio).real)
     return w if w > ATOM_FLOOR else 0.0
 
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
-from .boundary import EpsilonLadder, Tolerances, classify_energy
+from .boundary import UNDETERMINED, EpsilonLadder, Tolerances, classify_energy
 from .errors import UnsupportedScenarioError
 from .measures import SpectralMeasure
 from .resolvent import G0Basics, _coupling, discretize
@@ -119,7 +119,7 @@ def certify_no_sc(
     for E in np.asarray(grid, dtype=float):
         E = float(E)
         cls = classify_energy(model, E, ladder=ladder, tol=tol)
-        if cls.rec_chi_l.status == "UNDETERMINED" or cls.rec_chi_r.status == "UNDETERMINED":
+        if UNDETERMINED in (cls.rec_chi_l.status, cls.rec_chi_r.status):
             cert.points.append(CertificatePoint(E, NUMERICALLY_UNRESOLVED, False))
             continue
         in_scope = (cls.in_ml or cls.in_mr) and not (cls.in_sigma_hs or cls.in_s)

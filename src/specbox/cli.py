@@ -25,18 +25,19 @@ from .averaging import (
 )
 from .blackbox import CHI_L, DELTA_L, DELTA_R, TAGS
 from .boundary import (
+    DIVERGENT,
     UNDETERMINED,
-    boundary_value,
     classify_energy,
     density_from_record,
+    diagonal_records,
     point_mass,
     point_mass_scan,
 )
 from .certify import NUMERICALLY_UNRESOLVED, certify_no_sc, eigen_residual, remark2_model
 from .config import RunConfig, build_run_config, load_config
 from .emit import render_csv, render_json, write_output
-from .errors import ConfigError, PointMassPresentError, SpecboxError, UndeterminedLimitError
-from .resolvent import green, green_all
+from .errors import ConfigError, SpecboxError
+from .resolvent import green_all
 
 __all__ = ["cli", "main"]
 
@@ -216,20 +217,17 @@ def density(cfg):
     grid = cfg.require_grid()
     entries, unresolved = [], 0
     for E in grid:
-        for phi in TAGS:
-            rec = boundary_value(
-                lambda z: green(model, cfg.coupling, phi, phi, z),
-                float(E), cfg.ladder, tol=cfg.tolerances,
-            )
-            # a divergent ladder asks for the point mass; an undetermined
+        records = diagonal_records(model, cfg.coupling, float(E), cfg.ladder,
+                                   tol=cfg.tolerances)
+        for phi, rec in zip(TAGS, records):
+            # a divergent ladder carries its point mass; an undetermined
             # ladder or a point mass that does not converge is unresolved
             ac = pm = None
-            try:
-                try:
-                    ac = density_from_record(rec)
-                except PointMassPresentError:
-                    pm = point_mass(model, cfg.coupling, phi, float(E), cfg.ladder)
-            except UndeterminedLimitError:
+            if rec.status == DIVERGENT:
+                pm = rec.pole_weight
+            elif rec.status != UNDETERMINED:
+                ac = density_from_record(rec)
+            if ac is None and pm is None:
                 unresolved += 1
             entries.append({"E": float(E), "phi": phi, "status": rec.status,
                             "ac_density": ac, "point_mass": pm})

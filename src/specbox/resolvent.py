@@ -261,11 +261,6 @@ class DiscretizedModel:
     def vector(self, tag: str) -> np.ndarray:
         return self._vectors[tag]
 
-    def reservoir_borel(self, side: str, z) -> complex:
-        """Quadrature approximation of the reservoir transform (for convergence tests)."""
-        x, w = (self.nodes_l, self.weights_l) if side == "l" else (self.nodes_r, self.weights_r)
-        return complex(np.sum(w / (x - complex(z))))
-
     def assemble(self, coupling) -> np.ndarray:
         """Dense Hermitian H(lam, nu)."""
         cp = _coupling(coupling)

@@ -22,9 +22,10 @@ from specbox.boundary import (
     UNDETERMINED,
     ZERO,
     EpsilonLadder,
-    ac_density,
     boundary_value,
     classify_energy,
+    density_from_record,
+    diagonal_records,
     point_mass,
     point_mass_scan,
 )
@@ -277,7 +278,8 @@ def test_criterion_8_global_invariants():
             dens = []
             for E in grid:
                 try:
-                    dens.append(ac_density(model, coupling, phi, float(E)))
+                    rec = diagonal_records(model, coupling, float(E))[TAGS.index(phi)]
+                    dens.append(density_from_record(rec))
                 except (PointMassPresentError, UndeterminedLimitError):
                     dens.append(0.0)
             total = sum(w for _, w in atoms) + float(np.trapezoid(dens, grid))

@@ -12,9 +12,10 @@ from specbox.boundary import (
     UNDETERMINED,
     ZERO,
     EpsilonLadder,
-    ac_density,
     boundary_value,
     classify_energy,
+    density_from_record,
+    diagonal_records,
     point_mass,
     point_mass_scan,
 )
@@ -191,22 +192,24 @@ class TestGreenEvaluator:
 
 class TestAcDensity:
     def test_uncoupled_reservoir_density(self, remark2):
-        val = ac_density(remark2, (0.0, 0.0), CHI_L, 1.5)
+        rec = diagonal_records(remark2, (0.0, 0.0), 1.5)[TAGS.index(CHI_L)]
+        val = density_from_record(rec)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_far_outside_spectrum_zero(self, remark2):
-        val = ac_density(remark2, (1.0, 1.0), DELTA_L, 8.0)
+        rec = diagonal_records(remark2, (1.0, 1.0), 8.0)[TAGS.index(DELTA_L)]
+        val = density_from_record(rec)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_atom_raises_point_mass_signal(self, remark2):
         with pytest.raises(PointMassPresentError):
-            ac_density(remark2, (1.0, 1.0), DELTA_L, 0.0)
+            density_from_record(diagonal_records(remark2, (1.0, 1.0), 0.0)[TAGS.index(DELTA_L)])
 
     def test_coupled_band_density_vs_extrapolated_oracle(self, remark2):
         # The oracle cannot represent the band limit at eps far below its node
         # spacing, so it is evaluated at resolvable eps and Richardson
         # extrapolated in eps; agreement 1e-4.
-        got = ac_density(remark2, (1.0, 1.0), DELTA_L, 1.5)
+        got = density_from_record(diagonal_records(remark2, (1.0, 1.0), 1.5)[TAGS.index(DELTA_L)])
         disc = discretize(remark2, 800)
         eps_hi, eps_lo = 2e-2, 1e-2
         o_hi = green_oracle(disc, (1.0, 1.0), DELTA_L, DELTA_L, 1.5 + 1j * eps_hi).imag / np.pi
@@ -245,7 +248,8 @@ class TestPointMass:
         dens = []
         for E in grid:
             try:
-                dens.append(ac_density(remark2, coupling, DELTA_L, float(E)))
+                rec = diagonal_records(remark2, coupling, float(E))[TAGS.index(DELTA_L)]
+                dens.append(density_from_record(rec))
             except Exception:
                 dens.append(0.0)
         integral = np.trapezoid(dens, grid)

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from specbox.blackbox import TAGS
+from specbox.boundary import boundary_value, density_from_record, point_mass, point_mass_scan
 from specbox.cli import (
     AVERAGE_HEADER,
     CERTIFY_HEADER,
@@ -21,7 +23,15 @@ from specbox.cli import (
     main,
 )
 from specbox.config import MAX_GRID_POINTS, build_run_config, load_config, parse_grid_flag
-from specbox.errors import ConfigError
+from specbox.errors import (
+    ConfigError,
+    NearSingularError,
+    PointMassPresentError,
+    UndeterminedLimitError,
+)
+from specbox.resolvent import green
+
+from conftest import random_model
 
 
 def remark2_config(**extra) -> dict:
@@ -309,6 +319,142 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["diagnostics"]["ok"] is True
         assert payload["exceptional_sets"]["sigma_hs"] == [0.0]
+
+
+def _model_doc(model) -> dict:
+    """The config document's model section for a built model."""
+    def vector(v):
+        return [[float(x.real), float(x.imag)] for x in v]
+
+    def measure(m):
+        return {"atoms": [list(atom) for atom in m.atoms],
+                "pieces": [{"interval": [p.a, p.b], "poly": list(p.coef)} for p in m.pieces]}
+
+    system = model.system
+    return {
+        "system": {"matrix": [vector(row) for row in system.h_s],
+                   "delta_l": vector(system.delta_l), "delta_r": vector(system.delta_r)},
+        "reservoir_left": measure(model.res_l),
+        "reservoir_right": measure(model.res_r),
+    }
+
+
+def _random_density_doc(seed: int) -> dict:
+    """A random model whose grid holds 21 points of [-5, 5] and every atom
+    the secular scan finds, so that some ladders diverge."""
+    model = random_model(np.random.default_rng([20261018, seed]), max_dim=4, max_pieces=2)
+    coupling = (0.7, 1.3)
+    atoms = [E for E, *_ in point_mass_scan(model, coupling)]
+    return {"model": _model_doc(model), "coupling": {"lambda": 0.7, "nu": 1.3},
+            "grid": {"list": list(np.linspace(-5.0, 5.0, 21)) + atoms}}
+
+
+def _per_tag_density_rows(cfg) -> list[list]:
+    """density's grid rows the way one ladder per (energy, tag) gives them:
+    ``green`` keeps one diagonal entry of each ladder's solve, and a
+    divergent ladder asks ``point_mass`` for the weight."""
+    rows = []
+    for E in cfg.grid:
+        for phi in TAGS:
+            rec = boundary_value(
+                lambda z: green(cfg.model, cfg.coupling, phi, phi, z),
+                float(E), cfg.ladder, tol=cfg.tolerances,
+            )
+            ac = pm = None
+            try:
+                try:
+                    ac = density_from_record(rec)
+                except PointMassPresentError:
+                    pm = point_mass(cfg.model, cfg.coupling, phi, float(E), cfg.ladder)
+            except UndeterminedLimitError:
+                pass
+            rows.append([float(E), phi, rec.status, ac, pm])
+    return rows
+
+
+def _density_rows(args, capsys):
+    code = main(["density", *args])
+    points = json.loads(capsys.readouterr().out)["points"]
+    return code, [[p[key] for key in DENSITY_HEADER] for p in points]
+
+
+class TestDensity:
+    @pytest.mark.parametrize("case", ["sample", "remark2", "random0", "random1", "random2"])
+    def test_matches_per_tag_ladders(self, tmp_path, capsys, case):
+        # the shared 16-pair solve runs the same arithmetic on the same ladder
+        # points, so every row, status and number, is the per-tag row exactly
+        path, grid = SAMPLE_PATH, "-3:3:61"
+        if case != "sample":
+            doc = remark2_config() if case == "remark2" else _random_density_doc(int(case[-1]))
+            grid = "-1:1:9" if case == "remark2" else None
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(doc))
+        args = ["--config", str(path)] + (["--grid", grid] if grid else [])
+        code, rows = _density_rows(args, capsys)
+        assert code == 0
+        cfg = build_run_config(load_config(str(path)), {"grid": grid})
+        assert rows == _per_tag_density_rows(cfg)
+        statuses = {row[2] for row in rows}
+        assert ("UNDETERMINED" if case == "sample" else "DIVERGENT") in statuses
+        if case == "remark2":
+            assert [row[4] for row in rows if row[0] == 0.0 and row[1].startswith("delta")] \
+                == [pytest.approx(1 / 3, abs=1e-6)] * 2
+
+    def test_one_solve_per_energy(self, tmp_path, monkeypatch, capsys):
+        import specbox.boundary
+        import specbox.cli
+
+        green_all = specbox.boundary.green_all
+        solves = []
+
+        def counted(model, coupling, z):
+            solves.append(z)
+            return green_all(model, coupling, z)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density called point_mass")
+
+        monkeypatch.setattr(specbox.boundary, "green_all", counted)
+        monkeypatch.setattr(specbox.boundary, "point_mass", refuse)
+        monkeypatch.setattr(specbox.cli, "point_mass", refuse)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(remark2_config()))
+        code, rows = _density_rows(["--config", str(path), "--grid", "-1:1:9"], capsys)
+        assert code == 0
+        assert "DIVERGENT" in {row[2] for row in rows}
+        assert len(solves) == 9
+
+    def _fail_solve_at(self, monkeypatch, energy, error):
+        import specbox.boundary
+
+        green_all = specbox.boundary.green_all
+
+        def failing(model, coupling, z):
+            if np.real(z).flat[0] == energy:
+                raise error
+            return green_all(model, coupling, z)
+
+        monkeypatch.setattr(specbox.boundary, "green_all", failing)
+
+    def test_failed_solve_leaves_its_energy_undetermined(self, config_file, monkeypatch,
+                                                         capsys):
+        args = ["--config", config_file, "--grid", "1.05:1.95:5"]
+        _, clean = _density_rows(args, capsys)
+        assert main(["density", *args, "--strict"]) == 0
+        capsys.readouterr()
+        self._fail_solve_at(monkeypatch, 1.5, NearSingularError("D(z) underflowed"))
+        code, rows = _density_rows(args, capsys)
+        assert code == 0
+        assert [row for row in rows if row[0] != 1.5] == [row for row in clean if row[0] != 1.5]
+        assert [row for row in rows if row[0] == 1.5] \
+            == [[1.5, phi, "UNDETERMINED", None, None] for phi in TAGS]
+        assert main(["density", *args, "--strict"]) == 2
+
+    def test_unexpected_solve_error_exits_3(self, config_file, monkeypatch, capsys):
+        self._fail_solve_at(monkeypatch, 1.5, RuntimeError("not a numerical failure"))
+        code = main(["density", "--config", config_file, "--grid", "1.05:1.95:5"])
+        assert code == 3
+        assert "RuntimeError" in capsys.readouterr().err
 
 
 class TestEmission:
