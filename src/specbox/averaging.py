@@ -42,6 +42,10 @@ _LEFT = (CHI_L, DELTA_L)
 
 #: grid points closer than this to the exceptional set are excluded
 N_EXCLUSION = 1e-6
+#: the rank-one average's bound on the bond strength |s| (the whole line)
+#: and the relative tolerance of its quadrature
+RANK_ONE_CAP = math.inf
+RANK_ONE_TOL = 1e-10
 
 
 def _zero_bond_coupling(phi: str, kappa: float) -> CouplingParams:
@@ -254,13 +258,7 @@ def averaged_poisson_quadrature(
     return _tan_quadrature(integrand, lambda_cap, tol, poles)
 
 
-def rank_one_average(
-    measure: SpectralMeasure,
-    E: float,
-    eps: float,
-    lambda_cap: float = math.inf,
-    tol: float = 1e-10,
-) -> float:
+def rank_one_average(measure: SpectralMeasure, E: float, eps: float) -> float:
     """Average of the rank-one-perturbed Poisson kernel over the bond strength.
 
     With g = measure.borel(E + i eps) the perturbed transform is
@@ -274,7 +272,7 @@ def rank_one_average(
     def integrand(s: np.ndarray) -> np.ndarray:
         return (g / (1.0 + s * g)).imag
 
-    return _tan_quadrature(integrand, lambda_cap, tol, poles=(-1.0 / g,))
+    return _tan_quadrature(integrand, RANK_ONE_CAP, RANK_ONE_TOL, poles=(-1.0 / g,))
 
 
 @dataclass

@@ -64,6 +64,8 @@ _EIG_RESIDUAL_TOL = 1e-12
 _CLUSTER_TOL = 1e-10
 _VANISH_TOL = 1e-13
 _ROOT_RESIDUAL_TOL = 1e-10
+#: a companion-matrix root counts as real below this relative imaginary part
+_ROOT_IMAG_TOL = 1e-7
 _RANK_TOL = 1e-8
 
 
@@ -425,9 +427,7 @@ def cleared_sum(roots, poles, weights) -> np.ndarray:
     return out
 
 
-def _real_roots(
-    coef: np.ndarray, avoid: Sequence[float] = (), imag_tol: float = 1e-7
-) -> tuple[float, ...]:
+def _real_roots(coef: np.ndarray, avoid: Sequence[float] = ()) -> tuple[float, ...]:
     """Certified real roots of a polynomial: companion-matrix roots filtered
     to the real axis, Newton-polished, de-duplicated, residual-checked."""
     coef = np.asarray(coef, dtype=complex)
@@ -442,7 +442,7 @@ def _real_roots(
     deriv = npoly.polyder(coef)
     out = []
     for r in roots:
-        if abs(r.imag) > imag_tol * max(1.0, abs(r.real)):
+        if abs(r.imag) > _ROOT_IMAG_TOL * max(1.0, abs(r.real)):
             continue
         x = r
         for _ in range(8):  # Newton polish in complex arithmetic

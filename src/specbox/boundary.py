@@ -25,10 +25,13 @@ not from a ladder.  In a gap D(E) is real, an atom of mu_delta sits at a
 real zero E0 of D, and its weight is the residue -N(E0) / D'(E0) of
 G(delta, delta) = N / D.  ``point_mass_scan`` samples D, cleared of the
 poles of the uncoupled pairs, on every gap inside a norm bound of the
-coupled operator, refines all sign changes at once with regula falsi
-steps, and takes N and D' in closed form.  It does not see atoms embedded
-in a band, nor zeros of D without a sign change (tangential zeros; an atom
-sitting on a degenerate eigenvalue of H_S can be one).
+coupled operator, and refines all sign changes at once with regula falsi
+steps, all in real arithmetic.  At each root it evaluates the same
+function once at E0 + ih and takes D'(E0) = Im D(E0 + ih) / h by the
+complex step, which subtracts nothing and so loses nothing to
+cancellation.  It does not see atoms embedded in a band, nor zeros of D
+without a sign change (tangential zeros; an atom sitting on a degenerate
+eigenvalue of H_S can be one).
 
 ``diagonal_records`` gives the ladders of the four diagonal pairs
 G(phi, phi) at one grid energy from a single batched 4x4 solve on the
@@ -54,6 +57,7 @@ from .errors import (
     SpecboxError,
     UndeterminedLimitError,
 )
+from .measures import _piece_borel
 from .resolvent import CouplingParams, _coupling, green, green_all
 
 __all__ = [
@@ -91,6 +95,9 @@ SCAN_SAMPLES = 256
 SCAN_EDGE_STEPS = 50
 #: the atom scan covers |E| <= SCAN_BOUND_FACTOR times a norm bound
 SCAN_BOUND_FACTOR = 1.1
+#: the atom scan's complex step h: far below the rounding of E, so that
+#: Im f(E + ih) / h is f'(E) and Re f(E + ih) is f(E)
+_COMPLEX_STEP = 1e-100
 #: a safety cap; the scan's brackets close in about ten steps
 _REFINE_STEPS = 200
 #: most rungs a ladder may have, checked before any rung is allocated
@@ -487,76 +494,53 @@ def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, 
     cp = _coupling(coupling)
     secular = _secular_function(model, cp)
     x, gap = _scan_points(model, cp)
-    f = secular(x)[0].v
+    f = secular(x)[0]
     sign = np.sign(f)
     cross = np.flatnonzero((gap[1:] == gap[:-1]) & (sign[1:] * sign[:-1] < 0))
     roots = np.concatenate([
         x[f == 0.0],
-        _refine(lambda e: secular(e)[0].v, x[cross], x[cross + 1], f[cross], f[cross + 1]),
+        _refine(lambda e: secular(e)[0], x[cross], x[cross + 1], f[cross], f[cross + 1]),
     ])
     roots.sort()
-    det, num_l, num_r = secular(roots)
+    det, num_l, num_r = secular(roots + 1j * _COMPLEX_STEP)
+    slope = det.imag / _COMPLEX_STEP
     found = []
-    for E, w_l, w_r in zip(roots, -num_l.v / det.d, -num_r.v / det.d):
+    for E, w_l, w_r in zip(roots, -num_l.real / slope, -num_r.real / slope):
         w_l, w_r = (float(w) if w > ATOM_FLOOR else 0.0 for w in (w_l, w_r))
         if w_l or w_r:
             found.append((float(E), w_l, w_r))
     return found
 
 
-class _Jet:
-    """A value and its E-derivative; products follow the product rule."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d):
-        self.v, self.d = v, d
-
-    def __add__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.v + other.v, self.d + other.d)
-
-    def __sub__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.v - other.v, self.d - other.d)
-
-    def __mul__(self, other) -> "_Jet":
-        if isinstance(other, _Jet):
-            return _Jet(self.v * other.v, self.d * other.v + self.v * other.d)
-        return _Jet(self.v * other, self.d * other)
-
-    __rmul__ = __mul__
-
-
 def _secular_function(model: BlackBoxModel, cp: CouplingParams):
-    """E -> (D, N_l, N_r) as jets at real E in the gaps, with
-    G(delta, delta) = N / D and all three multiplied by prod (E - p) over
-    the poles p of the uncoupled pairs: the sigma(H_S) clusters (see
-    ``SystemBlock.secular_polynomials``) and the reservoir atoms.
+    """E -> (D, N_l, N_r) in the gaps, with G(delta, delta) = N / D and all
+    three multiplied by prod (E - p) over the poles p of the uncoupled
+    pairs: the sigma(H_S) clusters (see ``SystemBlock.secular_polynomials``)
+    and the reservoir atoms.  Real E is evaluated in real arithmetic; every
+    factor is holomorphic in the gaps, so complex E near the axis gives the
+    complex step.
 
     With l, r the reservoir transforms, a, b the system diagonal pairs and
     d = a b - |c|^2, D = 1 - nu^2 r b - lam^2 l a + lam^2 nu^2 r l d,
     N_l = a - nu^2 r d and N_r = b - lam^2 l d.  Cleared, each is finite
     at the poles, so a zero of D sitting on one still has its residue.
     """
-    polys = [(c, npoly.polyder(c)) for c in model.system.secular_polynomials()]
+    polys = model.system.secular_polynomials()
     reservoirs = []
     for measure in (model.res_l, model.res_r):
         xs = [x for x, _ in measure.atoms]
-        pi = npoly.polyfromroots(xs)
         atoms = cleared_sum(xs, xs, [w for _, w in measure.atoms])
-        reservoirs.append((measure, (pi, npoly.polyder(pi)), (atoms, npoly.polyder(atoms))))
+        reservoirs.append((measure.pieces, npoly.polyfromroots(xs), atoms))
     lam2, nu2 = cp.lam**2, cp.nu**2
 
-    def poly(coef, E):
-        return _Jet(npoly.polyval(E, coef[0]), npoly.polyval(E, coef[1]))
-
-    def reservoir(measure, pi, atoms, E):
-        pi = poly(pi, E)
-        return pi, pi * _Jet(*measure.ac_borel(E)) + poly(atoms, E)
+    def reservoir(pieces, pi, atoms, E):
+        pi = npoly.polyval(E, pi)
+        return pi, pi * sum(_piece_borel(p, E) for p in pieces) + npoly.polyval(E, atoms)
 
     def secular(E):
-        E = np.asarray(E, dtype=float)
+        E = np.asarray(E)
         (pi_l, l), (pi_r, r) = (reservoir(*res, E) for res in reservoirs)
-        p, a, b, d = (poly(c, E) for c in polys)
+        p, a, b, d = (npoly.polyval(E, c) for c in polys)
         det = p * pi_l * pi_r - nu2 * r * pi_l * b - lam2 * l * pi_r * a \
             + lam2 * nu2 * r * l * d
         return det, a * pi_l * pi_r - nu2 * r * pi_l * d, b * pi_l * pi_r - lam2 * l * pi_r * d

@@ -1,4 +1,4 @@
-"""Finite positive measures on the line and their Cauchy/Poisson transforms.
+"""Finite positive measures on the line and their Cauchy transform.
 
 A measure here is a finite sum of point masses plus an absolutely continuous
 part whose density is piecewise polynomial on a union of closed intervals.
@@ -17,7 +17,8 @@ z -> (b-z)/(a-z) sends C minus [a,b] into C minus the closed negative axis,
 hence the principal logarithm is analytic wherever we evaluate.  Far from a
 piece the recurrence is replaced by the moment series
 -sum_m mu_m / z^{m+1}, which avoids the cancellation the recurrence suffers
-when |z| is much larger than the support.
+when |z| is much larger than the support.  The Poisson transform at
+E + i eps is the imaginary part of F there.
 """
 
 from __future__ import annotations
@@ -190,34 +191,11 @@ class SpectralMeasure:
         out = out.reshape(z_arr.shape)
         return complex(out) if scalar else out
 
-    def ac_borel(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The density pieces' Cauchy transform F and its derivative F' at
-        real x off the pieces, both real; the atoms are left out.
-
-        F'(x) = int p(t)/(t - x)^2 dt, in closed form like F itself.
-        """
-        # real arithmetic: off [a, b] the logarithm's argument is positive
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        f = np.zeros_like(x)
-        df = np.zeros_like(x)
-        for p in self.pieces:
-            f += _piece_borel(p, x)
-            df += _piece_borel_derivative(p, x)
-        return f, df
-
-    def poisson(self, E: float, eps: float) -> float:
-        """Im of the Cauchy transform at E + i*eps (eps > 0); >= 0 always."""
-        if eps <= 0:
-            raise DomainError(f"eps must be > 0, got {eps}")
-        val = float(self.borel(complex(E, eps)).imag)
-        # Herglotz property guarantees >= 0; clip pure roundoff.
-        if val < -1e-12 * max(1.0, self.total_mass / eps):
-            raise ArithmeticError(f"Poisson kernel went negative: {val}")
-        return max(val, 0.0)
-
 
 def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
-    """Closed-form int_a^b p(x)/(x-z) dx for an array of z off [a, b]."""
+    """Closed-form int_a^b p(x)/(x-z) dx for an array of z off [a, b]; a
+    real array stays in real arithmetic, since off [a, b] the logarithm's
+    argument is positive."""
     out = np.empty_like(z)
     far = np.abs(z) > _FAR_FACTOR * max(p.radius, 1.0)
     near = ~far
@@ -236,34 +214,6 @@ def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
         power = inv.copy()
         for m in range(_FAR_TERMS):
             acc -= p.moments[m] * power
-            power *= inv
-        out[far] = acc
-    return out
-
-
-def _piece_borel_derivative(p: _Piece, z: np.ndarray) -> np.ndarray:
-    """d/dz of ``_piece_borel``: I_0' = 1/(a-z) - 1/(b-z) and
-    I_n' = I_{n-1} + z * I_{n-1}'; far away, the moment series term by term."""
-    out = np.empty_like(z)
-    far = np.abs(z) > _FAR_FACTOR * max(p.radius, 1.0)
-    near = ~far
-    if np.any(near):
-        zn = z[near]
-        term = np.log((p.b - zn) / (p.a - zn))  # I_0
-        dterm = 1.0 / (p.a - zn) - 1.0 / (p.b - zn)  # I_0'
-        acc = p.coef[0] * dterm
-        for n in range(1, len(p.coef)):
-            dterm = term + zn * dterm  # I_n' from I_{n-1} and I_{n-1}'
-            term = (p.b ** n - p.a ** n) / n + zn * term
-            acc += p.coef[n] * dterm
-        out[near] = acc
-    if np.any(far):
-        zf = z[far]
-        inv = 1.0 / zf
-        acc = np.zeros_like(zf)
-        power = inv * inv
-        for m in range(_FAR_TERMS):
-            acc += (m + 1) * p.moments[m] * power
             power *= inv
         out[far] = acc
     return out

@@ -7,6 +7,7 @@ import pytest
 
 from specbox.blackbox import CHI_L, DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
 from specbox.boundary import (
+    ATOM_FLOOR,
     DIVERGENT,
     FINITE_NONZERO,
     UNDETERMINED,
@@ -278,6 +279,40 @@ def _band_distance(model, E):
     return min(max(a - E, E - b, 0.0) for a, b in _bands(model))
 
 
+def _mp_secular(model, coupling):
+    """E -> (D, N_l, N_r) at mpmath's working precision, not cleared of any
+    pole: the reservoir transforms by the closed-form log recurrence and the
+    system pairs from the eigenvectors of H_S at that precision."""
+    from mpmath import mp
+
+    lam2, nu2 = (mp.mpf(float(c)) ** 2 for c in coupling)
+    system = model.system
+    energies, vecs = mp.eigh(mp.matrix(system.h_s.tolist()))
+    x_l, x_r = (vecs.H * mp.matrix(v.tolist()) for v in (system.delta_l, system.delta_r))
+    overlaps = [(abs(u) ** 2, abs(v) ** 2, mp.conj(u) * v) for u, v in zip(x_l, x_r)]
+
+    def transform(measure, E):
+        out = mp.fsum(w / (x - E) for x, w in measure.atoms)
+        for p in measure.pieces:
+            a, b = mp.mpf(p.a), mp.mpf(p.b)
+            term = mp.log((b - E) / (a - E))  # I_0
+            out += p.coef[0] * term
+            for n in range(1, len(p.coef)):
+                term = (b**n - a**n) / n + E * term  # I_n from I_{n-1}
+                out += p.coef[n] * term
+        return out
+
+    def secular(E):
+        l, r = transform(model.res_l, E), transform(model.res_r, E)
+        a, b, c = (mp.fsum(w[i] / (e - E) for e, w in zip(energies, overlaps))
+                   for i in range(3))
+        d = a * b - abs(c) ** 2
+        det = 1 - nu2 * r * b - lam2 * l * a + lam2 * nu2 * r * l * d
+        return det, a - nu2 * r * d, b - lam2 * l * d
+
+    return secular
+
+
 @pytest.fixture(scope="module")
 def legendre_4000():
     # scipy's rule takes 0.6 s here, numpy's leggauss (an eigensolve) 5 s
@@ -332,3 +367,42 @@ class TestSecularScan:
             for E, overlap in zip(energies, overlaps.T):
                 if _band_distance(model, E) > 1e-2 and overlap.max() >= 1e-6:
                     assert any(abs(E - E0) <= 1e-9 for E0, _, _ in scan)
+
+    def test_scan_matches_mpmath(self):
+        # roots and weights against D, N_l and N_r at 40 digits; near a band
+        # edge a rounding of E moves the weight far more than the residue's
+        # error, so the weights are compared at the scan's own E
+        from mpmath import mp
+
+        model, cp = sample_model()
+        cases = [(model, (cp.lam, cp.nu))]
+        for k in range(60):
+            rng = np.random.default_rng([7, k])
+            model = random_model(rng, max_dim=8, max_pieces=2)
+            cases.append((model, (rng.uniform(0.1, 2), rng.uniform(0.1, 2))))
+        with mp.workdps(40):
+            for model, coupling in cases:
+                secular = _mp_secular(model, coupling)
+                det = lambda E: secular(E)[0]
+                scan = point_mass_scan(model, coupling)
+                roots = [E0 for E0, _, _ in scan]
+                poles = [*model.system.eigenvalues,
+                         *(x for m in (model.res_l, model.res_r) for x, _ in m.atoms)]
+                for E0, *weights in scan:
+                    scale = max(1.0, abs(E0))
+                    if any(abs(E0 - p) <= 1e-9 * scale for p in model.system.eigenvalues):
+                        continue  # D has a removable pole here
+                    # a bracket inside the gap that holds no pole and no
+                    # other root
+                    others = [abs(E0 - p) for p in [*poles, *roots] if p != E0]
+                    half = 0.5 * min([_band_distance(model, E0), 1e-3 * scale, *others])
+                    lo, hi = mp.mpf(E0 - half), mp.mpf(E0 + half)
+                    assert det(lo) * det(hi) < 0
+                    root = mp.findroot(det, (lo, hi), solver="anderson")
+                    assert abs(float(root) - E0) <= 1e-13 * scale
+                    E = mp.mpf(E0)
+                    slope = mp.diff(det, E)
+                    for num, w in zip(secular(E)[1:], weights):
+                        if w > ATOM_FLOOR:
+                            ref = float(-num / slope)
+                            assert abs(w - ref) <= 1e-10 * ref
