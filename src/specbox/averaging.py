@@ -14,6 +14,16 @@ refinement round solves the 4x4 system at every node of every new panel in
 one batched call.  The rank-one classic (a single bond averaged over its
 strength gives the Lebesgue measure, Poisson density pi) runs on the same
 quadrature engine.
+
+``verify_abs_continuity`` scans a grid for divergence of the averaged
+transform as eps shrinks.  It evaluates each tag once on the whole
+(energy x eps) lattice E[:, None] + i eps (in blocks of at most
+``LATTICE_ROWS`` energies) and classifies every energy's row with
+``boundary_value``.  A numerical failure of a lattice call sends that tag
+back to one ladder per energy, so the failure marks only its own energy
+UNDETERMINED.  Left vectors are averaged over the left bond with the right
+one fixed at nu; right vectors over the right bond with the left one fixed
+at ``lam`` (nu unless given).
 """
 
 from __future__ import annotations
@@ -23,8 +33,15 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, BlackBoxModel
-from .boundary import DIVERGENT, EpsilonLadder, Tolerances, _richardson, boundary_value
+from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
+from .boundary import (
+    _NUMERICAL_ERRORS,
+    DIVERGENT,
+    EpsilonLadder,
+    Tolerances,
+    _richardson,
+    boundary_value,
+)
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
 from .resolvent import _TAG_INDEX, CouplingParams, G0Basics, _solve_all, green_from_basics
@@ -46,6 +63,8 @@ N_EXCLUSION = 1e-6
 #: and the relative tolerance of its quadrature
 RANK_ONE_CAP = math.inf
 RANK_ONE_TOL = 1e-10
+#: energies per lattice call of the scan; bounds its arrays on long grids
+LATTICE_ROWS = 256
 
 
 def _zero_bond_coupling(phi: str, kappa: float) -> CouplingParams:
@@ -66,10 +85,12 @@ def _vw(model: BlackBoxModel, nu: float, phi: str, z):
     return pairs[..., i, i], pairs[..., j, j], basics
 
 
-def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E: float, eps):
+def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
     """Closed-form averaged Poisson transform at E + i eps; always >= 0.
 
-    A scalar eps gives a float, an array of eps an array of the same shape.
+    E may be an array that broadcasts against eps (E[:, None] against a
+    ladder gives the (energy x eps) lattice).  Scalar E and eps give a
+    float, anything else an array of the broadcast shape.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
@@ -284,16 +305,34 @@ class AveragingReport:
       FAIL     at least one divergent ladder away from it
       VACUOUS  the exceptional set is degenerate (whole line); the
                restriction carries no content and nothing is asserted
+
+    ``lam`` is the left bond fixed for the right vectors' rows when it was
+    given apart from ``nu``; None means nu fixes it, and ``to_dict`` then
+    leaves the key out.
     """
 
     nu: float
+    lam: float | None
     verdict: str
     points: list = field(default_factory=list)
     excluded: list = field(default_factory=list)
     atoms: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        if self.lam is None:
+            del out["lam"]
+        return out
+
+
+def _lattice_rows(model: BlackBoxModel, kappa: float, phi: str, E: np.ndarray,
+                  eps: np.ndarray):
+    """The averaged transform on the lattice E[:, None] + i eps, one row per
+    energy; None where the lattice call fails numerically."""
+    try:
+        return averaged_poisson_closed(model, kappa, phi, E[:, None], eps)
+    except _NUMERICAL_ERRORS:
+        return None
 
 
 def verify_abs_continuity(
@@ -302,46 +341,68 @@ def verify_abs_continuity(
     grid,
     ladder: EpsilonLadder | None = None,
     *,
+    lam: float | None = None,
     tol: Tolerances = Tolerances(),
 ) -> AveragingReport:
     """Scan the grid for divergence of the averaged Poisson ladder.
 
-    Grid points within N_EXCLUSION of the finite exceptional set are skipped
-    (marked EXCLUDED_N).  In the degenerate case the scan still runs and any
-    divergent points are reported with their atom indicators (the Richardson
-    limit of eps times the ladder value), but the verdict is VACUOUS.
+    Left vectors are averaged with the right bond fixed at ``nu``, right
+    vectors with the left bond fixed at ``lam`` (default: ``nu``).  Grid
+    points within N_EXCLUSION of the finite exceptional set are skipped
+    (marked EXCLUDED_N) and never evaluated.  Each tag is evaluated once per
+    block of LATTICE_ROWS energies on the whole lattice; where that call
+    fails numerically, the tag falls back to one ladder per energy of the
+    block, so a failure leaves only its own energy UNDETERMINED.  In the
+    degenerate case the scan still runs and any divergent points are
+    reported with their atom indicators (the Richardson limit of eps times
+    the ladder value), but the verdict is VACUOUS.
     """
     ladder = ladder or EpsilonLadder()
+    eps = ladder.epsilons()
     nu = float(nu)
+    report = AveragingReport(nu=nu, lam=None if lam is None else float(lam),
+                             verdict="PASS")
+    right = nu if lam is None else report.lam
+    kappas = {phi: nu if phi in _LEFT else right for phi in TAGS}
     exc = model.exceptional_sets
-    report = AveragingReport(nu=nu, verdict="PASS")
     diverged = False
 
+    kept = []
     for E in np.asarray(grid, dtype=float):
         if not exc.degenerate and any(
             abs(E - p) < N_EXCLUSION for p in exc.n_points
         ):
             report.excluded.append({"E": float(E), "marker": "EXCLUDED_N"})
-            continue
-        for phi in (CHI_L, DELTA_L, CHI_R, DELTA_R):
-            rec = boundary_value(
-                lambda z: averaged_poisson_closed(model, nu, phi, float(E), z.imag),
-                float(E), ladder, tol=tol,
-            )
-            entry = {
-                "E": float(E),
-                "phi": phi,
-                "status": rec.status,
-                "limit": None if rec.value is None else float(rec.value.real),
-            }
-            report.points.append(entry)
-            if rec.status == DIVERGENT:
-                diverged = True
-                (e0, p0), (e1, p1) = rec.ladder_trace[-2:]
-                indicator = _richardson(e1 * p1.real, e0 * p0.real, ladder.ratio)
-                report.atoms.append(
-                    {"E": float(E), "phi": phi, "indicator": float(indicator)}
-                )
+        else:
+            kept.append(E)
+    kept = np.array(kept, dtype=float)
+
+    for start in range(0, kept.size, LATTICE_ROWS):
+        block = kept[start:start + LATTICE_ROWS]
+        rows = {phi: _lattice_rows(model, kappas[phi], phi, block, eps) for phi in TAGS}
+        for k, E in enumerate(block.tolist()):
+            for phi in TAGS:
+                if rows[phi] is None:
+                    def f(z, kappa=kappas[phi], phi=phi, E=E):
+                        return averaged_poisson_closed(model, kappa, phi, E, z.imag)
+                else:
+                    def f(z, row=rows[phi][k]):
+                        return row
+                rec = boundary_value(f, E, ladder, tol=tol)
+                entry = {
+                    "E": E,
+                    "phi": phi,
+                    "status": rec.status,
+                    "limit": None if rec.value is None else float(rec.value.real),
+                }
+                report.points.append(entry)
+                if rec.status == DIVERGENT:
+                    diverged = True
+                    (e0, p0), (e1, p1) = rec.ladder_trace[-2:]
+                    indicator = _richardson(e1 * p1.real, e0 * p0.real, ladder.ratio)
+                    report.atoms.append(
+                        {"E": E, "phi": phi, "indicator": float(indicator)}
+                    )
 
     if exc.degenerate:
         report.verdict = "VACUOUS"

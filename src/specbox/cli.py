@@ -259,7 +259,7 @@ def average(cfg):
     grid = cfg.require_grid()
     eps = cfg.average_eps
     report = verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder,
-                                   tol=cfg.tolerances)
+                                   lam=cfg.coupling.lam, tol=cfg.tolerances)
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
     entries = []
     for E in grid:

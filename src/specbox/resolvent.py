@@ -17,7 +17,10 @@ The oracle replaces each density piece by Gauss-Legendre nodes (density
 absorbed into the weights), keeps atoms as exact nodes, embeds chi as the
 vector of square-root weights, and solves (H - z) u = psi directly.  The
 assembled matrix is diagonal outside a small system block plus two rank-one
-couplings, so the direct solver is a sparse LU factorization.
+couplings, so the direct solver is a sparse LU factorization.  Its CSC
+arrays are filled column by column on a regular pattern (every entry a
+system row or column can hold, explicit zeros included), so the pattern
+depends only on the node counts and no COO sort is needed.
 """
 
 from __future__ import annotations
@@ -262,69 +265,69 @@ class DiscretizedModel:
         return self._vectors[tag]
 
     def assemble(self, coupling) -> np.ndarray:
-        """Dense Hermitian H(lam, nu)."""
+        """Dense Hermitian H(lam, nu).
+
+        Each bond adds only to the system rows and columns, the support of
+        its delta vector, so no dim x dim product is formed.
+        """
         cp = _coupling(coupling)
+        sys = self._sys_slice
         H = np.diag(self.h0_diag)
-        H[self._sys_slice, self._sys_slice] = self.model.system.h_s
+        H[sys, sys] = self.model.system.h_s
         for strength, chi, delta in (
             (cp.lam, self.chi_l, self.delta_l),
             (cp.nu, self.chi_r, self.delta_r),
         ):
             if strength != 0.0:
-                H += strength * (
-                    np.outer(delta, chi.conj()) + np.outer(chi, delta.conj())
-                )
+                H[sys, :] += strength * np.outer(delta[sys], chi.conj())
+                H[:, sys] += strength * np.outer(chi, delta[sys].conj())
         return H
 
     def assemble_shifted_sparse(self, coupling, z: complex) -> "scipy.sparse.csc_matrix":
-        """Sparse (H(lam, nu) - z I) in CSC form."""
+        """Sparse (H(lam, nu) - z I) in CSC form, built straight from arrays.
+
+        Every entry the pattern allows is stored, explicit zeros included: a
+        left-node column holds its diagonal, then the n system rows; a
+        system column holds every row (the left nodes, the system block, the
+        right nodes); a right-node column holds the n system rows, then its
+        diagonal.  A bond entry is (s delta_j) conj(chi_k) in system row j
+        and (s chi_k) conj(delta_j) in system column j.
+        """
         # scipy loads here, not at module level: only the oracle needs it, and
         # importing it eagerly would more than double the start-up time of
         # every CLI command.
         import scipy.sparse as sp
 
         cp = _coupling(coupling)
-        n = self.model.system.dim
-        sys0 = self.m_l
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
+        m_l, n, m_r, dim = self.m_l, self.model.system.dim, self.m_r, self.dim
+        sys, right = self._sys_slice, slice(m_l + n, dim)
+        diag = self.h0_diag - z
+        chi_l, chi_r = self.chi_l[:m_l], self.chi_r[right]
+        d_l, d_r = self.delta_l[sys], self.delta_r[sys]
+        sys_rows = np.arange(m_l, m_l + n)
 
-        idx = np.arange(self.dim)
-        rows.append(idx)
-        cols.append(idx)
-        data.append(self.h0_diag - z)
+        left = np.empty((m_l, n + 1), dtype=complex)
+        left[:, 0] = diag[:m_l]
+        left[:, 1:] = (cp.lam * d_l)[None, :] * chi_l.conj()[:, None]
+        # row j holds system column j
+        middle = np.empty((n, dim), dtype=complex)
+        middle[:, :m_l] = (cp.lam * chi_l)[None, :] * d_l.conj()[:, None]
+        middle[:, sys] = self.model.system.h_s.T
+        middle[np.arange(n), sys_rows] = diag[sys]
+        middle[:, right] = (cp.nu * chi_r)[None, :] * d_r.conj()[:, None]
+        right_cols = np.empty((m_r, n + 1), dtype=complex)
+        right_cols[:, :n] = (cp.nu * d_r)[None, :] * chi_r.conj()[:, None]
+        right_cols[:, n] = diag[right]
 
-        si = np.arange(sys0, sys0 + n)
-        rr, cc = np.meshgrid(si, si, indexing="ij")
-        hs = self.model.system.h_s - np.diag(np.diag(self.model.system.h_s))
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        data.append(hs.ravel())
-
-        for strength, chi, delta in (
-            (cp.lam, self.chi_l, self.delta_l),
-            (cp.nu, self.chi_r, self.delta_r),
-        ):
-            if strength == 0.0:
-                continue
-            nz = np.nonzero(chi)[0]
-            for srow in si:
-                d = delta[srow]
-                if d == 0:
-                    continue
-                rows.append(np.full(nz.size, srow))
-                cols.append(nz)
-                data.append(strength * d * chi[nz].conj())
-                rows.append(nz)
-                cols.append(np.full(nz.size, srow))
-                data.append(strength * chi[nz] * np.conj(d))
-
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim),
-        )
-        return mat.tocsc()
+        data = np.concatenate([left.ravel(), middle.ravel(), right_cols.ravel()])
+        indices = np.concatenate([
+            np.column_stack([np.arange(m_l), np.tile(sys_rows, (m_l, 1))]).ravel(),
+            np.tile(np.arange(dim), n),
+            np.column_stack([np.tile(sys_rows, (m_r, 1)), np.arange(m_l + n, dim)]).ravel(),
+        ])
+        counts = np.repeat([n + 1, dim, n + 1], [m_l, n, m_r])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 @functools.lru_cache(maxsize=8)

@@ -239,19 +239,91 @@ class TestVerifyAbsContinuity:
         assert atoms_at_zero, "expected a divergent averaged ladder at E = 0"
         assert all(a["indicator"] > 0 for a in atoms_at_zero)
 
-    def test_one_closed_call_per_ladder(self, remark2, monkeypatch):
+    def test_one_lattice_call_per_tag(self, remark2, t2_model, monkeypatch):
         from specbox import averaging
 
-        shapes = []
+        calls = []
         closed = averaging.averaged_poisson_closed
 
         def counted(model, nu, phi, E, eps):
-            shapes.append(np.shape(eps))
+            calls.append((np.broadcast_shapes(np.shape(E), np.shape(eps)),
+                          np.ravel(E).tolist()))
             return closed(model, nu, phi, E, eps)
 
         monkeypatch.setattr(averaging, "averaged_poisson_closed", counted)
+        rungs = EpsilonLadder().epsilons().size
         verify_abs_continuity(remark2, 1.0, [0.0, 1.5])
-        assert shapes == [EpsilonLadder().epsilons().shape] * 8
+        assert calls == [((2, rungs), [0.0, 1.5])] * 4
+
+        # an excluded energy is never evaluated
+        calls.clear()
+        target = t2_model.exceptional_sets.n_points[0]
+        verify_abs_continuity(t2_model, 1.0, [target, target + 0.5])
+        assert calls == [((1, rungs), [target + 0.5])] * 4
+
+        # a long grid is cut into blocks of LATTICE_ROWS energies
+        calls.clear()
+        monkeypatch.setattr(averaging, "LATTICE_ROWS", 2)
+        verify_abs_continuity(remark2, 1.0, [0.0, 0.5, 1.5])
+        assert [shape for shape, _ in calls] == [(2, rungs)] * 4 + [(1, rungs)] * 4
+
+    def test_failure_stays_local(self, t2_model, monkeypatch):
+        from specbox import averaging
+
+        grid = [-2.5, -1.5, 0.3, 1.5, 2.5]
+        target = 0.3
+        clean = verify_abs_continuity(t2_model, 1.0, grid).to_dict()
+        closed = averaging.averaged_poisson_closed
+
+        def failing(model, nu, phi, E, eps):
+            if target in np.ravel(E):
+                raise DomainError("injected failure")
+            return closed(model, nu, phi, E, eps)
+
+        monkeypatch.setattr(averaging, "averaged_poisson_closed", failing)
+        report = verify_abs_continuity(t2_model, 1.0, grid).to_dict()
+        assert report == _per_energy_scan(t2_model, 1.0, grid)
+        for got, want in zip(report["points"], clean["points"]):
+            if got["E"] == target:
+                assert got["status"] == "UNDETERMINED" and got["limit"] is None
+            else:
+                assert got == want
+        assert report["excluded"] == clean["excluded"]
+        assert report["atoms"] == clean["atoms"]
+
+    @pytest.mark.parametrize("case", ["remark2", "t2", "random0", "random1", "random2",
+                                      "empty", "all_excluded"])
+    def test_scan_matches_per_energy_ladders(self, remark2, t2_model, case):
+        grid = np.linspace(-3.0, 3.0, 25)
+        nu, lam = 1.0, None
+        if case == "remark2":
+            model = remark2
+        elif case == "t2":
+            model = t2_model
+            grid = np.concatenate([grid, t2_model.exceptional_sets.n_points])
+        elif case.startswith("random"):
+            rng = np.random.default_rng([20261018, int(case[-1])])
+            model = random_model(rng, max_dim=4, max_pieces=2)
+            nu, lam = float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5))
+            n_points = model.exceptional_sets.n_points or []  # None if degenerate
+            grid = np.concatenate([np.linspace(-4.5, 4.5, 19), n_points[:3]])
+        elif case == "empty":
+            model, grid = t2_model, []
+        else:
+            model, grid = t2_model, t2_model.exceptional_sets.n_points
+        report = verify_abs_continuity(model, nu, grid, lam=lam).to_dict()
+        assert report == _per_energy_scan(model, nu, grid, lam=lam)
+        if case == "all_excluded":
+            assert not report["points"] and len(report["excluded"]) == len(grid)
+
+    def test_lam_fixes_the_right_rows(self, t2_slanted_model):
+        grid = np.linspace(-2.5, 2.5, 11)
+        both = verify_abs_continuity(t2_slanted_model, 1.0, grid, lam=0.6)
+        at_nu = verify_abs_continuity(t2_slanted_model, 1.0, grid)
+        at_lam = verify_abs_continuity(t2_slanted_model, 0.6, grid)
+        assert both.to_dict()["lam"] == 0.6 and "lam" not in at_nu.to_dict()
+        for got, left, right in zip(both.points, at_nu.points, at_lam.points):
+            assert got == (left if got["phi"] in (CHI_L, DELTA_L) else right)
 
     def test_exclusion_markers(self, t2_model):
         exc = t2_model.exceptional_sets
@@ -270,3 +342,44 @@ class TestVerifyAbsContinuity:
         report = verify_abs_continuity(t2_model, 1.0, grid, EpsilonLadder(eps_min=1e-8))
         assert report.verdict == "PASS"
         assert not report.atoms
+
+
+def _per_energy_scan(model, nu, grid, lam=None):
+    """The scan as one averaged-transform ladder per (energy, tag), through
+    the module's ``averaged_poisson_closed``: the reference for the lattice."""
+    from specbox import averaging
+    from specbox.boundary import _richardson, boundary_value
+
+    ladder = EpsilonLadder()
+    exc = model.exceptional_sets
+    out = {"nu": nu, "verdict": "PASS", "points": [], "excluded": [], "atoms": []}
+    if lam is not None:
+        out["lam"] = lam
+    diverged = False
+    for E in np.asarray(grid, dtype=float):
+        if not exc.degenerate and any(abs(E - p) < averaging.N_EXCLUSION
+                                      for p in exc.n_points):
+            out["excluded"].append({"E": float(E), "marker": "EXCLUDED_N"})
+            continue
+        for phi in TAGS:
+            kappa = nu if phi in (CHI_L, DELTA_L) or lam is None else lam
+            rec = boundary_value(
+                lambda z: averaging.averaged_poisson_closed(model, kappa, phi, float(E),
+                                                            z.imag),
+                float(E), ladder,
+            )
+            out["points"].append({
+                "E": float(E), "phi": phi, "status": rec.status,
+                "limit": None if rec.value is None else float(rec.value.real),
+            })
+            if rec.status == "DIVERGENT":
+                diverged = True
+                (e0, p0), (e1, p1) = rec.ladder_trace[-2:]
+                indicator = _richardson(e1 * p1.real, e0 * p0.real, ladder.ratio)
+                out["atoms"].append({"E": float(E), "phi": phi,
+                                     "indicator": float(indicator)})
+    if exc.degenerate:
+        out["verdict"] = "VACUOUS"
+    elif diverged:
+        out["verdict"] = "FAIL"
+    return out

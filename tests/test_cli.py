@@ -296,6 +296,17 @@ class TestExitCodes:
         statuses = {p["phi"]: p["status"] for p in points}
         assert statuses["delta_l"] != "DIVERGENT" and statuses["delta_r"] != "DIVERGENT"
 
+    def test_average_right_rows_fix_lambda(self, capsys):
+        # at E = 0.5 the lambda = 0.7 family's right ladders fall to zero,
+        # while the lambda = nu = 1 family's stay finite and nonzero
+        assert main(["average", "--config", str(SAMPLE_PATH), "--grid", "-3:3:61"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["abs_continuity"]["lam"] == 0.7
+        status = {row["phi"]: row["ladder_status"] for row in payload["table"]
+                  if row["E"] == 0.5}
+        assert status["chi_r"] == "ZERO" and status["delta_r"] == "ZERO"
+        assert status["chi_l"] == "FINITE_NONZERO" and status["delta_l"] == "FINITE_NONZERO"
+
     def test_density_reports_the_atom_below_the_band(self, capsys):
         # 2.6e-3 below the band edge at -2, with weights 5.3e-3 and 4.8e-5
         assert main(["density", "--config", str(SAMPLE_PATH)]) == 0

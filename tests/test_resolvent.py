@@ -181,12 +181,17 @@ class TestDiscretize:
         assert np.max(np.abs(H - H.conj().T)) <= 1e-13
 
     def test_sparse_matches_dense(self, t2_model):
+        # t2's delta_l and delta_r each have a zero entry, and lam = 0 switches
+        # the left bond off: the pattern stores explicit zeros in both cases
         disc = discretize(t2_model, 30)
-        cp = (0.9, -1.2)
+        n = t2_model.system.dim
         z = 0.4 + 0.3j
-        dense = disc.assemble(cp) - z * np.eye(disc.dim)
-        sparse = disc.assemble_shifted_sparse(cp, z).toarray()
-        assert np.max(np.abs(dense - sparse)) <= 1e-14
+        for cp in ((0.9, -1.2), (0.0, -1.2)):
+            dense = disc.assemble(cp) - z * np.eye(disc.dim)
+            A = disc.assemble_shifted_sparse(cp, z)
+            assert np.max(np.abs(dense - A.toarray())) <= 1e-14
+            assert A.nnz == disc.m_l * (n + 1) + n * disc.dim + disc.m_r * (n + 1)
+            assert A.has_sorted_indices
 
     def test_quadrature_convergence(self, remark2):
         # near the band the error is visible and must shrink with node count;
