@@ -19,6 +19,14 @@ delta_l and delta_r (``SystemBlock.d`` on the real axis, its cleared
 numerator for N).  It is real by construction, and it vanishes identically
 exactly when delta_r is parallel to delta_l; N is then the whole line
 (degenerate).
+
+A ``SystemBlock`` builds each pole-cleared numerator, and its secular
+polynomials, once, and shares every product prod (E - p) over the same
+root list between them; the memo lives on the block, never in the module.
+The products keep ``npoly.polyfromroots``'s order of operations, and the
+Newton polish of the companion-matrix roots runs on all candidates at once
+with the scalar rounding, so every coefficient and root is bit-identical to
+the per-pole, per-root computation.
 """
 
 from __future__ import annotations
@@ -144,6 +152,10 @@ class SystemBlock:
         # shared by every caller
         for a in (self.poles, self.minors, *self._weights.values()):
             a.setflags(write=False)
+        # prod (E - r) by root list, and the pair numerators by pair: the
+        # cleared sums below share their products, and each is built once
+        self._products: dict[tuple, np.ndarray] = {}
+        self._numerators: dict[tuple[str, str], np.ndarray] = {}
 
     def _cluster_eigenvalues(self):
         positions, groups = [], []
@@ -155,6 +167,15 @@ class SystemBlock:
                 positions.append(float(E))
                 groups.append([k])
         return tuple(positions), tuple(tuple(g) for g in groups)
+
+    def _product(self, roots) -> np.ndarray:
+        """prod (E - r) over ``roots`` (``_polyfromroots``), computed once per
+        root list on this block (read-only)."""
+        key = tuple(roots)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = _frozen(_polyfromroots(roots))
+        return out
 
     def pair_weights(self, phi: str, psi: str) -> np.ndarray:
         """Clustered weights (phi, e_k)(e_k, psi), one entry per pole (read-only)."""
@@ -206,17 +227,23 @@ class SystemBlock:
 
         P(E) = prod over distinct poles of (E - x_k); poles with negligible
         weight for this pair are genuinely absent from the rational function,
-        so they are excluded before forming the numerator.
+        so they are excluded before forming the numerator.  Built once per
+        pair; the array is read-only.
         """
-        poles = self.poles
-        weights = self.pair_weights(phi, psi)
-        wscale = float(np.linalg.norm(self._coef[phi]) * np.linalg.norm(self._coef[psi]))
-        keep = np.abs(weights) > 1e-14 * max(wscale, 1e-300)
-        poles, weights = poles[keep], weights[keep]
-        return -cleared_sum(poles, poles, weights)
+        num = self._numerators.get((phi, psi))
+        if num is None:
+            poles = self.poles
+            weights = self.pair_weights(phi, psi)
+            wscale = float(np.linalg.norm(self._coef[phi]) * np.linalg.norm(self._coef[psi]))
+            keep = np.abs(weights) > 1e-14 * max(wscale, 1e-300)
+            poles, weights = poles[keep], weights[keep]
+            num = -cleared_sum(poles, poles, weights, self._product)
+            self._numerators[phi, psi] = _frozen(num)
+        return num
 
     def secular_polynomials(self) -> tuple[np.ndarray, ...]:
-        """The system pairs with their poles cleared, for the secular equation.
+        """The system pairs with their poles cleared, for the secular equation
+        (built once per block; the arrays are read-only).
 
         Returns coefficient arrays (low to high) of P, P a, P b and P d, where
         a = G0(delta_l, delta_l), b = G0(delta_r, delta_r), d = a b - |c|^2
@@ -226,6 +253,10 @@ class SystemBlock:
         pole at a cluster of two or more eigenvalues; such a cluster is
         cleared twice (m = 2), every other once.
         """
+        return self._secular
+
+    @cached_property
+    def _secular(self) -> tuple[np.ndarray, ...]:
         poles = self.poles
         roots = [p for p, g in zip(poles, self._groups) for _ in range(min(len(g), 2))]
         d = np.zeros(max(len(roots) - 1, 1))
@@ -237,11 +268,11 @@ class SystemBlock:
                 rest = list(roots)
                 rest.remove(poles[k])
                 rest.remove(poles[j])
-                term = weight * npoly.polyfromroots(rest)
+                term = weight * self._product(rest)
                 d[: term.size] += term
-        a = cleared_sum(roots, poles, self.pair_weights(DELTA_L, DELTA_L).real)
-        b = cleared_sum(roots, poles, self.pair_weights(DELTA_R, DELTA_R).real)
-        return npoly.polyfromroots(roots), a, b, d
+        a = cleared_sum(roots, poles, self.pair_weights(DELTA_L, DELTA_L).real, self._product)
+        b = cleared_sum(roots, poles, self.pair_weights(DELTA_R, DELTA_R).real, self._product)
+        return self._product(roots), _frozen(a), _frozen(b), _frozen(d)
 
 
 @dataclass(frozen=True)
@@ -412,24 +443,62 @@ class BlackBoxModel:
         )
 
 
-def cleared_sum(roots, poles, weights) -> np.ndarray:
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _polyfromroots(roots) -> np.ndarray:
+    """``npoly.polyfromroots`` of real roots with its arithmetic: the linear
+    factors of the sorted roots, multiplied in the same balanced tree, by
+    ``np.convolve`` without ``polymul``'s conversions (its inputs are float
+    arrays with leading coefficient 1 already)."""
+    roots = np.sort(np.asarray(roots, dtype=float))
+    if roots.size == 0:
+        return np.ones(1)
+    p = [np.array([-r, 1.0]) for r in roots]
+    n = len(p)
+    while n > 1:
+        m, odd = divmod(n, 2)
+        tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+        if odd:
+            tmp[0] = np.convolve(tmp[0], p[-1])
+        p, n = tmp, m
+    return p[0]
+
+
+def cleared_sum(roots, poles, weights, product=_polyfromroots) -> np.ndarray:
     """Coefficients (low to high) of prod_r (E - r) * sum_k weights[k] / (poles[k] - E).
 
     Every pole must be among ``roots``; its term drops one copy of it from
     the product, so no division is left and the value is exact at the poles.
+    ``product(rest)`` gives prod (E - r) over ``rest``.
     """
     out = np.zeros(max(len(roots), 1), dtype=np.result_type(np.asarray(weights), float))
     for p, w in zip(poles, weights):
         rest = list(roots)
         rest.remove(p)
-        term = -w * npoly.polyfromroots(rest)
+        term = -w * product(rest)
         out[: term.size] += term
     return out
 
 
+def _horner(coef: np.ndarray, xr: np.ndarray, xi: np.ndarray):
+    """``npoly.polyval(x, coef)`` at complex x = xr + i xi, as real and
+    imaginary parts.  Each complex product is spelled out as
+    (ar br - ai bi, ar bi + ai br), the scalar rounding: numpy's array
+    complex product may fuse a multiply-add and round differently."""
+    zr, zi = xr * 0.0 - xi * 0.0, xr * 0.0 + xi * 0.0  # x * 0
+    vr, vi = coef[-1].real + zr, coef[-1].imag + zi
+    for c in coef[-2::-1]:
+        vr, vi = c.real + (vr * xr - vi * xi), c.imag + (vr * xi + vi * xr)
+    return vr, vi
+
+
 def _real_roots(coef: np.ndarray, avoid: Sequence[float] = ()) -> tuple[float, ...]:
     """Certified real roots of a polynomial: companion-matrix roots filtered
-    to the real axis, Newton-polished, de-duplicated, residual-checked."""
+    to the real axis, Newton-polished (all candidates at once, up to 8
+    steps each), de-duplicated, residual-checked."""
     coef = np.asarray(coef, dtype=complex)
     nz = np.nonzero(np.abs(coef) > 0)[0]
     if nz.size == 0:
@@ -439,31 +508,39 @@ def _real_roots(coef: np.ndarray, avoid: Sequence[float] = ()) -> tuple[float, .
         return ()
     scale = float(np.max(np.abs(coef)))
     roots = npoly.polyroots(coef)
-    deriv = npoly.polyder(coef)
-    out = []
-    for r in roots:
-        if abs(r.imag) > _ROOT_IMAG_TOL * max(1.0, abs(r.real)):
-            continue
-        x = r
-        for _ in range(8):  # Newton polish in complex arithmetic
-            fx = npoly.polyval(x, coef)
-            dfx = npoly.polyval(x, deriv)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            x = x - step
-            if abs(step) < 1e-15 * max(1.0, abs(x)):
-                break
-        if abs(x.imag) > 1e-9 * max(1.0, abs(x.real)):
-            continue
-        residual = abs(npoly.polyval(x.real, coef))
-        bound = scale * max(1.0, abs(x.real)) ** (coef.size - 1)
-        if residual > _ROOT_RESIDUAL_TOL * bound:
-            continue
-        out.append(float(x.real))
-    out.sort()
+    deriv = coef[1:] * np.arange(1, coef.size)
+    roots = roots[~(np.abs(roots.imag) > _ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots.real)))]
+    xr, xi = roots.real.copy(), roots.imag.copy()
+    live = np.arange(roots.size)  # the roots still polishing
+    for _ in range(8):
+        if live.size == 0:
+            break
+        fr, fi = _horner(coef, xr[live], xi[live])
+        dr, di = _horner(deriv, xr[live], xi[live])
+        moving = (dr != 0.0) | (di != 0.0)
+        live, fr, fi, dr, di = live[moving], fr[moving], fi[moving], dr[moving], di[moving]
+        fx, dfx = fr.astype(complex), dr.astype(complex)
+        fx.imag, dfx.imag = fi, di
+        step = fx / dfx
+        xr[live] -= step.real
+        xi[live] -= step.imag
+        done = np.hypot(step.real, step.imag) < 1e-15 * np.maximum(
+            1.0, np.hypot(xr[live], xi[live]))
+        live = live[~done]
+    xr = xr[~(np.abs(xi) > 1e-9 * np.maximum(1.0, np.abs(xr)))]
+    res = np.hypot(*_horner(coef, xr, np.zeros_like(xr)))  # |p(x)| at real x
+    out = sorted(
+        x for x, r in zip(xr.tolist(), res.tolist())
+        if not r > _ROOT_RESIDUAL_TOL * (scale * max(1.0, abs(x)) ** (coef.size - 1))
+    )
+    # a root within 1e-9 relative of a point to avoid or of one already kept
+    # (out is ascending, so the last kept is the nearest) is the same point
+    avoid = np.asarray(avoid, dtype=float)
     dedup: list[float] = []
     for x in out:
-        if all(abs(x - s) > 1e-9 * max(1.0, abs(x)) for s in (*avoid, *dedup)):
+        tol = 1e-9 * max(1.0, abs(x))
+        if dedup and not abs(x - dedup[-1]) > tol:
+            continue
+        if np.all(np.abs(x - avoid) > tol):
             dedup.append(x)
     return tuple(dedup)

@@ -27,6 +27,10 @@ _FORMATS = ("json", "csv")
 
 #: largest grid accepted, checked before anything is allocated
 MAX_GRID_POINTS = 1_000_000
+#: most oracle quadrature nodes per density piece, checked before anything is
+#: allocated: the Gauss-Legendre rule solves an n x n eigenproblem, and
+#: ``scenario remark2`` assembles a dense matrix of side about n per piece
+MAX_NODES_PER_PIECE = 2000
 
 
 @dataclass
@@ -264,8 +268,8 @@ def build_run_config(raw: dict | None, overrides: dict | None = None) -> RunConf
         raise ConfigError(str(exc), field="ladder") from exc
 
     nodes = _section(doc, "oracle").get("nodes_per_piece", cfg.nodes_per_piece)
-    if not isinstance(nodes, int) or nodes < 2:
-        raise ConfigError("nodes_per_piece must be an integer >= 2",
+    if not isinstance(nodes, int) or not 2 <= nodes <= MAX_NODES_PER_PIECE:
+        raise ConfigError(f"nodes_per_piece must be an integer from 2 to {MAX_NODES_PER_PIECE}",
                           field="oracle.nodes_per_piece")
     cfg.nodes_per_piece = nodes
 

@@ -17,12 +17,17 @@ z -> (b-z)/(a-z) sends C minus [a,b] into C minus the closed negative axis,
 hence the principal logarithm is analytic wherever we evaluate.  Far from a
 piece the recurrence is replaced by the moment series
 -sum_m mu_m / z^{m+1}, which avoids the cancellation the recurrence suffers
-when |z| is much larger than the support.  The Poisson transform at
-E + i eps is the imaginary part of F there.
+when |z| is much larger than the support.  The 48 moments of a piece are one
+array expression, built once at construction.  On a wide piece ([0, 1e7],
+say) x^m overflows before m = 48; such a piece keeps mu_m / s^{m+1} for a
+power of two s near its radius and sums the same series in s/z, so its
+transform stays finite.  The Poisson transform at E + i eps is the
+imaginary part of F there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,11 +59,14 @@ class _Piece:
     a: float
     b: float
     coef: tuple[float, ...]          # density p(x) = sum coef[k] x^k
+    # mu_m / scale^(m+1) for the far-field series; scale is 1 unless a
+    # moment overflows (see _validate_piece)
     moments: tuple[float, ...] = field(repr=False, default=())
+    scale: float = 1.0
 
     @property
     def mass(self) -> float:
-        return self.moments[0]
+        return float(self.moments[0]) * self.scale
 
     @property
     def radius(self) -> float:
@@ -66,12 +74,11 @@ class _Piece:
 
 
 def _piece_moments(a: float, b: float, coef: Sequence[float], count: int) -> np.ndarray:
-    """Exact moments mu_m = int_a^b x^m p(x) dx for m = 0..count-1."""
-    mom = np.zeros(count)
-    for m in range(count):
-        powers = m + 1 + np.arange(len(coef))
-        mom[m] = np.sum(np.asarray(coef) * (b ** powers - a ** powers) / powers)
-    return mom
+    """Exact moments mu_m = int_a^b x^m p(x) dx for m = 0..count-1, one row
+    of powers P = m + k + 1 per moment: mu_m = sum_k coef[k] (b^P - a^P) / P."""
+    coef = np.asarray(coef)
+    powers = np.arange(1, count + 1)[:, None] + np.arange(coef.size)
+    return np.sum(coef * (b ** powers - a ** powers) / powers, axis=1)
 
 
 def _validate_piece(a: float, b: float, coef: Sequence[float]) -> _Piece:
@@ -86,7 +93,7 @@ def _validate_piece(a: float, b: float, coef: Sequence[float]) -> _Piece:
     # critical points of p (real roots of p') inside the interval.
     xs = [np.array([a, b]), _chebyshev_points(a, b, _POS_SAMPLES)]
     if len(coef) > 2:
-        crit = npoly.polyroots(npoly.polyder(coef))
+        crit = npoly.polyroots(np.asarray(coef[1:]) * np.arange(1, len(coef)))  # p' = 0
         crit = crit[np.abs(crit.imag) < 1e-9].real
         crit = crit[(crit > a) & (crit < b)]
         if crit.size:
@@ -99,8 +106,18 @@ def _validate_piece(a: float, b: float, coef: Sequence[float]) -> _Piece:
         raise InvalidModelError(
             f"density negative on [{a}, {b}]: p({worst:.6g}) = {np.min(vals):.3e}"
         )
-    moments = _piece_moments(a, b, coef, _FAR_TERMS)
-    return _Piece(float(a), float(b), tuple(coef), tuple(moments))
+    scale = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _piece_moments(a, b, coef, _FAR_TERMS)
+        if not np.all(np.isfinite(moments)):
+            # a wide piece: x^m overflows.  With x = s t for s = 2^e the power
+            # of two in [R/2, R], R = max(|a|, |b|), the scaling is exact and
+            # mu_m / s^(m+1) are the moments of t^m p(s t) on [a/s, b/s]
+            e = math.frexp(max(abs(a), abs(b)))[1] - 1
+            scale = math.ldexp(1.0, e)
+            moments = _piece_moments(a / scale, b / scale,
+                                     np.ldexp(coef, e * np.arange(len(coef))), _FAR_TERMS)
+    return _Piece(float(a), float(b), tuple(coef), tuple(moments), scale)
 
 
 class SpectralMeasure:
@@ -209,7 +226,7 @@ def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
         out[near] = acc
     if np.any(far):
         zf = z[far]
-        inv = 1.0 / zf
+        inv = p.scale / zf
         acc = np.zeros_like(zf)
         power = inv.copy()
         for m in range(_FAR_TERMS):

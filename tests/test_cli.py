@@ -22,7 +22,13 @@ from specbox.cli import (
     GREENS_HEADER,
     main,
 )
-from specbox.config import MAX_GRID_POINTS, build_run_config, load_config, parse_grid_flag
+from specbox.config import (
+    MAX_GRID_POINTS,
+    MAX_NODES_PER_PIECE,
+    build_run_config,
+    load_config,
+    parse_grid_flag,
+)
 from specbox.errors import (
     ConfigError,
     NearSingularError,
@@ -120,6 +126,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grid.points"):
             parse_grid_flag(f"0:1:{MAX_GRID_POINTS + 1}")
 
+    def test_nodes_cap(self):
+        cfg = build_run_config(remark2_config(oracle={"nodes_per_piece": MAX_NODES_PER_PIECE}))
+        assert cfg.nodes_per_piece == MAX_NODES_PER_PIECE == 2000
+        for nodes in (1, MAX_NODES_PER_PIECE + 1, 10**30):
+            with pytest.raises(ConfigError) as exc:
+                build_run_config(remark2_config(oracle={"nodes_per_piece": nodes}))
+            assert exc.value.field == "oracle.nodes_per_piece"
+
     def test_ladder_needs_four_rungs(self):
         with pytest.raises(ConfigError, match="ladder"):
             build_run_config(remark2_config(ladder={"ratio": 1e-300}))
@@ -191,6 +205,46 @@ class TestExitCodes:
         assert payload["weight_estimate"] == pytest.approx(1 / 3, abs=1e-4)
         assert payload["point_mass_at_zero"] == pytest.approx(1 / 3, abs=1e-4)
         assert payload["exceptional_sets"]["N"] == "DEGENERATE_WHOLE_LINE"
+
+    def test_scenario_remark2_nodes_over_cap_exits_1(self, monkeypatch, capsys):
+        import tracemalloc
+
+        import specbox.resolvent
+
+        def refuse(n):
+            raise AssertionError("the quadrature rule was built")
+
+        monkeypatch.setattr(specbox.resolvent, "_gauss_legendre", refuse)
+        tracemalloc.start()
+        try:
+            code = main(["scenario", "remark2", "--lambda", "1", "--nu", "1",
+                         "--nodes", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "oracle.nodes_per_piece" in err and "Traceback" not in err
+        assert peak < 2**20
+
+    def test_wide_reservoir_piece(self, tmp_path, capsys):
+        # the moments of [0, 1e7] overflow from m = 43: the far-field series
+        # once gave NaN, so greens exited 3 and chi_l read UNDETERMINED
+        doc = json.loads(SAMPLE_PATH.read_text())
+        doc["model"]["reservoir_left"] = {"pieces": [{"interval": [0, 1e7], "poly": [1.0]}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main(["greens", "--config", str(path), "--grid", "4e7:5e7:2"]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        for row in table:
+            value = complex(*row["pairs"]["chi_l|chi_l"])
+            assert math.isfinite(value.real) and math.isfinite(value.imag)
+        assert main(["classify", "--config", str(path), "--grid", "4e7:5e7:2"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        for p in points:
+            assert p["chi_l"]["status"] == "FINITE_NONZERO"
+            # log((b - E)/(a - E)) = log(1 - 1e7 / E) on the real axis
+            assert p["chi_l"]["value"][0] == pytest.approx(math.log(1 - 1e7 / p["E"]), rel=1e-9)
 
     def test_certify_run(self, config_file, capsys):
         code = main(["certify", "--config", config_file, "--grid", "1.05:1.95:10"])

@@ -162,6 +162,42 @@ class TestBorel:
             expected = quad_borel(two_band, 1j * y)
             assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("interval, coef", [
+        ([0.0, 1e7], [1.0]),
+        ([-1e7, 1e7], [1.0, 1e-7, 1e-14]),
+        ([1e6, 3e9], [2.0, 1e-9]),
+    ])
+    def test_wide_piece_far_field(self, interval, coef):
+        # x^m overflows on these pieces before m = 48: the far-field series
+        # runs on moments scaled by a power of two, referee mpmath's log
+        # recurrence at 50 digits
+        import mpmath as mp
+
+        m = SpectralMeasure(pieces=[(interval, coef)])
+        piece = m.pieces[0]
+        assert piece.scale > 1.0 and all(np.isfinite(piece.moments))
+        a, b = interval
+        mass = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coef))
+        assert m.total_mass == pytest.approx(mass, rel=1e-15)
+        radius = max(abs(a), abs(b))
+        with mp.workdps(50):
+            def exact(z):
+                z = mp.mpc(z)
+                term = mp.log((b - z) / (a - z))
+                total = coef[0] * term
+                for n in range(1, len(coef)):
+                    term = (mp.mpf(b) ** n - mp.mpf(a) ** n) / n + z * term
+                    total += coef[n] * term
+                return complex(total)
+
+            for z in (3.01j * radius, 10j * radius, -4 * radius + 1.0, 5 * radius,
+                      (1 + 1j) * 1e3 * radius):
+                got = m.borel(z)
+                assert np.isfinite(got)
+                assert got == pytest.approx(exact(z), rel=1e-12)
+        # where even 50 digits cancel in the recurrence: F(z) ~ -mass / z
+        assert m.borel(1e300j) == pytest.approx(-m.total_mass / 1e300j, rel=1e-12)
+
     def test_normalization_at_infinity(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
