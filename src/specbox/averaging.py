@@ -19,7 +19,11 @@ quadrature engine.
 transform as eps shrinks.  It evaluates each tag once on the whole
 (energy x eps) lattice E[:, None] + i eps (in blocks of at most
 ``LATTICE_ROWS`` energies) and classifies every energy's row with
-``boundary_value``.  A numerical failure of a lattice call sends that tag
+``boundary_value``.  The row goes to the ladder as an imaginary part, i
+times the transform: the averaged Poisson transform is Im of the averaged
+measure's Cauchy transform, so the record's ``value.imag`` is the limit and
+its ``pole_weight`` (the one atom-weight rule of ``boundary``) is the atom
+indicator.  A numerical failure of a lattice call sends that tag
 back to one ladder per energy, so the failure marks only its own energy
 UNDETERMINED.  Left vectors are averaged over the left bond with the right
 one fixed at nu; right vectors over the right bond with the left one fixed
@@ -39,7 +43,6 @@ from .boundary import (
     DIVERGENT,
     EpsilonLadder,
     Tolerances,
-    _richardson,
     boundary_value,
 )
 from .errors import AccuracyError, DomainError
@@ -59,9 +62,7 @@ _LEFT = (CHI_L, DELTA_L)
 
 #: grid points closer than this to the exceptional set are excluded
 N_EXCLUSION = 1e-6
-#: the rank-one average's bound on the bond strength |s| (the whole line)
-#: and the relative tolerance of its quadrature
-RANK_ONE_CAP = math.inf
+#: the relative tolerance of the rank-one average's quadrature
 RANK_ONE_TOL = 1e-10
 #: energies per lattice call of the scan; bounds its arrays on long grids
 LATTICE_ROWS = 256
@@ -102,12 +103,13 @@ def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
     return float(p) if p.ndim == 0 else p
 
 
-def _pole_breakpoints(poles, lambda_cap: float) -> list[float]:
+def _pole_breakpoints(poles) -> list[float]:
     """Multiscale breakpoints around near-real poles of the integrand.
 
     A pole at p = x + i y produces a Lorentzian of width |y| at x; nesting
     breakpoints at x +/- k|y| over several decades lets the adaptive rule
-    resolve spikes regardless of how narrow they are."""
+    resolve spikes regardless of how narrow they are.  Poles at infinity
+    give no breakpoints."""
     pts: set[float] = set()
     for p in poles:
         x, y = float(np.real(p)), abs(float(np.imag(p)))
@@ -115,9 +117,7 @@ def _pole_breakpoints(poles, lambda_cap: float) -> list[float]:
         scale = max(y, 1e-300)
         for k in (1.0, 10.0, 100.0, 1e3, 1e4):
             candidates.extend((x - k * scale, x + k * scale))
-        for c in candidates:
-            if abs(c) < lambda_cap:
-                pts.add(c)
+        pts.update(c for c in candidates if math.isfinite(c))
     return sorted(pts)
 
 
@@ -213,21 +213,19 @@ def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
         errs = np.concatenate([errs[keep], new_errs])
 
 
-def _tan_quadrature(integrand, lambda_cap: float, tol: float, poles=()):
-    """Improper integral over |s| <= lambda_cap via s = tan(theta).
+def _tan_quadrature(integrand, tol: float, poles=()):
+    """Improper integral over the whole line of s via s = tan(theta).
 
     ``integrand`` maps an array of bond strengths s to an array of values."""
-    theta_max = math.pi / 2 if math.isinf(lambda_cap) else math.atan(lambda_cap)
-
     def g(theta):
         t = np.tan(theta)
         return integrand(t) * (1.0 + t * t)
 
-    pts = [math.atan(b) for b in _pole_breakpoints(poles, lambda_cap)]
+    pts = [math.atan(b) for b in _pole_breakpoints(poles)]
     val, err = quad(
         g,
-        -theta_max,
-        theta_max,
+        -math.pi / 2,
+        math.pi / 2,
         epsabs=1e-300,
         epsrel=tol,
         limit=800,
@@ -248,7 +246,6 @@ def averaged_poisson_quadrature(
     phi: str,
     E: float,
     eps: float,
-    lambda_cap: float = math.inf,
     tol: float = 1e-9,
 ) -> float:
     """Adaptive quadrature of s -> Im G_(s-bond)(phi, phi, E + i eps).
@@ -273,10 +270,10 @@ def averaged_poisson_quadrature(
         return np.imag(green_from_basics(nodes, cp, phi, phi))
 
     poles = ()
-    if v != 0 and w != 0:
+    if v * w != 0:  # the product, which may underflow where v and w do not
         p = 1.0 / np.sqrt(v * w)
         poles = (p, -p)
-    return _tan_quadrature(integrand, lambda_cap, tol, poles)
+    return _tan_quadrature(integrand, tol, poles)
 
 
 def rank_one_average(measure: SpectralMeasure, E: float, eps: float) -> float:
@@ -293,7 +290,7 @@ def rank_one_average(measure: SpectralMeasure, E: float, eps: float) -> float:
     def integrand(s: np.ndarray) -> np.ndarray:
         return (g / (1.0 + s * g)).imag
 
-    return _tan_quadrature(integrand, RANK_ONE_CAP, RANK_ONE_TOL, poles=(-1.0 / g,))
+    return _tan_quadrature(integrand, RANK_ONE_TOL, poles=(-1.0 / g,))
 
 
 @dataclass
@@ -339,7 +336,7 @@ def verify_abs_continuity(
     model: BlackBoxModel,
     nu: float,
     grid,
-    ladder: EpsilonLadder | None = None,
+    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     lam: float | None = None,
     tol: Tolerances = Tolerances(),
@@ -354,10 +351,10 @@ def verify_abs_continuity(
     fails numerically, the tag falls back to one ladder per energy of the
     block, so a failure leaves only its own energy UNDETERMINED.  In the
     degenerate case the scan still runs and any divergent points are
-    reported with their atom indicators (the Richardson limit of eps times
-    the ladder value), but the verdict is VACUOUS.
+    reported with their atom indicators (the record's ``pole_weight``: the
+    Richardson limit of eps times the transform), but the verdict is
+    VACUOUS.
     """
-    ladder = ladder or EpsilonLadder()
     eps = ladder.epsilons()
     nu = float(nu)
     report = AveragingReport(nu=nu, lam=None if lam is None else float(lam),
@@ -382,27 +379,24 @@ def verify_abs_continuity(
         rows = {phi: _lattice_rows(model, kappas[phi], phi, block, eps) for phi in TAGS}
         for k, E in enumerate(block.tolist()):
             for phi in TAGS:
+                # the transform is Im of a Cauchy transform: i times it
                 if rows[phi] is None:
                     def f(z, kappa=kappas[phi], phi=phi, E=E):
-                        return averaged_poisson_closed(model, kappa, phi, E, z.imag)
+                        return 1j * averaged_poisson_closed(model, kappa, phi, E, z.imag)
                 else:
                     def f(z, row=rows[phi][k]):
-                        return row
+                        return 1j * row
                 rec = boundary_value(f, E, ladder, tol=tol)
                 entry = {
                     "E": E,
                     "phi": phi,
                     "status": rec.status,
-                    "limit": None if rec.value is None else float(rec.value.real),
+                    "limit": None if rec.value is None else float(rec.value.imag),
                 }
                 report.points.append(entry)
                 if rec.status == DIVERGENT:
                     diverged = True
-                    (e0, p0), (e1, p1) = rec.ladder_trace[-2:]
-                    indicator = _richardson(e1 * p1.real, e0 * p0.real, ladder.ratio)
-                    report.atoms.append(
-                        {"E": E, "phi": phi, "indicator": float(indicator)}
-                    )
+                    report.atoms.append({"E": E, "phi": phi, "indicator": rec.pole_weight})
 
     if exc.degenerate:
         report.verdict = "VACUOUS"

@@ -280,7 +280,7 @@ class ExceptionalSets:
     """The certified finite sets attached to a model.
 
     ``n_points`` is None exactly when the defining product vanishes
-    identically (degenerate case); ``n`` then reports the sentinel.
+    identically (degenerate case); ``to_dict`` then reports the sentinel.
     """
 
     sigma_hs: tuple[float, ...]
@@ -290,10 +290,6 @@ class ExceptionalSets:
     @property
     def degenerate(self) -> bool:
         return self.n_points is None
-
-    @property
-    def n(self):
-        return DEGENERATE_WHOLE_LINE if self.degenerate else self.n_points
 
     def to_dict(self) -> dict:
         return {

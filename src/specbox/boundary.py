@@ -5,7 +5,8 @@ The decision tree (in order) on the ladder values f_k:
 
   DIVERGENT        log|f| vs log eps slope <= -0.5 on the last rungs and
                    |f| beyond div_tol; a slope near -1 signals a pole whose
-                   weight is the Richardson limit of eps * Im f.
+                   weight is the Richardson limit of eps * Im f (see
+                   ``_ladder_mass``).
   ZERO             |f| below zero_tol and shrinking.
   FINITE_NONZERO   Cauchy convergence (successive differences shrinking by a
                    factor >= 1.5, which cleanly excludes the sqrt(eps)
@@ -35,16 +36,19 @@ eigenvalue of H_S can be one).
 
 ``diagonal_records`` gives the ladders of the four diagonal pairs
 G(phi, phi) at one grid energy from a single batched 4x4 solve on the
-ladder points.  A DIVERGENT record's ``pole_weight`` is then the
-converged Richardson limit of eps * Im G read off that record's own
-ladder, the estimate ``point_mass`` makes from its ladder, and None where
-eps * Im G does not converge.
+ladder points, each record as ``boundary_value`` returns it.
+
+Every ladder's atom weight comes from one rule, ``_ladder_mass``: a
+DIVERGENT record with slope <= -0.8 carries the converged Richardson
+limit of eps * Im f as ``pole_weight``, the estimate ``point_mass``
+makes from its own ladder; the weight is None where eps * Im f does not
+converge or the slope is above -0.8.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -161,9 +165,14 @@ class BoundaryRecord:
     status: str
     value: complex | None = None
     im_limit: float | None = None
+    #: mu({E}) from ``_ladder_mass`` on a DIVERGENT record with slope <= -0.8;
+    #: None on every other record and where eps * Im f does not converge
     pole_weight: float | None = None
     slope: float | None = None
-    ladder_trace: list = field(default_factory=list)
+    #: the rungs: eps_k and f(E + i eps_k), cut to the finite prefix where a
+    #: value is not finite, and None where the evaluation of f raised
+    eps: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     @property
     def finite(self) -> bool:
@@ -190,7 +199,7 @@ def _richardson(last: complex, prev: complex, ratio: float) -> complex:
 def boundary_value(
     f: Callable,
     E: float,
-    ladder: EpsilonLadder | None = None,
+    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     tol: Tolerances = Tolerances(),
 ) -> BoundaryRecord:
@@ -198,45 +207,35 @@ def boundary_value(
 
     ``f`` must accept the array of ladder points z and is called once per
     ladder; a constant result is broadcast over the rungs.  A numerical
-    failure of that call gives UNDETERMINED with an empty trace, and
-    non-finite rungs give UNDETERMINED with the finite prefix as trace.
+    failure of that call gives UNDETERMINED without rungs, and non-finite
+    values give UNDETERMINED with the finite prefix of the rungs.
     """
-    ladder = ladder or EpsilonLadder()
     eps = ladder.epsilons()
     zs = E + 1j * eps
     try:
         vals = np.broadcast_to(np.asarray(f(zs), dtype=complex), zs.shape)
     except _NUMERICAL_ERRORS:
         return BoundaryRecord(E, UNDETERMINED)
-    trace = list(zip(eps, vals))
     bad = ~np.isfinite(vals)
     if bad.any():
-        return BoundaryRecord(E, UNDETERMINED, ladder_trace=trace[: bad.argmax()])
+        n = bad.argmax()
+        return BoundaryRecord(E, UNDETERMINED, eps=eps[:n], values=vals[:n])
     mags = np.abs(vals)
     window = min(SLOPE_WINDOW, len(eps))
     log_eps = np.log(eps[-window:])
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.maximum(mags[-window:], 1e-300))
     slope = float(np.polyfit(log_eps, log_mag, 1)[0])
-
-    last, prev = vals[-1], vals[-2]
+    common = {"slope": slope, "eps": eps, "values": vals}
 
     if slope <= -0.5 and mags[-1] > tol.div_tol:
-        pole_weight = None
-        if slope <= -0.8:
-            m_last = eps[-1] * last.imag
-            m_prev = eps[-2] * prev.imag
-            pole_weight = max(float(_richardson(m_last, m_prev, ladder.ratio).real), 0.0)
-        return BoundaryRecord(
-            E, DIVERGENT, pole_weight=pole_weight, slope=slope, ladder_trace=trace
-        )
+        weight = _ladder_mass(eps, vals, ladder.ratio) if slope <= -0.8 else None
+        return BoundaryRecord(E, DIVERGENT, pole_weight=weight, **common)
 
     tail = mags[-window:]
     if mags[-1] < tol.zero_tol and np.all(np.diff(tail) <= 1e-12 + 0.1 * tail[:-1]):
-        value = _richardson(last, prev, ladder.ratio)
-        return BoundaryRecord(
-            E, ZERO, value=value, im_limit=0.0, slope=slope, ladder_trace=trace
-        )
+        value = _richardson(vals[-1], vals[-2], ladder.ratio)
+        return BoundaryRecord(E, ZERO, value=value, im_limit=0.0, **common)
 
     diffs = np.abs(np.diff(vals[-(window + 1):]))
     floor = 1e-12 * max(1.0, mags[-1])
@@ -245,21 +244,14 @@ def boundary_value(
         for d_prev, d_next in zip(diffs[:-1], diffs[1:])
     )
     if converged:
-        value = _richardson(last, prev, ladder.ratio)
+        value = _richardson(vals[-1], vals[-2], ladder.ratio)
         if abs(value) <= tol.zero_tol:
-            return BoundaryRecord(
-                E, ZERO, value=value, im_limit=0.0, slope=slope, ladder_trace=trace
-            )
+            return BoundaryRecord(E, ZERO, value=value, im_limit=0.0, **common)
         if abs(value) < tol.div_tol:
             return BoundaryRecord(
-                E,
-                FINITE_NONZERO,
-                value=value,
-                im_limit=float(value.imag),
-                slope=slope,
-                ladder_trace=trace,
+                E, FINITE_NONZERO, value=value, im_limit=float(value.imag), **common
             )
-    return BoundaryRecord(E, UNDETERMINED, slope=slope, ladder_trace=trace)
+    return BoundaryRecord(E, UNDETERMINED, **common)
 
 
 @dataclass
@@ -301,15 +293,15 @@ class EnergyClassification:
         }
 
 
-def _near(E: float, points: Sequence[float], tol: float = _MATCH_TOL) -> bool:
-    return any(abs(E - p) <= tol * max(1.0, abs(p)) for p in points)
+def _near(E: float, points: Sequence[float]) -> bool:
+    return any(abs(E - p) <= _MATCH_TOL * max(1.0, abs(p)) for p in points)
 
 
 def classify_energy(
     model: BlackBoxModel,
     E: float,
     nu: float | None = None,
-    ladder: EpsilonLadder | None = None,
+    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     tol: Tolerances = Tolerances(),
 ) -> EnergyClassification:
@@ -320,7 +312,6 @@ def classify_energy(
     finite nonzero boundary values; the dissipative subsets additionally need
     the imaginary part inside (im_tol, 1/im_tol).
     """
-    ladder = ladder or EpsilonLadder()
     exc = model.exceptional_sets
     in_sigma = _near(E, exc.sigma_hs)
     in_s = _near(E, exc.s_zeros)
@@ -393,39 +384,24 @@ def diagonal_records(
     model: BlackBoxModel,
     coupling,
     E: float,
-    ladder: EpsilonLadder | None = None,
+    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     tol: Tolerances = Tolerances(),
 ) -> list[BoundaryRecord]:
     """The ladder records of G(phi, phi, E + i0) for phi in TAGS order.
 
     One ``green_all`` call solves all 16 pairs on the ladder points, and
-    each record is ``boundary_value`` of its diagonal slice.  A numerical
-    failure of that solve makes all four records UNDETERMINED with an empty
-    trace.  A DIVERGENT record's ``pole_weight`` is replaced by the estimate
-    of ``point_mass`` on the same ladder: mu_phi({E}), or None where
-    eps * Im G does not converge.
+    each record is ``boundary_value`` of its diagonal slice, unchanged.  A
+    numerical failure of that solve makes all four records UNDETERMINED
+    without rungs.
     """
-    ladder = ladder or EpsilonLadder()
     try:
-        g, failure = green_all(model, coupling, E + 1j * ladder.epsilons()), None
-    except _NUMERICAL_ERRORS as exc:
-        g, failure = None, exc
-
-    def diagonal(i):
-        # boundary_value evaluates f on the same ladder points solved above
-        def f(z):
-            if failure is not None:
-                raise failure
-            return g[:, i, i]
-        return f
-
-    records = [boundary_value(diagonal(i), E, ladder, tol=tol) for i in range(len(TAGS))]
-    for rec in records:
-        if rec.status == DIVERGENT:
-            eps, vals = (np.array(v) for v in zip(*rec.ladder_trace))
-            rec.pole_weight = _ladder_mass(eps, vals, ladder.ratio)
-    return records
+        g = green_all(model, coupling, E + 1j * ladder.epsilons())
+    except _NUMERICAL_ERRORS:
+        return [BoundaryRecord(E, UNDETERMINED) for _ in TAGS]
+    # boundary_value evaluates f on the same ladder points solved above
+    return [boundary_value(lambda z, i=i: g[:, i, i], E, ladder, tol=tol)
+            for i in range(len(TAGS))]
 
 
 def density_from_record(rec: BoundaryRecord) -> float:
@@ -453,10 +429,9 @@ def point_mass(
     coupling,
     phi: str,
     E: float,
-    ladder: EpsilonLadder | None = None,
+    ladder: EpsilonLadder = EpsilonLadder(),
 ) -> float:
     """mu_phi({E}) as the Richardson limit of eps * Im G(phi, phi, E + i eps)."""
-    ladder = ladder or EpsilonLadder()
     eps = ladder.epsilons()
     zs = E + 1j * eps
     vals = np.asarray(green(model, coupling, phi, phi, zs))
@@ -464,7 +439,7 @@ def point_mass(
     if w is None:
         raise UndeterminedLimitError(
             f"eps * Im G did not converge at E = {E}",
-            record=BoundaryRecord(E, UNDETERMINED, ladder_trace=list(zip(eps, eps * vals.imag))),
+            record=BoundaryRecord(E, UNDETERMINED, eps=eps, values=vals),
         )
     return w
 

@@ -75,11 +75,6 @@ class Certificate:
         vals = [p.abs_D for p in self.points if p.verdict == CERTIFIED]
         return min(vals) if vals else None
 
-    @property
-    def all_certified_in_scope(self) -> bool:
-        scoped = [p for p in self.points if p.in_scope]
-        return bool(scoped) and all(p.verdict == CERTIFIED for p in scoped)
-
     def counts(self) -> dict:
         out = {CERTIFIED: 0, OUT_OF_SCOPE: 0, NUMERICALLY_UNRESOLVED: 0}
         for p in self.points:
@@ -100,7 +95,7 @@ def certify_no_sc(
     model: BlackBoxModel,
     coupling,
     grid,
-    ladder: EpsilonLadder | None = None,
+    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     tol: Tolerances = Tolerances(),
 ) -> Certificate:
@@ -111,7 +106,6 @@ def certify_no_sc(
     |D| at or below the floor yield NUMERICALLY_UNRESOLVED, never a silent
     failure.
     """
-    ladder = ladder or EpsilonLadder()
     cp = _coupling(coupling)
     lam2, nu2 = cp.lam**2, cp.nu**2
     cert = Certificate(lam=cp.lam, nu=cp.nu)

@@ -7,7 +7,8 @@ column sets.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical-resolution
 failure under --strict (any UNDETERMINED or NUMERICALLY_UNRESOLVED outcome, or
-an averaged-transform duel whose rel_diff exceeds quad_tol), 3 internal error.
+an averaged-transform duel whose rel_diff exceeds quad_tol or whose quadrature
+stalled), 3 internal error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .boundary import (
 from .certify import NUMERICALLY_UNRESOLVED, certify_no_sc, eigen_residual, remark2_model
 from .config import RunConfig, build_run_config, load_config
 from .emit import render_csv, render_json, write_output
-from .errors import ConfigError, SpecboxError
+from .errors import AccuracyError, ConfigError, SpecboxError
 from .resolvent import green_all
 
 __all__ = ["cli", "main"]
@@ -266,10 +267,13 @@ def average(cfg):
         for phi in TAGS:
             kappa = cfg.coupling.nu if phi in (CHI_L, DELTA_L) else cfg.coupling.lam
             closed = averaged_poisson_closed(model, kappa, phi, float(E), eps)
-            quadr = averaged_poisson_quadrature(
-                model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol
-            )
-            rel = abs(closed - quadr) / max(abs(closed), abs(quadr), 1e-300)
+            try:
+                quadr = averaged_poisson_quadrature(
+                    model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol
+                )
+                rel = abs(closed - quadr) / max(abs(closed), abs(quadr), 1e-300)
+            except AccuracyError:  # a stalled duel leaves its cells empty
+                quadr = rel = None
             entries.append({"E": float(E), "phi": phi, "closed": closed,
                             "quadrature": quadr, "rel_diff": rel,
                             "ladder_status": status_by_key.get((float(E), phi))})
@@ -280,9 +284,9 @@ def average(cfg):
     if cfg.out_format == "csv":
         click.echo(f"abs_continuity verdict: {report.verdict}", err=True)
     _emit(cfg, payload, AVERAGE_HEADER, _columns(AVERAGE_HEADER, entries))
-    # a row is unresolved when its ladder is, or when the duel fails (a NaN
-    # rel_diff fails too)
-    return sum(e["ladder_status"] == UNDETERMINED
+    # a row is unresolved when its ladder is, or when the duel stalls or
+    # fails (a NaN rel_diff fails too)
+    return sum(e["ladder_status"] == UNDETERMINED or e["rel_diff"] is None
                or not e["rel_diff"] <= cfg.tolerances.quad_tol for e in entries)
 
 

@@ -72,9 +72,6 @@ class CouplingParams:
         if not finite:
             raise DomainError("coupling parameters must be finite with finite squares")
 
-    def swapped(self) -> "CouplingParams":
-        return CouplingParams(self.nu, self.lam)
-
 
 def _coupling(coupling) -> CouplingParams:
     if isinstance(coupling, CouplingParams):

@@ -243,7 +243,7 @@ def test_criterion_8_global_invariants():
             i, j = rng.integers(0, 4, size=2)
             phi, psi = TAGS[i], TAGS[j]
             direct = green(model, cp, phi, psi, z)
-            mirror = green(mirrored, cp.swapped(), swap[phi], swap[psi], z)
+            mirror = green(mirrored, CouplingParams(cp.nu, cp.lam), swap[phi], swap[psi], z)
             if abs(direct - mirror) > 1e-12 * max(1.0, abs(direct)):
                 violations += 1
 

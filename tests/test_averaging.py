@@ -83,8 +83,8 @@ class TestQuadrature:
         # the integrand depends on the bond through its square: half-range
         # doubling equals the full-range integral
         E, eps, nu = 1.5, 1e-2, 0.6
-        full = averaged_poisson_quadrature(remark2, nu, CHI_L, E, eps, lambda_cap=50.0)
-        # integrate [0, 50] as [-50, 50] minus the mirror half
+        full = averaged_poisson_quadrature(remark2, nu, CHI_L, E, eps)
+        # integrate over |s|: each half of the line gives half the integral
         from specbox.averaging import _tan_quadrature
         from specbox.resolvent import G0Basics
 
@@ -97,7 +97,7 @@ class TestQuadrature:
                 green_from_basics(nodes, CouplingParams(np.abs(s), nu), CHI_L, CHI_L)
             )
 
-        sym = _tan_quadrature(integrand, 50.0, 1e-12)
+        sym = _tan_quadrature(integrand, 1e-12)
         assert sym == pytest.approx(full, abs=1e-12 + 1e-12 * abs(full))
 
     def test_randomized_duel(self):
@@ -133,7 +133,7 @@ def _quadpack_duel(model, nu, phi, E, eps, tol):
     if v != 0 and w != 0:
         p = 1.0 / np.sqrt(v * w)
         poles = (p, -p)
-    pts = [math.atan(b) for b in _pole_breakpoints(poles, math.inf)]
+    pts = [math.atan(b) for b in _pole_breakpoints(poles)]
     val, _ = quad(g, -math.pi / 2, math.pi / 2, epsabs=1e-300, epsrel=tol, limit=800,
                   points=pts or None)
     return val
@@ -374,7 +374,7 @@ def _per_energy_scan(model, nu, grid, lam=None):
             })
             if rec.status == "DIVERGENT":
                 diverged = True
-                (e0, p0), (e1, p1) = rec.ladder_trace[-2:]
+                (e0, e1), (p0, p1) = rec.eps[-2:], rec.values[-2:]
                 indicator = _richardson(e1 * p1.real, e0 * p0.real, ladder.ratio)
                 out["atoms"].append({"E": float(E), "phi": phi,
                                      "indicator": float(indicator)})

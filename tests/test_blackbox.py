@@ -187,7 +187,7 @@ class TestExceptionalSets:
         assert exc.sigma_hs == (0.0,)
         assert exc.s_zeros == ()
         assert exc.degenerate
-        assert exc.n == DEGENERATE_WHOLE_LINE
+        assert exc.to_dict()["N"] == DEGENERATE_WHOLE_LINE
         # oracle: d vanishes on a dense sample of [-10, 10]
         for E in np.linspace(-10, 10, 201):
             if abs(E) > 1e-9:

@@ -22,6 +22,7 @@ from specbox.boundary import (
 )
 from specbox.config import build_run_config, load_config
 from specbox.errors import DomainError, NearSingularError, PointMassPresentError
+from specbox.measures import SpectralMeasure
 from specbox.resolvent import discretize, green, green_oracle
 
 from conftest import random_model, two_band_measure
@@ -75,16 +76,16 @@ class TestBoundaryValue:
         assert rec.status == UNDETERMINED
 
     def test_evaluation_failure_gives_trace(self):
-        # non-finite values on the small rungs: the trace keeps the finite prefix
+        # non-finite values on the small rungs: the rungs keep the finite prefix
         def bad(z):
             return np.where(z.imag < 1e-5, np.nan, 1.0 + 0j)
 
         rec = boundary_value(bad, 0.0)
         assert rec.status == UNDETERMINED
-        assert len(rec.ladder_trace) > 0
+        assert len(rec.values) > 0
         eps = EpsilonLadder().epsilons()
-        assert len(rec.ladder_trace) == int(np.sum(eps >= 1e-5))
-        assert all(np.isfinite(v) for _, v in rec.ladder_trace)
+        assert len(rec.values) == len(rec.eps) == int(np.sum(eps >= 1e-5))
+        assert np.all(np.isfinite(rec.values))
 
     def test_numerical_failure_undetermined(self):
         def singular(z):
@@ -92,7 +93,7 @@ class TestBoundaryValue:
 
         rec = boundary_value(singular, 0.0)
         assert rec.status == UNDETERMINED
-        assert rec.ladder_trace == []
+        assert rec.eps is None and rec.values is None
 
     def test_programming_error_propagates(self):
         def broken(z):
@@ -257,6 +258,32 @@ class TestPointMass:
         assert atom_sum + integral <= 1.0 + 2e-2
         # and the budget is nearly saturated for this model
         assert atom_sum + integral >= 0.9
+
+
+class TestOneWeightRule:
+    """Every DIVERGENT record's pole_weight comes from one rule, the one
+    ``point_mass`` uses."""
+
+    def test_diagonal_record_weight_is_point_mass(self, remark2):
+        rec = diagonal_records(remark2, (1.0, 1.0), 0.0)[TAGS.index(DELTA_L)]
+        assert rec.status == DIVERGENT
+        assert rec.pole_weight == point_mass(remark2, (1.0, 1.0), DELTA_L, 0.0)
+        assert rec.pole_weight == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_reservoir_atom_weight(self, remark2):
+        band = [([-2.0, -1.0], [1.0]), ([1.0, 2.0], [1.0])]
+        res = SpectralMeasure(atoms=[(4.5, 0.7)], pieces=band)
+        model = BlackBoxModel(remark2.system, res, res)
+        rec = classify_energy(model, 4.5).rec_chi_l
+        assert rec.status == DIVERGENT
+        assert rec.pole_weight == pytest.approx(0.7, rel=1e-12)
+
+    def test_slow_divergence_has_no_weight(self):
+        # |f| ~ eps^-0.65 passes div_tol, but no simple pole diverges so slowly
+        rec = boundary_value(lambda z: 10.0 * (-1j * z) ** -0.65, 0.0)
+        assert rec.status == DIVERGENT
+        assert -0.8 < rec.slope <= -0.5
+        assert rec.pole_weight is None
 
 
 def sample_model():

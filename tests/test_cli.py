@@ -326,6 +326,34 @@ class TestExitCodes:
         assert main([*args, "--strict"]) == 2
         assert "4 unresolved outcome(s)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stalled_duel_leaves_its_cells_empty(self, fmt, capsys):
+        # at E = 5000 the sample config's quadrature cannot reach quad_tol;
+        # the rows keep their closed form and ladder status
+        args = ["average", "--config", str(SAMPLE_PATH), "--grid", "5000:5000:1",
+                "--format", fmt]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            rows = [[r["closed"], r["quadrature"], r["rel_diff"], r["ladder_status"]]
+                    for r in json.loads(out)["table"]]
+        else:
+            rows = [line.split(",")[2:] for line in out.splitlines()[1:]]
+        assert len(rows) == 4
+        empty = None if fmt == "json" else ""
+        for closed, quadrature, rel_diff, status in rows:
+            assert float(closed) > 0 and status == "FINITE_NONZERO"
+            assert quadrature == rel_diff == empty
+        assert main([*args, "--strict"]) == 2
+        assert "4 unresolved outcome(s)" in capsys.readouterr().err
+
+    def test_underflowing_pole_product_warns_nothing(self, capsys):
+        # at E = 1e300 the product v w underflows to 0 while v and w do not
+        code = main(["average", "--config", str(SAMPLE_PATH), "--grid", "1e300:1e300:1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert len(json.loads(captured.out)["table"]) == 4
+
     def test_certify_scope_honours_tolerances(self, tmp_path, capsys):
         # im_tol = 0.5 puts Im chi(1.5 + i0) outside (im_tol, 1/im_tol)
         doc = copy.deepcopy(SAMPLE)

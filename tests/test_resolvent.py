@@ -141,7 +141,7 @@ class TestGreen:
             i, j = rng.integers(0, 4, size=2)
             phi, psi = TAGS[i], TAGS[j]
             direct = green(t2_model, cp, phi, psi, z)
-            mirror = green(mirrored, cp.swapped(), swap[phi], swap[psi], z)
+            mirror = green(mirrored, CouplingParams(cp.nu, cp.lam), swap[phi], swap[psi], z)
             assert mirror == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
     def test_vectorized_z(self, t2_model):
