@@ -218,8 +218,7 @@ def eigen_residual(
     psi[: disc.m_l] = -cp.lam * np.sqrt(disc.weights_l) / disc.nodes_l
     psi[disc.m_l] = 1.0
     psi[disc.m_l + 1 :] = -cp.nu * np.sqrt(disc.weights_r) / disc.nodes_r
-    H = disc.assemble(cp)
     norm = float(np.linalg.norm(psi))
-    residual = float(np.linalg.norm(H @ psi)) / norm
+    residual = float(np.linalg.norm(disc.apply(cp, psi))) / norm
     weight = float(abs(np.vdot(disc.delta_l, psi)) ** 2) / norm**2
     return residual, weight

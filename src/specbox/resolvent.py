@@ -16,11 +16,10 @@ cross-checks.
 The oracle replaces each density piece by Gauss-Legendre nodes (density
 absorbed into the weights), keeps atoms as exact nodes, embeds chi as the
 vector of square-root weights, and solves (H - z) u = psi directly.  The
-assembled matrix is diagonal outside a small system block plus two rank-one
-couplings, so the direct solver is a sparse LU factorization.  Its CSC
-arrays are filled column by column on a regular pattern (every entry a
-system row or column can hold, explicit zeros included), so the pattern
-depends only on the node counts and no COO sort is needed.
+assembled matrix is diagonal on every reservoir node, so the oracle
+eliminates those nodes in closed form (the Feshbach reduction onto the
+system): one n x n solve of the Schur complement per z covers every
+requested vector, and back-substitution recovers the reservoir components.
 """
 
 from __future__ import annotations
@@ -217,7 +216,10 @@ class DiscretizedModel:
 
     Reservoir blocks are diagonal on the quadrature nodes; the embedded chi
     vectors carry sqrt(weight) entries so that (chi, (H_res - z)^{-1} chi)
-    is exactly the quadrature approximation of the reservoir transform.
+    is exactly the quadrature approximation of the reservoir transform.  H
+    couples the reservoir nodes only to the system, through the two bond
+    blocks of ``_bonds``; ``assemble``, ``apply`` and the oracle's
+    elimination all read H's entries from them.
     """
 
     def __init__(self, model: BlackBoxModel, nodes_per_piece: int):
@@ -234,6 +236,8 @@ class DiscretizedModel:
         self.nodes_l, self.weights_l = xl, wl
         self.nodes_r, self.weights_r = xr, wr
         self._sys_slice = slice(self.m_l, self.m_l + n)
+        # the reservoir nodes, left then right
+        self._res_index = np.r_[: self.m_l, self.m_l + n : self.dim]
 
         self.chi_l = np.zeros(self.dim, dtype=complex)
         self.chi_l[: self.m_l] = np.sqrt(wl)
@@ -261,70 +265,39 @@ class DiscretizedModel:
     def vector(self, tag: str) -> np.ndarray:
         return self._vectors[tag]
 
-    def assemble(self, coupling) -> np.ndarray:
-        """Dense Hermitian H(lam, nu).
+    def _bonds(self, cp: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+        """H[res, sys] and H[sys, res], reservoir nodes left then right.
 
-        Each bond adds only to the system rows and columns, the support of
-        its delta vector, so no dim x dim product is formed.
+        A bond of strength s adds s (chi conj(delta)) to the system columns
+        and s (delta conj(chi)) to the system rows; each chi lives on its own
+        reservoir's nodes only.
         """
-        cp = _coupling(coupling)
         sys = self._sys_slice
+        left, right = slice(None, self.m_l), slice(sys.stop, None)
+        bonds = ((cp.lam, self.chi_l[left], self.delta_l[sys]),
+                 (cp.nu, self.chi_r[right], self.delta_r[sys]))
+        a_rs = np.concatenate([s * np.outer(chi, delta.conj()) for s, chi, delta in bonds])
+        a_sr = np.concatenate([s * np.outer(delta, chi.conj()) for s, chi, delta in bonds], axis=1)
+        return a_rs, a_sr
+
+    def assemble(self, coupling) -> np.ndarray:
+        """Dense Hermitian H(lam, nu)."""
+        res, sys = self._res_index, self._sys_slice
+        a_rs, a_sr = self._bonds(_coupling(coupling))
         H = np.diag(self.h0_diag)
         H[sys, sys] = self.model.system.h_s
-        for strength, chi, delta in (
-            (cp.lam, self.chi_l, self.delta_l),
-            (cp.nu, self.chi_r, self.delta_r),
-        ):
-            if strength != 0.0:
-                H[sys, :] += strength * np.outer(delta[sys], chi.conj())
-                H[:, sys] += strength * np.outer(chi, delta[sys].conj())
+        H[res, sys] = a_rs
+        H[sys, res] = a_sr
         return H
 
-    def assemble_shifted_sparse(self, coupling, z: complex) -> "scipy.sparse.csc_matrix":
-        """Sparse (H(lam, nu) - z I) in CSC form, built straight from arrays.
-
-        Every entry the pattern allows is stored, explicit zeros included: a
-        left-node column holds its diagonal, then the n system rows; a
-        system column holds every row (the left nodes, the system block, the
-        right nodes); a right-node column holds the n system rows, then its
-        diagonal.  A bond entry is (s delta_j) conj(chi_k) in system row j
-        and (s chi_k) conj(delta_j) in system column j.
-        """
-        # scipy loads here, not at module level: only the oracle needs it, and
-        # importing it eagerly would more than double the start-up time of
-        # every CLI command.
-        import scipy.sparse as sp
-
-        cp = _coupling(coupling)
-        m_l, n, m_r, dim = self.m_l, self.model.system.dim, self.m_r, self.dim
-        sys, right = self._sys_slice, slice(m_l + n, dim)
-        diag = self.h0_diag - z
-        chi_l, chi_r = self.chi_l[:m_l], self.chi_r[right]
-        d_l, d_r = self.delta_l[sys], self.delta_r[sys]
-        sys_rows = np.arange(m_l, m_l + n)
-
-        left = np.empty((m_l, n + 1), dtype=complex)
-        left[:, 0] = diag[:m_l]
-        left[:, 1:] = (cp.lam * d_l)[None, :] * chi_l.conj()[:, None]
-        # row j holds system column j
-        middle = np.empty((n, dim), dtype=complex)
-        middle[:, :m_l] = (cp.lam * chi_l)[None, :] * d_l.conj()[:, None]
-        middle[:, sys] = self.model.system.h_s.T
-        middle[np.arange(n), sys_rows] = diag[sys]
-        middle[:, right] = (cp.nu * chi_r)[None, :] * d_r.conj()[:, None]
-        right_cols = np.empty((m_r, n + 1), dtype=complex)
-        right_cols[:, :n] = (cp.nu * d_r)[None, :] * chi_r.conj()[:, None]
-        right_cols[:, n] = diag[right]
-
-        data = np.concatenate([left.ravel(), middle.ravel(), right_cols.ravel()])
-        indices = np.concatenate([
-            np.column_stack([np.arange(m_l), np.tile(sys_rows, (m_l, 1))]).ravel(),
-            np.tile(np.arange(dim), n),
-            np.column_stack([np.tile(sys_rows, (m_r, 1)), np.arange(m_l + n, dim)]).ravel(),
-        ])
-        counts = np.repeat([n + 1, dim, n + 1], [m_l, n, m_r])
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
+    def apply(self, coupling, u: np.ndarray) -> np.ndarray:
+        """H(lam, nu) u without forming H: O(dim * n) time and memory."""
+        res, sys = self._res_index, self._sys_slice
+        a_rs, a_sr = self._bonds(_coupling(coupling))
+        out = np.empty(self.dim, dtype=complex)
+        out[res] = self.h0_diag[res] * u[res] + a_rs @ u[sys]
+        out[sys] = a_sr @ u[res] + self.model.system.h_s @ u[sys]
+        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -381,29 +354,33 @@ def green_oracle_all(
     z: complex,
     tags: Iterable[str] = TAGS,
 ) -> dict:
-    """All requested pairs with one sparse LU factorization of (H - z)."""
+    """All requested pairs from one n x n solve of (H - z) U = B.
+
+    With d = x_nodes - z on the diagonal reservoir block, the Schur
+    complement S = H_S - z - H[sys, res] diag(1/d) H[res, sys] gives the
+    system components, u_res = (b_res - H[res, sys] u_sys) / d the rest,
+    and every pair is an entry of B^H U.
+    """
     cp = _coupling(coupling)
     z = complex(z)
     if z.imag == 0.0:
         raise DomainError("oracle requires Im z != 0")
     tags = tuple(dict.fromkeys(tags))
+    res, sys = disc._res_index, disc._sys_slice
     B = np.stack([disc.vector(t) for t in tags], axis=1)
+    b_r, b_s = B[res], B[sys]
+    a_rs, a_sr = disc._bonds(cp)
+    d = (disc.h0_diag[res] - z)[:, None]
+    h_s = disc.model.system.h_s
+    S = h_s - z * np.eye(h_s.shape[0]) - a_sr @ (a_rs / d)
     try:
-        import scipy.sparse.linalg as spla  # oracle only; see assemble_shifted_sparse
-
-        A = disc.assemble_shifted_sparse(cp, z)
-        lu = spla.splu(A)
-        U = lu.solve(B)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        cond = None
-        if disc.dim <= 3000:
-            dense = disc.assemble(cp) - z * np.eye(disc.dim)
-            cond = float(np.linalg.cond(dense))
+        u_s = np.linalg.solve(S, b_s - a_sr @ (b_r / d))
+    except np.linalg.LinAlgError as exc:
         raise OracleError(
-            f"direct solve failed at z = {z}: {exc}", condition_estimate=cond
+            f"direct solve failed at z = {z}: {exc}",
+            condition_estimate=float(np.linalg.cond(S)),
         ) from exc
-    out = {}
-    for i, phi in enumerate(tags):
-        for j, psi in enumerate(tags):
-            out[(phi, psi)] = complex(np.vdot(disc.vector(phi), U[:, j]))
-    return out
+    u_r = (b_r - a_rs @ u_s) / d
+    pairs = b_r.conj().T @ u_r + b_s.conj().T @ u_s
+    return {(phi, psi): complex(pairs[i, j])
+            for i, phi in enumerate(tags) for j, psi in enumerate(tags)}

@@ -3,8 +3,9 @@
 The moments, the pole-cleared numerators, the secular polynomials and the
 exceptional sets are built by array expressions and shared products.  The
 reference implementations below are the plain per-moment loop, the per-pole
-``polyfromroots`` cleared sum and the scalar Newton polish; every output
-must equal theirs exactly (``np.array_equal``, or the same JSON bytes).
+``polyfromroots`` cleared sum, the scalar Newton polish and the dense
+outer-product assembly of the discretized operator; every output must equal
+theirs exactly (``np.array_equal``, or the same JSON bytes).
 """
 
 import json
@@ -17,6 +18,7 @@ from numpy.polynomial import polynomial as npoly
 from specbox import blackbox, measures
 from specbox.blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock, _real_roots
 from specbox.config import build_run_config, load_config
+from specbox.resolvent import discretize
 
 from conftest import random_model, random_reservoir
 
@@ -72,6 +74,20 @@ def ref_secular_polynomials(system):
     a = ref_cleared_sum(roots, poles, system.pair_weights(DELTA_L, DELTA_L).real)
     b = ref_cleared_sum(roots, poles, system.pair_weights(DELTA_R, DELTA_R).real)
     return npoly.polyfromroots(roots), a, b, d
+
+
+def ref_assemble(disc, lam, nu):
+    """The dense H(lam, nu): each bond's outer products added to the whole
+    system rows and columns."""
+    n = disc.model.system.dim
+    sys = slice(disc.m_l, disc.m_l + n)
+    H = np.diag(disc.h0_diag)
+    H[sys, sys] = disc.model.system.h_s
+    for strength, chi, delta in ((lam, disc.chi_l, disc.delta_l), (nu, disc.chi_r, disc.delta_r)):
+        if strength != 0.0:
+            H[sys, :] += strength * np.outer(delta[sys], chi.conj())
+            H[:, sys] += strength * np.outer(chi, delta[sys].conj())
+    return H
 
 
 def ref_real_roots(coef, avoid=()):
@@ -271,3 +287,23 @@ def test_shared_arrays_are_read_only():
     for phi, psi in PAIRS:
         assert not system.pair_numerator(phi, psi).flags.writeable
     assert not any(c.flags.writeable for c in system.secular_polynomials())
+
+
+def test_assemble_matches_reference():
+    # 30 models of dimension >= 2, each with one delta entry set to zero,
+    # assembled with both bonds, with lam = 0 and with both strengths 0
+    rng = np.random.default_rng([20261018, 14])
+    draws = 0
+    while draws < 30:
+        model = random_model(rng, max_pieces=2)
+        system = model.system
+        if system.dim < 2:
+            continue
+        dl, dr = system.delta_l.copy(), system.delta_r.copy()
+        (dl if draws % 2 else dr)[rng.integers(system.dim)] = 0.0
+        model = BlackBoxModel(SystemBlock(system.h_s, dl, dr), model.res_l, model.res_r)
+        disc = discretize(model, 7)
+        lam, nu = rng.uniform(0.2, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        for cp in ((lam, nu), (0.0, nu), (0.0, 0.0)):
+            assert np.array_equal(disc.assemble(cp), ref_assemble(disc, *cp))
+        draws += 1

@@ -1,5 +1,7 @@
 """Tests for the certification machinery and the reference scenario."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,22 @@ class TestEigenResidual:
         _, weight = eigen_residual(remark2, (1.0, 1.0), 200)
         atom = point_mass(remark2, (1.0, 1.0), DELTA_L, 0.0)
         assert atom == pytest.approx(weight, abs=1e-4)
+
+    def test_no_dense_matrix(self, remark2):
+        # H psi comes from the bond blocks: at 2,000 nodes per piece the dense
+        # H (side 8,001) would take 1 GB.  The first call computes the cached
+        # 2,000-point Gauss-Legendre rule (about 31 MB); the second peaks near
+        # 2 MB
+        first = eigen_residual(remark2, (1.0, 1.0), 2000)
+        tracemalloc.start()
+        try:
+            again = eigen_residual(remark2, (1.0, 1.0), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert first[0] <= 1e-10
+        assert peak <= 8 * 2**20
 
     def test_shape_mismatch_rejected(self, t2_model):
         with pytest.raises(UnsupportedScenarioError):

@@ -1,4 +1,4 @@
-"""Cold-path imports: scipy loads only inside the sparse discretization oracle.
+"""Cold-path imports: no specbox call loads scipy, which only the tests use.
 
 Every check runs in a fresh interpreter, because this test process has
 already imported scipy through other tests.  Only module sets are asserted,
@@ -74,3 +74,18 @@ def test_average_loads_no_scipy():
         print(json.dumps({{"code": code, "scipy": {_SCIPY}}}))
     """)
     assert out == {"code": 0, "scipy": []}
+
+
+def test_oracle_loads_no_scipy():
+    out = _run(f"""
+        import contextlib, io, json, sys
+        from specbox.cli import main
+        from specbox.config import build_run_config, load_config
+        from specbox.resolvent import discretize, green_oracle_all
+        model = build_run_config(load_config({str(SAMPLE)!r})).model
+        pairs = green_oracle_all(discretize(model, 40), (0.7, -1.1), 0.3 + 0.2j)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["scenario", "remark2", "--nodes", "20"])
+        print(json.dumps({{"pairs": len(pairs), "code": code, "scipy": {_SCIPY}}}))
+    """)
+    assert out == {"pairs": 16, "code": 0, "scipy": []}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
-from specbox.errors import DomainError
+from specbox.errors import DomainError, OracleError
 from specbox.measures import SpectralMeasure
 from specbox.resolvent import (
     CouplingParams,
@@ -180,18 +180,25 @@ class TestDiscretize:
         H = disc.assemble((1.0, -0.7))
         assert np.max(np.abs(H - H.conj().T)) <= 1e-13
 
-    def test_sparse_matches_dense(self, t2_model):
-        # t2's delta_l and delta_r each have a zero entry, and lam = 0 switches
-        # the left bond off: the pattern stores explicit zeros in both cases
-        disc = discretize(t2_model, 30)
-        n = t2_model.system.dim
-        z = 0.4 + 0.3j
-        for cp in ((0.9, -1.2), (0.0, -1.2)):
-            dense = disc.assemble(cp) - z * np.eye(disc.dim)
-            A = disc.assemble_shifted_sparse(cp, z)
-            assert np.max(np.abs(dense - A.toarray())) <= 1e-14
-            assert A.nnz == disc.m_l * (n + 1) + n * disc.dim + disc.m_r * (n + 1)
-            assert A.has_sorted_indices
+    def test_elimination_matches_dense_solve(self, t2_model):
+        # the oracle's reservoir elimination against B^H (H - z)^{-1} B from a
+        # dense solve, down to Im z = 1e-8.  t2's delta_l and delta_r each have
+        # a zero entry, lam = 0 switches the left bond off, and the random
+        # model has reservoir atoms at 4.45 and 4.60, beside Re z = 4.5
+        rng = np.random.default_rng(20261018)
+        atomic = next(m for m in iter(lambda: random_model(rng, max_dim=4, max_pieces=2), None)
+                      if m.res_l.atoms or m.res_r.atoms)
+        cases = [(t2_model, (0.9, -1.2)), (t2_model, (0.0, -1.2)), (atomic, (1.1, -0.6))]
+        for model, cp in cases:
+            disc = discretize(model, 30)
+            B = np.stack([disc.vector(t) for t in TAGS], axis=1)
+            for z in (0.4 + 1e-2j, -1.5 + 1e-4j, 4.5 + 1e-6j, 2.7 + 1e-8j):
+                dense = B.conj().T @ np.linalg.solve(disc.assemble(cp) - z * np.eye(disc.dim), B)
+                vals = green_oracle_all(disc, cp, z)
+                scale = np.max(np.abs(dense))
+                for i, phi in enumerate(TAGS):
+                    for j, psi in enumerate(TAGS):
+                        assert abs(vals[(phi, psi)] - dense[i, j]) <= 1e-12 * scale
 
     def test_quadrature_convergence(self, remark2):
         # near the band the error is visible and must shrink with node count;
@@ -245,7 +252,7 @@ class TestOracle:
                 want = t2_model.g0(phi, psi, z)
                 assert vals[(phi, psi)] == pytest.approx(want, rel=1e-9, abs=1e-10)
 
-    def test_dense_and_sparse_agree(self, t2_model):
+    def test_dense_and_elimination_agree(self, t2_model):
         disc = discretize(t2_model, 60)
         cp = (1.3, -0.4)
         z = -0.2 + 0.15j
@@ -254,6 +261,17 @@ class TestOracle:
             d = complex(np.vdot(disc.vector(phi), np.linalg.solve(A, disc.vector(psi))))
             s = green_oracle(disc, cp, phi, psi, z)
             assert s == pytest.approx(d, rel=1e-12)
+
+    def test_failed_solve_raises_oracle_error(self, t2_model, monkeypatch):
+        disc = discretize(t2_model, 10)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(OracleError) as info:
+            green_oracle_all(disc, (0.9, -1.2), 0.4 + 0.3j)
+        assert np.isfinite(info.value.condition_estimate)
 
     def test_resolvent_identity_residual(self, t2_model):
         # G - G0 + lam [G(phi,delta_l) G0(chi_l,psi) + G(phi,chi_l) G0(delta_l,psi)]
