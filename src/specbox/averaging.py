@@ -16,18 +16,14 @@ strength gives the Lebesgue measure, Poisson density pi) runs on the same
 quadrature engine.
 
 ``verify_abs_continuity`` scans a grid for divergence of the averaged
-transform as eps shrinks.  It evaluates each tag once on the whole
-(energy x eps) lattice E[:, None] + i eps (in blocks of at most
-``LATTICE_ROWS`` energies) and classifies every energy's row with
-``boundary_value``.  The row goes to the ladder as an imaginary part, i
-times the transform: the averaged Poisson transform is Im of the averaged
-measure's Cauchy transform, so the record's ``value.imag`` is the limit and
-its ``pole_weight`` (the one atom-weight rule of ``boundary``) is the atom
-indicator.  A numerical failure of a lattice call sends that tag
-back to one ladder per energy, so the failure marks only its own energy
-UNDETERMINED.  Left vectors are averaged over the left bond with the right
-one fixed at nu; right vectors over the right bond with the left one fixed
-at ``lam`` (nu unless given).
+transform as eps shrinks, one tag at a time on ``boundary``'s (energy x
+eps) lattice path, ``lattice_records``, which owns the blocks and keeps a
+numerical failure with its own energy.  The ladder gets i times the
+transform, which is Im of the averaged measure's Cauchy transform, so the
+record's ``value.imag`` is the limit and its ``pole_weight`` (the one
+atom-weight rule of ``boundary``) is the atom indicator.  Left vectors are
+averaged over the left bond with the right one fixed at nu; right vectors
+over the right bond with the left one fixed at ``lam`` (``fixed_bond``).
 """
 
 from __future__ import annotations
@@ -38,13 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
-from .boundary import (
-    _NUMERICAL_ERRORS,
-    DIVERGENT,
-    EpsilonLadder,
-    Tolerances,
-    boundary_value,
-)
+from .boundary import DIVERGENT, EpsilonLadder, Tolerances, lattice_records
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
 from .resolvent import _TAG_INDEX, CouplingParams, G0Basics, _solve_all, green_from_basics
@@ -52,6 +42,7 @@ from .resolvent import _TAG_INDEX, CouplingParams, G0Basics, _solve_all, green_f
 __all__ = [
     "averaged_poisson_closed",
     "averaged_poisson_quadrature",
+    "fixed_bond",
     "rank_one_average",
     "verify_abs_continuity",
     "AveragingReport",
@@ -64,8 +55,12 @@ _LEFT = (CHI_L, DELTA_L)
 N_EXCLUSION = 1e-6
 #: the relative tolerance of the rank-one average's quadrature
 RANK_ONE_TOL = 1e-10
-#: energies per lattice call of the scan; bounds its arrays on long grids
-LATTICE_ROWS = 256
+
+
+def fixed_bond(phi: str, lam: float, nu: float) -> float:
+    """The bond held fixed while phi's own bond is averaged: nu for the
+    left vectors, lam for the right ones."""
+    return nu if phi in _LEFT else lam
 
 
 def _zero_bond_coupling(phi: str, kappa: float) -> CouplingParams:
@@ -322,16 +317,6 @@ class AveragingReport:
         return out
 
 
-def _lattice_rows(model: BlackBoxModel, kappa: float, phi: str, E: np.ndarray,
-                  eps: np.ndarray):
-    """The averaged transform on the lattice E[:, None] + i eps, one row per
-    energy; None where the lattice call fails numerically."""
-    try:
-        return averaged_poisson_closed(model, kappa, phi, E[:, None], eps)
-    except _NUMERICAL_ERRORS:
-        return None
-
-
 def verify_abs_continuity(
     model: BlackBoxModel,
     nu: float,
@@ -346,60 +331,46 @@ def verify_abs_continuity(
     Left vectors are averaged with the right bond fixed at ``nu``, right
     vectors with the left bond fixed at ``lam`` (default: ``nu``).  Grid
     points within N_EXCLUSION of the finite exceptional set are skipped
-    (marked EXCLUDED_N) and never evaluated.  Each tag is evaluated once per
-    block of LATTICE_ROWS energies on the whole lattice; where that call
-    fails numerically, the tag falls back to one ladder per energy of the
-    block, so a failure leaves only its own energy UNDETERMINED.  In the
-    degenerate case the scan still runs and any divergent points are
-    reported with their atom indicators (the record's ``pole_weight``: the
-    Richardson limit of eps times the transform), but the verdict is
-    VACUOUS.
+    (marked EXCLUDED_N) and never evaluated.  Each tag makes one
+    ``lattice_records`` call over the remaining grid, so a numerical
+    failure leaves only its own energy UNDETERMINED.  In the degenerate
+    case the scan still runs and any divergent points are reported with
+    their atom indicators (the record's ``pole_weight``: the Richardson
+    limit of eps times the transform), but the verdict is VACUOUS.
     """
-    eps = ladder.epsilons()
     nu = float(nu)
     report = AveragingReport(nu=nu, lam=None if lam is None else float(lam),
                              verdict="PASS")
-    right = nu if lam is None else report.lam
-    kappas = {phi: nu if phi in _LEFT else right for phi in TAGS}
+    fixed_lam = nu if lam is None else report.lam
     exc = model.exceptional_sets
-    diverged = False
-
     kept = []
     for E in np.asarray(grid, dtype=float):
-        if not exc.degenerate and any(
-            abs(E - p) < N_EXCLUSION for p in exc.n_points
-        ):
+        if not exc.degenerate and any(abs(E - p) < N_EXCLUSION for p in exc.n_points):
             report.excluded.append({"E": float(E), "marker": "EXCLUDED_N"})
         else:
             kept.append(E)
-    kept = np.array(kept, dtype=float)
 
-    for start in range(0, kept.size, LATTICE_ROWS):
-        block = kept[start:start + LATTICE_ROWS]
-        rows = {phi: _lattice_rows(model, kappas[phi], phi, block, eps) for phi in TAGS}
-        for k, E in enumerate(block.tolist()):
-            for phi in TAGS:
-                # the transform is Im of a Cauchy transform: i times it
-                if rows[phi] is None:
-                    def f(z, kappa=kappas[phi], phi=phi, E=E):
-                        return 1j * averaged_poisson_closed(model, kappa, phi, E, z.imag)
-                else:
-                    def f(z, row=rows[phi][k]):
-                        return 1j * row
-                rec = boundary_value(f, E, ladder, tol=tol)
-                entry = {
-                    "E": E,
-                    "phi": phi,
-                    "status": rec.status,
-                    "limit": None if rec.value is None else float(rec.value.imag),
-                }
-                report.points.append(entry)
-                if rec.status == DIVERGENT:
-                    diverged = True
-                    report.atoms.append({"E": E, "phi": phi, "indicator": rec.pole_weight})
+    # the transform is Im of a Cauchy transform: the ladder gets i times it
+    per_tag = [
+        lattice_records(
+            lambda E, eps, phi=phi, kappa=fixed_bond(phi, fixed_lam, nu):
+                1j * averaged_poisson_closed(model, kappa, phi, E, eps),
+            kept, [()], ladder, tol=tol)
+        for phi in TAGS
+    ]
+    for row in zip(*per_tag):
+        for phi, (rec,) in zip(TAGS, row):
+            report.points.append({
+                "E": rec.E,
+                "phi": phi,
+                "status": rec.status,
+                "limit": None if rec.value is None else float(rec.value.imag),
+            })
+            if rec.status == DIVERGENT:
+                report.atoms.append({"E": rec.E, "phi": phi, "indicator": rec.pole_weight})
 
     if exc.degenerate:
         report.verdict = "VACUOUS"
-    elif diverged:
+    elif report.atoms:  # a divergent ladder away from N
         report.verdict = "FAIL"
     return report

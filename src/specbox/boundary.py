@@ -34,9 +34,9 @@ cancellation.  It does not see atoms embedded in a band, nor zeros of D
 without a sign change (tangential zeros; an atom sitting on a degenerate
 eigenvalue of H_S can be one).
 
-``diagonal_records`` gives the ladders of the four diagonal pairs
-G(phi, phi) at one grid energy from a single batched 4x4 solve on the
-ladder points, each record as ``boundary_value`` returns it.
+``lattice_records`` is the one (energy x eps) lattice path, blocked and
+failure-local; ``density`` runs it on the four diagonal pairs of the
+batched 4x4 solve (``diagonal_records``), the averaged scan on each tag.
 
 Every ladder's atom weight comes from one rule, ``_ladder_mass``: a
 DIVERGENT record with slope <= -0.8 carries the converged Richardson
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -72,6 +72,7 @@ __all__ = [
     "boundary_value",
     "classify_energy",
     "diagonal_records",
+    "lattice_records",
     "density_from_record",
     "point_mass",
     "point_mass_scan",
@@ -108,6 +109,9 @@ _REFINE_STEPS = 200
 MAX_RUNGS = 10_000
 #: the failures of a ladder's evaluation that make it UNDETERMINED
 _NUMERICAL_ERRORS = (SpecboxError, ArithmeticError, np.linalg.LinAlgError)
+#: lattice points (energies x rungs) per call of ``lattice_records``: its
+#: arrays stay this small however long the grid and deep the ladder
+LATTICE_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -380,28 +384,45 @@ def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
     return c2, c3
 
 
-def diagonal_records(
-    model: BlackBoxModel,
-    coupling,
-    E: float,
-    ladder: EpsilonLadder = EpsilonLadder(),
-    *,
-    tol: Tolerances = Tolerances(),
-) -> list[BoundaryRecord]:
-    """The ladder records of G(phi, phi, E + i0) for phi in TAGS order.
+def lattice_records(f: Callable, grid, columns: Sequence[tuple],
+                    ladder: EpsilonLadder = EpsilonLadder(), *,
+                    tol: Tolerances = Tolerances()) -> Iterator[list[BoundaryRecord]]:
+    """The ladder records of f at each grid energy in turn, one per column.
 
-    One ``green_all`` call solves all 16 pairs on the ladder points, and
-    each record is ``boundary_value`` of its diagonal slice, unchanged.  A
-    numerical failure of that solve makes all four records UNDETERMINED
-    without rungs.
+    ``f(E, eps)`` maps energies E of shape (k, 1), or a float, and the
+    ladder's eps to an array of shape (k, rungs, ...), or (rungs, ...); a
+    column c indexes it as [..., *c].  f runs once per block of energies,
+    at most LATTICE_POINTS lattice points but one energy at least, as the
+    records are consumed, and each row goes to ``boundary_value``
+    unchanged.  Where the block's call fails numerically, each energy is
+    handed to ``boundary_value`` to evaluate alone, so only the failing
+    energy's records are UNDETERMINED, without rungs.
     """
-    try:
-        g = green_all(model, coupling, E + 1j * ladder.epsilons())
-    except _NUMERICAL_ERRORS:
-        return [BoundaryRecord(E, UNDETERMINED) for _ in TAGS]
-    # boundary_value evaluates f on the same ladder points solved above
-    return [boundary_value(lambda z, i=i: g[:, i, i], E, ladder, tol=tol)
-            for i in range(len(TAGS))]
+    eps = ladder.epsilons()
+    grid = np.asarray(grid, dtype=float)
+    size = max(1, LATTICE_POINTS // eps.size)
+    for start in range(0, grid.size, size):
+        block = grid[start:start + size]
+        try:
+            values = f(block[:, None], eps)
+            cols = [values[(..., *c)] for c in columns]
+        except _NUMERICAL_ERRORS:
+            cols = None
+        for k, E in enumerate(block.tolist()):
+            if cols is None:
+                fs = [lambda z, E=E, c=c: f(E, z.imag)[(..., *c)] for c in columns]
+            else:
+                fs = [lambda z, row=col[k]: row for col in cols]
+            yield [boundary_value(g, E, ladder, tol=tol) for g in fs]
+
+
+def diagonal_records(model: BlackBoxModel, coupling, grid,
+                     ladder: EpsilonLadder = EpsilonLadder(), *,
+                     tol: Tolerances = Tolerances()) -> Iterator[list[BoundaryRecord]]:
+    """The records of G(phi, phi, E + i0), phi in TAGS order, at each grid
+    energy in turn: ``lattice_records`` on the diagonal of ``green_all``."""
+    return lattice_records(lambda E, eps: green_all(model, coupling, E + 1j * eps), grid,
+                           [(i, i) for i in range(len(TAGS))], ladder, tol=tol)
 
 
 def density_from_record(rec: BoundaryRecord) -> float:

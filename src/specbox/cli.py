@@ -22,9 +22,10 @@ import click
 from .averaging import (
     averaged_poisson_closed,
     averaged_poisson_quadrature,
+    fixed_bond,
     verify_abs_continuity,
 )
-from .blackbox import CHI_L, DELTA_L, DELTA_R, TAGS
+from .blackbox import DELTA_L, DELTA_R, TAGS
 from .boundary import (
     DIVERGENT,
     UNDETERMINED,
@@ -217,10 +218,9 @@ def density(cfg):
     model = cfg.require_model()
     grid = cfg.require_grid()
     entries, unresolved = [], 0
-    for E in grid:
-        records = diagonal_records(model, cfg.coupling, float(E), cfg.ladder,
-                                   tol=cfg.tolerances)
-        for phi, rec in zip(TAGS, records):
+    records = diagonal_records(model, cfg.coupling, grid, cfg.ladder, tol=cfg.tolerances)
+    for E, row in zip(grid, records):
+        for phi, rec in zip(TAGS, row):
             # a divergent ladder carries its point mass; an undetermined
             # ladder or a point mass that does not converge is unresolved
             ac = pm = None
@@ -265,7 +265,7 @@ def average(cfg):
     entries = []
     for E in grid:
         for phi in TAGS:
-            kappa = cfg.coupling.nu if phi in (CHI_L, DELTA_L) else cfg.coupling.lam
+            kappa = fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
             closed = averaged_poisson_closed(model, kappa, phi, float(E), eps)
             try:
                 quadr = averaged_poisson_quadrature(

@@ -28,8 +28,9 @@ _FORMATS = ("json", "csv")
 #: largest grid accepted, checked before anything is allocated
 MAX_GRID_POINTS = 1_000_000
 #: most oracle quadrature nodes per density piece, checked before anything is
-#: allocated: the Gauss-Legendre rule solves an n x n eigenproblem, and
-#: ``scenario remark2`` assembles a dense matrix of side about n per piece
+#: allocated: the n-point Gauss-Legendre rule is an n x n eigensolve (at
+#: n = 2000 about 1.15 s and 31 MB on one BLAS thread), the largest cost of
+#: ``scenario remark2``, which applies H through its bond blocks
 MAX_NODES_PER_PIECE = 2000
 
 

@@ -276,10 +276,9 @@ def test_criterion_8_global_invariants():
                      for E, w_l, w_r in point_mass_scan(model, coupling)]
             grid = np.linspace(-4.5, 4.5, 601)
             dens = []
-            for E in grid:
+            for records in diagonal_records(model, coupling, grid):
                 try:
-                    rec = diagonal_records(model, coupling, float(E))[TAGS.index(phi)]
-                    dens.append(density_from_record(rec))
+                    dens.append(density_from_record(records[TAGS.index(phi)]))
                 except (PointMassPresentError, UndeterminedLimitError):
                     dens.append(0.0)
             total = sum(w for _, w in atoms) + float(np.trapezoid(dens, grid))

@@ -240,7 +240,7 @@ class TestVerifyAbsContinuity:
         assert all(a["indicator"] > 0 for a in atoms_at_zero)
 
     def test_one_lattice_call_per_tag(self, remark2, t2_model, monkeypatch):
-        from specbox import averaging
+        from specbox import averaging, boundary
 
         calls = []
         closed = averaging.averaged_poisson_closed
@@ -261,14 +261,14 @@ class TestVerifyAbsContinuity:
         verify_abs_continuity(t2_model, 1.0, [target, target + 0.5])
         assert calls == [((1, rungs), [target + 0.5])] * 4
 
-        # a long grid is cut into blocks of LATTICE_ROWS energies
+        # a long grid is cut into blocks of at most LATTICE_POINTS points
         calls.clear()
-        monkeypatch.setattr(averaging, "LATTICE_ROWS", 2)
+        monkeypatch.setattr(boundary, "LATTICE_POINTS", 2 * rungs)
         verify_abs_continuity(remark2, 1.0, [0.0, 0.5, 1.5])
         assert [shape for shape, _ in calls] == [(2, rungs)] * 4 + [(1, rungs)] * 4
 
     def test_failure_stays_local(self, t2_model, monkeypatch):
-        from specbox import averaging
+        from specbox import averaging, boundary
 
         grid = [-2.5, -1.5, 0.3, 1.5, 2.5]
         target = 0.3
@@ -281,15 +281,18 @@ class TestVerifyAbsContinuity:
             return closed(model, nu, phi, E, eps)
 
         monkeypatch.setattr(averaging, "averaged_poisson_closed", failing)
-        report = verify_abs_continuity(t2_model, 1.0, grid).to_dict()
-        assert report == _per_energy_scan(t2_model, 1.0, grid)
-        for got, want in zip(report["points"], clean["points"]):
-            if got["E"] == target:
-                assert got["status"] == "UNDETERMINED" and got["limit"] is None
-            else:
-                assert got == want
-        assert report["excluded"] == clean["excluded"]
-        assert report["atoms"] == clean["atoms"]
+        # with 2 energies a block, the failing energy sits in the second block
+        for points in (boundary.LATTICE_POINTS, 2 * EpsilonLadder().epsilons().size):
+            monkeypatch.setattr(boundary, "LATTICE_POINTS", points)
+            report = verify_abs_continuity(t2_model, 1.0, grid).to_dict()
+            assert report == _per_energy_scan(t2_model, 1.0, grid)
+            for got, want in zip(report["points"], clean["points"]):
+                if got["E"] == target:
+                    assert got["status"] == "UNDETERMINED" and got["limit"] is None
+                else:
+                    assert got == want
+            assert report["excluded"] == clean["excluded"]
+            assert report["atoms"] == clean["atoms"]
 
     @pytest.mark.parametrize("case", ["remark2", "t2", "random0", "random1", "random2",
                                       "empty", "all_excluded"])

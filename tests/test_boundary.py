@@ -194,24 +194,26 @@ class TestGreenEvaluator:
 
 class TestAcDensity:
     def test_uncoupled_reservoir_density(self, remark2):
-        rec = diagonal_records(remark2, (0.0, 0.0), 1.5)[TAGS.index(CHI_L)]
+        rec = next(diagonal_records(remark2, (0.0, 0.0), [1.5]))[TAGS.index(CHI_L)]
         val = density_from_record(rec)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_far_outside_spectrum_zero(self, remark2):
-        rec = diagonal_records(remark2, (1.0, 1.0), 8.0)[TAGS.index(DELTA_L)]
+        rec = next(diagonal_records(remark2, (1.0, 1.0), [8.0]))[TAGS.index(DELTA_L)]
         val = density_from_record(rec)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_atom_raises_point_mass_signal(self, remark2):
         with pytest.raises(PointMassPresentError):
-            density_from_record(diagonal_records(remark2, (1.0, 1.0), 0.0)[TAGS.index(DELTA_L)])
+            density_from_record(
+                next(diagonal_records(remark2, (1.0, 1.0), [0.0]))[TAGS.index(DELTA_L)])
 
     def test_coupled_band_density_vs_extrapolated_oracle(self, remark2):
         # The oracle cannot represent the band limit at eps far below its node
         # spacing, so it is evaluated at resolvable eps and Richardson
         # extrapolated in eps; agreement 1e-4.
-        got = density_from_record(diagonal_records(remark2, (1.0, 1.0), 1.5)[TAGS.index(DELTA_L)])
+        got = density_from_record(
+            next(diagonal_records(remark2, (1.0, 1.0), [1.5]))[TAGS.index(DELTA_L)])
         disc = discretize(remark2, 800)
         eps_hi, eps_lo = 2e-2, 1e-2
         o_hi = green_oracle(disc, (1.0, 1.0), DELTA_L, DELTA_L, 1.5 + 1j * eps_hi).imag / np.pi
@@ -248,10 +250,9 @@ class TestPointMass:
         atom_sum = sum(w for _, w in atoms)
         grid = np.linspace(-4.0, 4.0, 641)
         dens = []
-        for E in grid:
+        for records in diagonal_records(remark2, coupling, grid):
             try:
-                rec = diagonal_records(remark2, coupling, float(E))[TAGS.index(DELTA_L)]
-                dens.append(density_from_record(rec))
+                dens.append(density_from_record(records[TAGS.index(DELTA_L)]))
             except Exception:
                 dens.append(0.0)
         integral = np.trapezoid(dens, grid)
@@ -265,7 +266,7 @@ class TestOneWeightRule:
     ``point_mass`` uses."""
 
     def test_diagonal_record_weight_is_point_mass(self, remark2):
-        rec = diagonal_records(remark2, (1.0, 1.0), 0.0)[TAGS.index(DELTA_L)]
+        rec = next(diagonal_records(remark2, (1.0, 1.0), [0.0]))[TAGS.index(DELTA_L)]
         assert rec.status == DIVERGENT
         assert rec.pole_weight == point_mass(remark2, (1.0, 1.0), DELTA_L, 0.0)
         assert rec.pole_weight == pytest.approx(1.0 / 3.0, abs=1e-12)

@@ -13,7 +13,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from specbox.blackbox import TAGS
-from specbox.boundary import boundary_value, density_from_record, point_mass, point_mass_scan
+from specbox.boundary import (
+    EpsilonLadder,
+    boundary_value,
+    density_from_record,
+    point_mass,
+    point_mass_scan,
+)
 from specbox.cli import (
     AVERAGE_HEADER,
     CERTIFY_HEADER,
@@ -472,14 +478,22 @@ def _density_rows(args, capsys):
 
 
 class TestDensity:
-    @pytest.mark.parametrize("case", ["sample", "remark2", "random0", "random1", "random2"])
-    def test_matches_per_tag_ladders(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("case", ["sample", "remark2", "random0", "random1", "random2",
+                                      "remark2-blocks"])
+    def test_matches_per_tag_ladders(self, tmp_path, monkeypatch, capsys, case):
         # the shared 16-pair solve runs the same arithmetic on the same ladder
-        # points, so every row, status and number, is the per-tag row exactly
+        # points, so every row, status and number, is the per-tag row exactly;
+        # with 2 energies a block the 9-point grid ends in a short block
+        import specbox.boundary
+
+        if case == "remark2-blocks":
+            monkeypatch.setattr(specbox.boundary, "LATTICE_POINTS",
+                                2 * EpsilonLadder().epsilons().size)
         path, grid = SAMPLE_PATH, "-3:3:61"
         if case != "sample":
-            doc = remark2_config() if case == "remark2" else _random_density_doc(int(case[-1]))
-            grid = "-1:1:9" if case == "remark2" else None
+            doc = _random_density_doc(int(case[-1])) if case.startswith("random") \
+                else remark2_config()
+            grid = "-1:1:9" if case.startswith("remark2") else None
             path = tmp_path / "run.json"
             path.write_text(json.dumps(doc))
         args = ["--config", str(path)] + (["--grid", grid] if grid else [])
@@ -489,11 +503,11 @@ class TestDensity:
         assert rows == _per_tag_density_rows(cfg)
         statuses = {row[2] for row in rows}
         assert ("UNDETERMINED" if case == "sample" else "DIVERGENT") in statuses
-        if case == "remark2":
+        if case.startswith("remark2"):
             assert [row[4] for row in rows if row[0] == 0.0 and row[1].startswith("delta")] \
                 == [pytest.approx(1 / 3, abs=1e-6)] * 2
 
-    def test_one_solve_per_energy(self, tmp_path, monkeypatch, capsys):
+    def test_one_solve_per_block(self, tmp_path, monkeypatch, capsys):
         import specbox.boundary
         import specbox.cli
 
@@ -512,10 +526,19 @@ class TestDensity:
         monkeypatch.setattr(specbox.cli, "point_mass", refuse)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(remark2_config()))
-        code, rows = _density_rows(["--config", str(path), "--grid", "-1:1:9"], capsys)
-        assert code == 0
-        assert "DIVERGENT" in {row[2] for row in rows}
-        assert len(solves) == 9
+        # a block holds at most LATTICE_POINTS points, so a deeper ladder
+        # (97 rungs for --eps-min 1e-30) puts fewer energies in each block
+        rungs = EpsilonLadder().epsilons().size
+        for points, deeper, blocks in ((specbox.boundary.LATTICE_POINTS, [], 1),
+                                       (4 * rungs, [], 3), (1, [], 9),
+                                       (4 * rungs, ["--eps-min", "1e-30"], 9)):
+            monkeypatch.setattr(specbox.boundary, "LATTICE_POINTS", points)
+            solves.clear()
+            code, rows = _density_rows(["--config", str(path), "--grid", "-1:1:9", *deeper],
+                                       capsys)
+            assert code == 0
+            assert "DIVERGENT" in {row[2] for row in rows}
+            assert len(solves) == blocks
 
     def _fail_solve_at(self, monkeypatch, energy, error):
         import specbox.boundary
@@ -523,7 +546,7 @@ class TestDensity:
         green_all = specbox.boundary.green_all
 
         def failing(model, coupling, z):
-            if np.real(z).flat[0] == energy:
+            if energy in np.real(z):
                 raise error
             return green_all(model, coupling, z)
 
@@ -531,17 +554,24 @@ class TestDensity:
 
     def test_failed_solve_leaves_its_energy_undetermined(self, config_file, monkeypatch,
                                                          capsys):
+        import specbox.boundary
+
         args = ["--config", config_file, "--grid", "1.05:1.95:5"]
         _, clean = _density_rows(args, capsys)
         assert main(["density", *args, "--strict"]) == 0
         capsys.readouterr()
         self._fail_solve_at(monkeypatch, 1.5, NearSingularError("D(z) underflowed"))
-        code, rows = _density_rows(args, capsys)
-        assert code == 0
-        assert [row for row in rows if row[0] != 1.5] == [row for row in clean if row[0] != 1.5]
-        assert [row for row in rows if row[0] == 1.5] \
-            == [[1.5, phi, "UNDETERMINED", None, None] for phi in TAGS]
-        assert main(["density", *args, "--strict"]) == 2
+        # with 2 energies a block, the failing energy sits in the second block
+        for points in (specbox.boundary.LATTICE_POINTS, 2 * EpsilonLadder().epsilons().size):
+            monkeypatch.setattr(specbox.boundary, "LATTICE_POINTS", points)
+            code, rows = _density_rows(args, capsys)
+            assert code == 0
+            assert [row for row in rows if row[0] != 1.5] \
+                == [row for row in clean if row[0] != 1.5]
+            assert [row for row in rows if row[0] == 1.5] \
+                == [[1.5, phi, "UNDETERMINED", None, None] for phi in TAGS]
+            assert main(["density", *args, "--strict"]) == 2
+            capsys.readouterr()
 
     def test_unexpected_solve_error_exits_3(self, config_file, monkeypatch, capsys):
         self._fail_solve_at(monkeypatch, 1.5, RuntimeError("not a numerical failure"))
