@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
-from .boundary import DIVERGENT, EpsilonLadder, Tolerances, lattice_records
+from .boundary import DIVERGENT, EpsilonLadder, Tolerances, _sorted_distinct, lattice_records
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
 from .resolvent import _TAG_INDEX, CouplingParams, G0Basics, _solve_all, green_from_basics
@@ -181,7 +181,7 @@ def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
     error estimate).  ``_tan_quadrature`` calls it through this module
     attribute, so a tracer can patch the one name.
     """
-    edges = np.unique(np.concatenate([[a, b], np.asarray(points or [], dtype=float)]))
+    edges = _sorted_distinct(np.concatenate([[a, b], np.asarray(points or [], dtype=float)]))
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gauss_kronrod(func, lo, hi)
     while True:

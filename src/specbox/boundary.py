@@ -36,7 +36,10 @@ eigenvalue of H_S can be one).
 
 ``lattice_records`` is the one (energy x eps) lattice path, blocked and
 failure-local; ``density`` runs it on the four diagonal pairs of the
-batched 4x4 solve (``diagonal_records``), the averaged scan on each tag.
+batched 4x4 solve (``diagonal_records``), the averaged scan on each tag,
+and ``classify`` and ``certify`` on the reservoir transforms l and r
+(``classify_grid``), one lattice per side, so a failure on one side
+leaves the other side's record at that energy alone.
 
 Every ladder's atom weight comes from one rule, ``_ladder_mass``: a
 DIVERGENT record with slope <= -0.8 carries the converged Richardson
@@ -71,6 +74,7 @@ __all__ = [
     "EnergyClassification",
     "boundary_value",
     "classify_energy",
+    "classify_grid",
     "diagonal_records",
     "lattice_records",
     "density_from_record",
@@ -309,45 +313,60 @@ def classify_energy(
     *,
     tol: Tolerances = Tolerances(),
 ) -> EnergyClassification:
-    """Classify E against the certified sets and the boundary-value sets.
+    """Classify E against the certified sets and the boundary-value sets:
+    the one-energy case of ``classify_grid``."""
+    return next(classify_grid(model, [E], nu, ladder, tol=tol))
+
+
+def classify_grid(
+    model: BlackBoxModel,
+    grid,
+    nu: float | None = None,
+    ladder: EpsilonLadder = EpsilonLadder(),
+    *,
+    tol: Tolerances = Tolerances(),
+) -> Iterator[EnergyClassification]:
+    """The classification of each grid energy in turn.
 
     Set membership (sigma(H_S), S, N) comes from the certified root lists with
     match tolerance 1e-9.  The reservoir sets need both chi transforms to have
     finite nonzero boundary values; the dissipative subsets additionally need
-    the imaginary part inside (im_tol, 1/im_tol).
+    the imaginary part inside (im_tol, 1/im_tol).  Each transform's ladders
+    come from its own ``lattice_records`` run, so a numerical failure of one
+    side's evaluation makes only that side's record UNDETERMINED.
     """
     exc = model.exceptional_sets
-    in_sigma = _near(E, exc.sigma_hs)
-    in_s = _near(E, exc.s_zeros)
-    in_n = None if exc.degenerate else _near(E, exc.n_points)
-
-    rec_l = boundary_value(model.res_l.borel, E, ladder, tol=tol)
-    rec_r = boundary_value(model.res_r.borel, E, ladder, tol=tol)
-    in_m0 = rec_l.status == FINITE_NONZERO and rec_r.status == FINITE_NONZERO
-    in_ml = bool(
-        in_m0 and rec_l.im_limit is not None and tol.im_tol < rec_l.im_limit < 1.0 / tol.im_tol
-    )
-    in_mr = bool(
-        in_m0 and rec_r.im_limit is not None and tol.im_tol < rec_r.im_limit < 1.0 / tol.im_tol
-    )
-
-    c2 = c3 = None
-    if nu is not None:
-        c2, c3 = _c_set_diagnostics(model, E, float(nu), rec_l, rec_r, in_sigma)
-
-    return EnergyClassification(
-        E=float(E),
-        in_m0=in_m0,
-        in_ml=in_ml,
-        in_mr=in_mr,
-        in_sigma_hs=in_sigma,
-        in_s=in_s,
-        in_n=in_n,
-        rec_chi_l=rec_l,
-        rec_chi_r=rec_r,
-        c2=c2,
-        c3=c3,
-    )
+    sides = [lattice_records(lambda E, eps, m=measure: m.borel(E + 1j * eps), grid, [()],
+                             ladder, tol=tol)
+             for measure in (model.res_l, model.res_r)]
+    for (rec_l,), (rec_r,) in zip(*sides):
+        E = rec_l.E
+        in_sigma = _near(E, exc.sigma_hs)
+        in_m0 = rec_l.status == FINITE_NONZERO and rec_r.status == FINITE_NONZERO
+        in_ml = bool(
+            in_m0 and rec_l.im_limit is not None
+            and tol.im_tol < rec_l.im_limit < 1.0 / tol.im_tol
+        )
+        in_mr = bool(
+            in_m0 and rec_r.im_limit is not None
+            and tol.im_tol < rec_r.im_limit < 1.0 / tol.im_tol
+        )
+        c2 = c3 = None
+        if nu is not None:
+            c2, c3 = _c_set_diagnostics(model, E, float(nu), rec_l, rec_r, in_sigma)
+        yield EnergyClassification(
+            E=E,
+            in_m0=in_m0,
+            in_ml=in_ml,
+            in_mr=in_mr,
+            in_sigma_hs=in_sigma,
+            in_s=_near(E, exc.s_zeros),
+            in_n=None if exc.degenerate else _near(E, exc.n_points),
+            rec_chi_l=rec_l,
+            rec_chi_r=rec_r,
+            c2=c2,
+            c3=c3,
+        )
 
 
 def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
@@ -576,9 +595,19 @@ def _scan_points(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, 
     for a, b in gaps:
         steps = (b - a) * 0.5 ** np.arange(1, SCAN_EDGE_STEPS + 1)
         x = np.concatenate([np.linspace(a, b, SCAN_SAMPLES), a + steps, b - steps, poles])
-        points.append(np.unique(x[(x > a) & (x < b)]))
+        points.append(_sorted_distinct(x[(x > a) & (x < b)]))
     gap = np.repeat(np.arange(len(points)), [p.size for p in points])
     return np.concatenate(points), gap
+
+
+def _sorted_distinct(x) -> np.ndarray:
+    """``np.unique`` of finite values, without the import of ``numpy.ma`` that
+    its first call costs: sort, then keep each value that differs from the
+    one before it."""
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _refine(f, lo, hi, f_lo, f_hi) -> np.ndarray:

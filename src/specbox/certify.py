@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
-from .boundary import UNDETERMINED, EpsilonLadder, Tolerances, classify_energy
+from .boundary import UNDETERMINED, EpsilonLadder, Tolerances, classify_grid
 from .errors import UnsupportedScenarioError
 from .measures import SpectralMeasure
 from .resolvent import G0Basics, _coupling, discretize
@@ -110,9 +110,8 @@ def certify_no_sc(
     lam2, nu2 = cp.lam**2, cp.nu**2
     cert = Certificate(lam=cp.lam, nu=cp.nu)
 
-    for E in np.asarray(grid, dtype=float):
-        E = float(E)
-        cls = classify_energy(model, E, ladder=ladder, tol=tol)
+    for cls in classify_grid(model, grid, ladder=ladder, tol=tol):
+        E = cls.E
         if UNDETERMINED in (cls.rec_chi_l.status, cls.rec_chi_r.status):
             cert.points.append(CertificatePoint(E, NUMERICALLY_UNRESOLVED, False))
             continue

@@ -29,7 +29,7 @@ from .blackbox import DELTA_L, DELTA_R, TAGS
 from .boundary import (
     DIVERGENT,
     UNDETERMINED,
-    classify_energy,
+    classify_grid,
     density_from_record,
     diagonal_records,
     point_mass,
@@ -185,16 +185,14 @@ def classify(cfg):
     grid = cfg.require_grid()
     nu_val = cfg.coupling.nu if cfg.coupling.nu != 0.0 else None
     rows, entries, unresolved = [], [], 0
-    for E in grid:
-        c = classify_energy(model, float(E), nu=nu_val, ladder=cfg.ladder,
-                            tol=cfg.tolerances)
+    for c in classify_grid(model, grid, nu_val, cfg.ladder, tol=cfg.tolerances):
         entries.append(c.to_dict())
         if UNDETERMINED in (c.rec_chi_l.status, c.rec_chi_r.status):
             unresolved += 1
         l_re, l_im = _parts(c.rec_chi_l)
         r_re, r_im = _parts(c.rec_chi_r)
         rows.append([
-            float(E), c.in_m0, c.in_ml, c.in_mr, c.in_sigma_hs, c.in_s,
+            c.E, c.in_m0, c.in_ml, c.in_mr, c.in_sigma_hs, c.in_s,
             c.in_n, c.rec_chi_l.status, l_re, l_im,
             c.rec_chi_r.status, r_re, r_im,
             None if c.c2 is None else c.c2["applicable"],

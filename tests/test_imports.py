@@ -1,4 +1,5 @@
-"""Cold-path imports: no specbox call loads scipy, which only the tests use.
+"""Cold-path imports: no specbox call loads scipy, which only the tests use,
+and no README command loads numpy.ma.
 
 Every check runs in a fresh interpreter, because this test process has
 already imported scipy through other tests.  Only module sets are asserted,
@@ -7,10 +8,13 @@ never timings.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = ROOT / "sample-config.json"
@@ -89,3 +93,25 @@ def test_oracle_loads_no_scipy():
         print(json.dumps({{"pairs": len(pairs), "code": code, "scipy": {_SCIPY}}}))
     """)
     assert out == {"pairs": 16, "code": 0, "scipy": []}
+
+
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("specbox ")
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_command_loads_no_numpy_ma(argv):
+    # np.unique imports numpy.ma on its first call; the production path
+    # dedupes without it
+    assert len(README_COMMANDS) == 7
+    out = _run(f"""
+        import contextlib, io, json, sys
+        from specbox.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main({argv!r})
+        print(json.dumps({{"code": code, "ma": "numpy.ma" in sys.modules}}))
+    """)
+    assert out == {"code": 0, "ma": False}
