@@ -213,13 +213,15 @@ class SystemBlock:
 
         By Cauchy-Binet d = 1/2 sum_kj M_kj u_k u_j with u_k = 1/(p_k - E)
         over the clusters p and M the cluster-summed minors: real by
-        construction, and exactly 0 for a 1x1 H_S.
+        construction, and exactly 0 for a 1x1 H_S.  Each energy's u M is its
+        own one-row product, so its value has the same bits however many
+        energies share the call (a (k, n) product may add in another order).
         """
         E_arr = np.asarray(E, dtype=float)
         E_flat = np.atleast_1d(E_arr)
         self._check_poles(E_flat.ravel())
         u = 1.0 / (self.poles - E_flat[..., None])
-        vals = 0.5 * np.sum((u @ self.minors) * u, axis=-1)
+        vals = 0.5 * np.sum((u[..., None, :] @ self.minors)[..., 0, :] * u, axis=-1)
         return float(vals[0]) if E_arr.ndim == 0 else vals
 
     def pair_numerator(self, phi: str, psi: str) -> np.ndarray:

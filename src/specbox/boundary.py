@@ -17,9 +17,13 @@ The decision tree (in order) on the ladder values f_k:
 
 Membership in the certified finite sets (sigma(H_S), S, N) is decided by the
 root lists, never by ladder behavior; those sets have measure zero and a grid
-cannot see them.  The limit-profile check c2 divides by d = a b - |c|^2
-(``SystemBlock.d``), so it applies only where the model is not degenerate
-and d(E) != 0.
+cannot see them; ``classify_grid`` compares the whole grid with each list
+at once.  The limit-profile checks read the Feshbach data a, b and
+d = a b - |c|^2 (``SystemBlock.d``) from one array call each over the grid
+energies off sigma(H_S).  The check c2 divides by d, so it applies only
+where the model is not degenerate and d(E) != 0; either check applies only
+where its target is finite in double precision (nu^2 d or nu^2 b can
+underflow to 0).
 
 Atoms in the gaps of the reservoir bands come from the secular equation,
 not from a ladder.  In a gap D(E) is real, an atom of mu_delta sits at a
@@ -301,8 +305,11 @@ class EnergyClassification:
         }
 
 
-def _near(E: float, points: Sequence[float]) -> bool:
-    return any(abs(E - p) <= _MATCH_TOL * max(1.0, abs(p)) for p in points)
+def _near(grid: np.ndarray, points: Sequence[float]) -> np.ndarray:
+    """For each grid energy E, whether some p in points has
+    |E - p| <= _MATCH_TOL * max(1, |p|)."""
+    p = np.asarray(points, dtype=float)
+    return np.any(np.abs(grid[:, None] - p) <= _MATCH_TOL * np.maximum(1.0, np.abs(p)), axis=1)
 
 
 def classify_energy(
@@ -336,12 +343,23 @@ def classify_grid(
     side's evaluation makes only that side's record UNDETERMINED.
     """
     exc = model.exceptional_sets
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    in_sigma = _near(grid, exc.sigma_hs)
+    in_s = _near(grid, exc.s_zeros).tolist()
+    in_n = [None] * grid.size if exc.degenerate else _near(grid, exc.n_points).tolist()
+    if nu is not None:
+        nu = float(nu)
+        # the Feshbach data a, b and d, one array call each, at the energies
+        # the profile checks read: off sigma(H_S), and none where nu = 0
+        needs = ~in_sigma & (nu != 0.0)
+        system, E_in = model.system, grid[needs]
+        feshbach = zip(system.green(DELTA_L, DELTA_L, E_in).real.tolist(),
+                       system.green(DELTA_R, DELTA_R, E_in).real.tolist(),
+                       system.d(E_in).tolist())
     sides = [lattice_records(lambda E, eps, m=measure: m.borel(E + 1j * eps), grid, [()],
                              ladder, tol=tol)
              for measure in (model.res_l, model.res_r)]
-    for (rec_l,), (rec_r,) in zip(*sides):
-        E = rec_l.E
-        in_sigma = _near(E, exc.sigma_hs)
+    for k, ((rec_l,), (rec_r,)) in enumerate(zip(*sides)):
         in_m0 = rec_l.status == FINITE_NONZERO and rec_r.status == FINITE_NONZERO
         in_ml = bool(
             in_m0 and rec_l.im_limit is not None
@@ -353,15 +371,16 @@ def classify_grid(
         )
         c2 = c3 = None
         if nu is not None:
-            c2, c3 = _c_set_diagnostics(model, E, float(nu), rec_l, rec_r, in_sigma)
+            data = next(feshbach) if needs[k] else None
+            c2, c3 = _c_set_diagnostics(model, nu, rec_l, rec_r, data)
         yield EnergyClassification(
-            E=E,
+            E=rec_l.E,
             in_m0=in_m0,
             in_ml=in_ml,
             in_mr=in_mr,
-            in_sigma_hs=in_sigma,
-            in_s=_near(E, exc.s_zeros),
-            in_n=None if exc.degenerate else _near(E, exc.n_points),
+            in_sigma_hs=bool(in_sigma[k]),
+            in_s=in_s[k],
+            in_n=in_n[k],
             rec_chi_l=rec_l,
             rec_chi_r=rec_r,
             c2=c2,
@@ -369,37 +388,43 @@ def classify_grid(
         )
 
 
-def _c_set_diagnostics(model, E, nu, rec_l, rec_r, in_sigma):
-    """Limit-profile checks behind the averaged singular support, given nu.
+def _c_set_diagnostics(model, nu, rec_l, rec_r, data):
+    """Limit-profile checks behind the averaged singular support, given nu
+    and the Feshbach data (a, b, d) at E, or None where E is in sigma(H_S)
+    or nu = 0.
 
     Profile 2: left chi transform diverges while the right one approaches
     G0(delta_l, delta_l, E) / (nu^2 d(E)).  Profile 3: left chi transform
     vanishes while the right one approaches 1 / (nu^2 G0(delta_r, delta_r, E)).
-    Both need E outside sigma(H_S).  Profile 2 also needs d(E) != 0 on a
-    model that is not degenerate: where d vanishes identically its computed
-    value is roundoff, and the target would divide by it.
+    Both need E outside sigma(H_S) and a target that is finite in double
+    precision (nu^2 d or nu^2 b may underflow).  Profile 2 also needs
+    d(E) != 0 on a model that is not degenerate: where d vanishes
+    identically its computed value is roundoff, and the target would divide
+    by it.
     """
     c2 = {"applicable": False, "satisfied": False, "target": None}
     c3 = {"applicable": False, "satisfied": False, "target": None}
-    if nu == 0.0 or in_sigma:
+    if data is None:
         return c2, c3
-    a = model.g0(DELTA_L, DELTA_L, float(E)).real
-    b = model.g0(DELTA_R, DELTA_R, float(E)).real
-    d = model.system.d(float(E))
+    a, b, d = data
     r_val = rec_r.value if rec_r.finite else None
 
-    def profile(target, left_status):
-        # satisfied: the left transform has the profile's limit and the right
-        # one approaches the target
+    def profile(num, den, left_status):
+        # None where the target num / den is not finite; satisfied: the left
+        # transform has the profile's limit and the right one approaches the
+        # target
+        target = num / den if den != 0.0 else math.inf
+        if not math.isfinite(target):
+            return None
         satisfied = rec_l.status == left_status and r_val is not None and (
             abs(r_val - target) <= C_TOL * max(1.0, abs(target))
         )
         return {"applicable": True, "satisfied": bool(satisfied), "target": target}
 
     if d != 0.0 and not model.exceptional_sets.degenerate:
-        c2 = profile(a / (nu**2 * d), DIVERGENT)
+        c2 = profile(a, nu**2 * d, DIVERGENT) or c2
     if b != 0.0:
-        c3 = profile(1.0 / (nu**2 * b), ZERO)
+        c3 = profile(1.0, nu**2 * b, ZERO) or c3
     return c2, c3
 
 

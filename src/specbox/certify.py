@@ -14,11 +14,17 @@ sides from extrapolated boundary values, checks |D(E + i0)| against a floor,
 and confirms the sign structure.  The claim is per sampled energy only: a
 finite grid cannot represent the countable exceptional intersections the
 full statement tolerates.
+
+The system data a, b, c and d come from one array call each over the
+in-scope energies; the arithmetic on them stays per energy.  Where |D| or
+an aux value is not finite in double precision (a huge coupling overflows
+it), the point is NUMERICALLY_UNRESOLVED and that value is None.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +65,9 @@ class CertificatePoint:
     aux2_rhs: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"E": self.E, "verdict": self.verdict, "in_scope": self.in_scope,
+                "abs_D": self.abs_D, "aux1_lhs": self.aux1_lhs, "aux1_rhs": self.aux1_rhs,
+                "aux2_lhs": self.aux2_lhs, "aux2_rhs": self.aux2_rhs}
 
 
 @dataclass
@@ -102,37 +110,48 @@ def certify_no_sc(
     """Evaluate the certificate at every grid energy.
 
     Scope: E must lie in the dissipative reservoir set (either side) and
-    avoid sigma(H_S) and the cross-pair zero set S.  Unresolved ladders and
-    |D| at or below the floor yield NUMERICALLY_UNRESOLVED, never a silent
-    failure.
+    avoid sigma(H_S) and the cross-pair zero set S.  Unresolved ladders,
+    |D| at or below the floor and a |D| or aux value that is not finite
+    yield NUMERICALLY_UNRESOLVED, never a silent failure.
     """
     cp = _coupling(coupling)
     lam2, nu2 = cp.lam**2, cp.nu**2
     cert = Certificate(lam=cp.lam, nu=cp.nu)
+    rows = list(classify_grid(model, grid, ladder=ladder, tol=tol))
+    early = [_unreached(cls) for cls in rows]
+    # the Feshbach data a, b, c and d at the in-scope energies, one array
+    # call each; they avoid sigma(H_S), so no call meets a pole
+    E_in = np.array([cls.E for cls, v in zip(rows, early) if v is None], dtype=float)
+    system = model.system
+    feshbach = zip(system.green(DELTA_L, DELTA_L, E_in).real.tolist(),
+                   system.green(DELTA_R, DELTA_R, E_in).real.tolist(),
+                   system.green(DELTA_L, DELTA_R, E_in).tolist(),
+                   system.d(E_in).tolist())
 
-    for cls in classify_grid(model, grid, ladder=ladder, tol=tol):
+    for cls, verdict in zip(rows, early):
         E = cls.E
-        if UNDETERMINED in (cls.rec_chi_l.status, cls.rec_chi_r.status):
-            cert.points.append(CertificatePoint(E, NUMERICALLY_UNRESOLVED, False))
-            continue
-        in_scope = (cls.in_ml or cls.in_mr) and not (cls.in_sigma_hs or cls.in_s)
-        if not in_scope:
-            cert.points.append(CertificatePoint(E, OUT_OF_SCOPE, False))
+        if verdict is not None:
+            cert.points.append(CertificatePoint(E, verdict, False))
             continue
 
-        a = model.g0(DELTA_L, DELTA_L, E).real
-        b = model.g0(DELTA_R, DELTA_R, E).real
-        c = model.g0(DELTA_L, DELTA_R, E)
-        d = model.system.d(E)
+        a, b, c, d = next(feshbach)
         l = cls.rec_chi_l.value
         r = cls.rec_chi_r.value
 
-        # on the real axis G0(delta_r, delta_l, E) = conj G0(delta_l, delta_r, E)
-        abs_D = float(abs(G0Basics(l, r, a, b, c, c.conjugate()).det_D(cp)))
-        aux1_lhs = float(-nu2 * abs(c) ** 2 * r.imag)
-        aux1_rhs = float(lam2 * l.imag * abs(a - nu2 * d * r) ** 2)
-        aux2_lhs = float(-lam2 * abs(c) ** 2 * l.imag)
-        aux2_rhs = float(nu2 * r.imag * abs(b - lam2 * d * l) ** 2)
+        # overflow gives inf or nan here, which the verdict below catches
+        with np.errstate(over="ignore", invalid="ignore"):
+            # on the real axis G0(delta_r, delta_l, E) = conj G0(delta_l, delta_r, E)
+            abs_D = float(abs(G0Basics(l, r, a, b, c, c.conjugate()).det_D(cp)))
+            aux1_lhs = float(-nu2 * abs(c) ** 2 * r.imag)
+            aux1_rhs = float(lam2 * l.imag * abs(a - nu2 * d * r) ** 2)
+            aux2_lhs = float(-lam2 * abs(c) ** 2 * l.imag)
+            aux2_rhs = float(nu2 * r.imag * abs(b - lam2 * d * l) ** 2)
+        values = [abs_D, aux1_lhs, aux1_rhs, aux2_lhs, aux2_rhs]
+        if not all(map(math.isfinite, values)):
+            cert.points.append(CertificatePoint(
+                E, NUMERICALLY_UNRESOLVED, True,
+                *(v if math.isfinite(v) else None for v in values)))
+            continue
 
         sign_ok = (
             aux1_rhs >= -_SIGN_SLACK
@@ -150,19 +169,18 @@ def certify_no_sc(
             sign_ok = sign_ok and (aux1_lhs < -_STRICT_NEG or aux2_lhs < -_STRICT_NEG)
 
         verdict = CERTIFIED if (abs_D > tol.d_floor and sign_ok) else NUMERICALLY_UNRESOLVED
-        cert.points.append(
-            CertificatePoint(
-                E,
-                verdict,
-                True,
-                abs_D=abs_D,
-                aux1_lhs=aux1_lhs,
-                aux1_rhs=aux1_rhs,
-                aux2_lhs=aux2_lhs,
-                aux2_rhs=aux2_rhs,
-            )
-        )
+        cert.points.append(CertificatePoint(E, verdict, True, *values))
     return cert
+
+
+def _unreached(cls) -> str | None:
+    """The verdict at an energy the certificate does not reach: an
+    unresolved ladder, or out of scope; None where it is in scope."""
+    if UNDETERMINED in (cls.rec_chi_l.status, cls.rec_chi_r.status):
+        return NUMERICALLY_UNRESOLVED
+    if (cls.in_ml or cls.in_mr) and not (cls.in_sigma_hs or cls.in_s):
+        return None
+    return OUT_OF_SCOPE
 
 
 def remark2_model() -> BlackBoxModel:

@@ -146,17 +146,15 @@ def greens(cfg):
     model = cfg.require_model()
     grid = cfg.require_grid()
     zs = grid + 1j * cfg.greens_im_z
-    values = green_all(model, cfg.coupling, zs)
+    values = green_all(model, cfg.coupling, zs).reshape(len(zs), -1)
+    pairs = [(phi, psi) for phi in TAGS for psi in TAGS]
     rows, entries = [], []
-    for iz, z in enumerate(zs):
-        pairs = {}
-        for i, phi in enumerate(TAGS):
-            for j, psi in enumerate(TAGS):
-                g = values[iz, i, j]
-                rows.append([float(z.real), float(z.imag), phi, psi,
-                             float(g.real), float(g.imag)])
-                pairs[f"{phi}|{psi}"] = [float(g.real), float(g.imag)]
-        entries.append({"z": [float(z.real), float(z.imag)], "pairs": pairs})
+    for z, gs in zip(zs.tolist(), values.tolist()):
+        cells = {}
+        for (phi, psi), g in zip(pairs, gs):
+            rows.append([z.real, z.imag, phi, psi, g.real, g.imag])
+            cells[f"{phi}|{psi}"] = [g.real, g.imag]
+        entries.append({"z": [z.real, z.imag], "pairs": cells})
     payload = _meta(cfg, "greens")
     payload["im_z"] = cfg.greens_im_z
     payload["table"] = entries
