@@ -8,35 +8,38 @@ system matrix,
 
     G0(phi, psi, z) = sum_k (phi, e_k)(e_k, psi) / (E_k - z).
 
-Because those are rational with a common denominator prod_k (E - E_k), the
-finite exceptional sets (zeros of the cross Green's function, and the zero
-set of the product G_ll * G_rr * G_lr * d) can be certified complete by
-polynomial root finding (companion matrix) instead of grid scans.
+The finite exceptional sets are eigenvalues of H_S compressed to the
+complements of the coupling vectors, never roots of polynomial
+coefficients.  With Q_phi an orthonormal basis of the orthogonal complement
+of phi (``complement``), by Cauchy interlacing and Jacobi's
+complementary-minor identity:
+
+- a = G0(delta_l, delta_l) vanishes at the eigenvalues of Q_l* H_S Q_l, b at
+  those of Q_r* H_S Q_r, and d = a b - |c|^2 at those of H_S compressed to
+  {delta_l, delta_r}^perp.  Each list may also hold eigenvalues of H_S that
+  the pair does not see; those are in sigma(H_S) anyway.
+- c = G0(delta_l, delta_r) vanishes off sigma(H_S) exactly at the finite
+  eigenvalues of the (n-1)-dimensional pencil Q_r* (H_S - E) Q_l.  Where
+  delta_l is orthogonal to delta_r, B = Q_r* Q_l is singular and the pencil
+  has infinite eigenvalues, so it is solved in shift-invert form,
+  eig((A - s B)^-1 B), with a shift s off the real axis: an infinite
+  eigenvalue reads theta = 0, and where rounding moves it (an end-coupled
+  chain has one of index n - 1), it moves to a complex point, never onto
+  the real axis that S is read from.
 
 The determinant d = a b - |c|^2 of the 2x2 system Green matrix has one
 formula, the Cauchy-Binet sum over the minors of the eigenvector overlaps of
-delta_l and delta_r (``SystemBlock.d`` on the real axis, its cleared
-numerator for N).  It is real by construction, and it vanishes identically
-exactly when delta_r is parallel to delta_l; N is then the whole line
-(degenerate).
-
-A ``SystemBlock`` builds each pole-cleared numerator, and its secular
-polynomials, once, and shares every product prod (E - p) over the same
-root list between them; the memo lives on the block, never in the module.
-The products keep ``npoly.polyfromroots``'s order of operations, and the
-Newton polish of the companion-matrix roots runs on all candidates at once
-with the scalar rounding, so every coefficient and root is bit-identical to
-the per-pole, per-root computation.
+delta_l and delta_r (``SystemBlock.d``).  It is real by construction, and
+it vanishes identically exactly when delta_r is parallel to delta_l; N is
+then the whole line (degenerate).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import InvalidModelError, PoleError
 from .measures import SpectralMeasure
@@ -52,7 +55,7 @@ __all__ = [
     "BlackBoxModel",
     "ExceptionalSets",
     "ValidationReport",
-    "cleared_sum",
+    "complement",
 ]
 
 CHI_L = "chi_l"
@@ -71,9 +74,10 @@ _HERM_TOL = 1e-14
 _EIG_RESIDUAL_TOL = 1e-12
 _CLUSTER_TOL = 1e-10
 _VANISH_TOL = 1e-13
-_ROOT_RESIDUAL_TOL = 1e-10
-#: a companion-matrix root counts as real below this relative imaginary part
-_ROOT_IMAG_TOL = 1e-7
+#: a pencil eigenvalue counts as real below this relative imaginary part
+_REAL_TOL = 1e-7
+#: two points of an exceptional set closer than this (relative) are one
+_DISTINCT_TOL = 1e-9
 _RANK_TOL = 1e-8
 
 
@@ -139,7 +143,7 @@ class SystemBlock:
                 w = np.conj(self._coef[phi]) * self._coef[psi]
                 self._weights[phi, psi] = np.array([np.sum(w[list(g)]) for g in self._groups])
         # M: the Cauchy-Binet minors |x_i y_j - x_j y_i|^2 of the overlaps x, y
-        # of delta_l, delta_r, summed over clusters (see secular_polynomials)
+        # of delta_l, delta_r, summed over clusters (see d)
         x, y = self._coef[DELTA_L], self._coef[DELTA_R]
         minors = np.abs(np.outer(x, y) - np.outer(y, x)) ** 2
         # i = j is no pair; computed, the entry is a rounding residue, not 0
@@ -152,10 +156,6 @@ class SystemBlock:
         # shared by every caller
         for a in (self.poles, self.minors, *self._weights.values()):
             a.setflags(write=False)
-        # prod (E - r) by root list, and the pair numerators by pair: the
-        # cleared sums below share their products, and each is built once
-        self._products: dict[tuple, np.ndarray] = {}
-        self._numerators: dict[tuple[str, str], np.ndarray] = {}
 
     def _cluster_eigenvalues(self):
         positions, groups = [], []
@@ -167,15 +167,6 @@ class SystemBlock:
                 positions.append(float(E))
                 groups.append([k])
         return tuple(positions), tuple(tuple(g) for g in groups)
-
-    def _product(self, roots) -> np.ndarray:
-        """prod (E - r) over ``roots`` (``_polyfromroots``), computed once per
-        root list on this block (read-only)."""
-        key = tuple(roots)
-        out = self._products.get(key)
-        if out is None:
-            out = self._products[key] = _frozen(_polyfromroots(roots))
-        return out
 
     def pair_weights(self, phi: str, psi: str) -> np.ndarray:
         """Clustered weights (phi, e_k)(e_k, psi), one entry per pole (read-only)."""
@@ -224,58 +215,6 @@ class SystemBlock:
         vals = 0.5 * np.sum((u[..., None, :] @ self.minors)[..., 0, :] * u, axis=-1)
         return float(vals[0]) if E_arr.ndim == 0 else vals
 
-    def pair_numerator(self, phi: str, psi: str) -> np.ndarray:
-        """Coefficients (low-to-high) of N with G(phi,psi,E) = -N(E)/P(E).
-
-        P(E) = prod over distinct poles of (E - x_k); poles with negligible
-        weight for this pair are genuinely absent from the rational function,
-        so they are excluded before forming the numerator.  Built once per
-        pair; the array is read-only.
-        """
-        num = self._numerators.get((phi, psi))
-        if num is None:
-            poles = self.poles
-            weights = self.pair_weights(phi, psi)
-            wscale = float(np.linalg.norm(self._coef[phi]) * np.linalg.norm(self._coef[psi]))
-            keep = np.abs(weights) > 1e-14 * max(wscale, 1e-300)
-            poles, weights = poles[keep], weights[keep]
-            num = -cleared_sum(poles, poles, weights, self._product)
-            self._numerators[phi, psi] = _frozen(num)
-        return num
-
-    def secular_polynomials(self) -> tuple[np.ndarray, ...]:
-        """The system pairs with their poles cleared, for the secular equation
-        (built once per block; the arrays are read-only).
-
-        Returns coefficient arrays (low to high) of P, P a, P b and P d, where
-        a = G0(delta_l, delta_l), b = G0(delta_r, delta_r), d = a b - |c|^2
-        and P = prod (E - p)^m over the clusters p.  By Cauchy-Binet,
-        d = sum_{i<j} |x_i y_j - x_j y_i|^2 / ((E - E_i)(E - E_j)) with
-        x, y the eigenvector overlaps of delta_l, delta_r, so d has a double
-        pole at a cluster of two or more eigenvalues; such a cluster is
-        cleared twice (m = 2), every other once.
-        """
-        return self._secular
-
-    @cached_property
-    def _secular(self) -> tuple[np.ndarray, ...]:
-        poles = self.poles
-        roots = [p for p, g in zip(poles, self._groups) for _ in range(min(len(g), 2))]
-        d = np.zeros(max(len(roots) - 1, 1))
-        for k in range(poles.size):
-            for j in range(k, poles.size):
-                weight = self.minors[k, j] if j > k else 0.5 * self.minors[k, k]
-                if weight == 0.0:
-                    continue
-                rest = list(roots)
-                rest.remove(poles[k])
-                rest.remove(poles[j])
-                term = weight * self._product(rest)
-                d[: term.size] += term
-        a = cleared_sum(roots, poles, self.pair_weights(DELTA_L, DELTA_L).real, self._product)
-        b = cleared_sum(roots, poles, self.pair_weights(DELTA_R, DELTA_R).real, self._product)
-        return self._product(roots), _frozen(a), _frozen(b), _frozen(d)
-
 
 @dataclass(frozen=True)
 class ExceptionalSets:
@@ -308,6 +247,9 @@ class ValidationReport:
     herm_residual: float
     eig_residual: float
     vanish_ok: bool
+    #: the largest clustered weight (delta_l, e_k)(e_k, delta_r) of the cross
+    #: pair, relative to |delta_l| |delta_r|; the model decouples at or below
+    #: 1e-13
     vanish_numerator_max: float
     cyclicity_rank: int
     system_dim: int
@@ -332,6 +274,8 @@ class BlackBoxModel:
     Construction enforces the non-decoupling condition: the cross Green's
     function G0(delta_l, delta_r, .) must not vanish identically, i.e. the
     cyclic subspaces generated by the two coupling vectors are not orthogonal.
+    It vanishes identically exactly when each of its clustered residues does,
+    so the test reads the largest residue relative to |delta_l| |delta_r|.
     Instances are immutable after construction; evaluation is pure.
     """
 
@@ -339,8 +283,9 @@ class BlackBoxModel:
         self.system = system
         self.res_l = res_l
         self.res_r = res_r
-        num = system.pair_numerator(DELTA_L, DELTA_R)
-        self._vanish_numerator_max = float(np.max(np.abs(num)))
+        norms = np.linalg.norm(system.delta_l) * np.linalg.norm(system.delta_r)
+        weights = system.pair_weights(DELTA_L, DELTA_R)
+        self._vanish_numerator_max = float(np.max(np.abs(weights)) / norms)
         if self._vanish_numerator_max <= _VANISH_TOL:
             raise InvalidModelError(
                 "cross Green's function vanishes identically: the model decouples "
@@ -370,38 +315,31 @@ class BlackBoxModel:
     def exceptional_sets(self) -> ExceptionalSets:
         """sigma(H_S), the zero set S of the cross pair, and the averaging set N.
 
-        N collects sigma(H_S) with the real zeros of the product
-        G_ll * G_rr * G_lr * d; since a polynomial product vanishes exactly
-        where a factor does, the roots are taken factor-wise (better
-        conditioned than one degree-4(p-1) product), d's from its
-        Cauchy-Binet numerator P d (``SystemBlock.secular_polynomials``).
-        Each point is listed once: a root within the match tolerance of one
-        already listed is dropped.  The product is identically zero iff d is
-        (the other factors cannot vanish for a valid model), which yields the
-        degenerate flag.
+        S is the real spectrum of the pencil Q_r* (H_S - E) Q_l off
+        sigma(H_S).  N collects sigma(H_S), S and the zeros of a, b and d,
+        the eigenvalues of the three compressions of H_S (see the module
+        docstring).  Each point is listed once: a point within 1e-9
+        (relative) of one already listed is dropped.  The product
+        a b c d vanishes identically iff d does (the other factors cannot
+        for a valid model), which yields the degenerate flag.
         """
         sysb = self.system
+        h, dl, dr = sysb.h_s, sysb.delta_l, sysb.delta_r
         sigma = tuple(float(x) for x in sysb.poles)
-        n_lr = sysb.pair_numerator(DELTA_L, DELTA_R)
-        s_zeros = _real_roots(n_lr, avoid=sigma)
+        s_zeros = _distinct(_pencil_real_eigenvalues(h, dl, dr, sysb.eigenvalues), sigma)
         # d vanishes identically iff every minor does: they are >= 0, and at
         # the lowest pole p_1, d has the terms M_11 / (2 (p_1 - E)^2) and
         # sum_{j>1} M_1j / ((p_j - p_1)(p_1 - E)).  Half the minors' sum is
         # |delta_l|^2 |delta_r|^2 - |<delta_l, delta_r>|^2 (Lagrange), so the
         # test reads the angle between delta_l and delta_r, whatever the
         # scale of the spectrum.
-        norms = np.linalg.norm(sysb.delta_l) * np.linalg.norm(sysb.delta_r)
+        norms = np.linalg.norm(dl) * np.linalg.norm(dr)
         if 0.5 * float(np.sum(sysb.minors)) <= 1e-13 * norms**2:
             return ExceptionalSets(sigma, s_zeros, None)
-        points = [*sigma, *s_zeros]
-        for num in (
-            sysb.pair_numerator(DELTA_L, DELTA_L),
-            sysb.pair_numerator(DELTA_R, DELTA_R),
-            sysb.secular_polynomials()[3],
-        ):
-            # a root at a listed point is that point; P d, cleared of every
-            # cluster, can vanish on one
-            points += _real_roots(num, avoid=points)
+        zeros = [np.linalg.eigvalsh(q.conj().T @ h @ q)
+                 for q in (complement(dl), complement(dr), complement(dl, dr))]
+        points = (*sigma, *s_zeros)
+        points += _distinct(np.concatenate(zeros), points)
         return ExceptionalSets(sigma, s_zeros, tuple(sorted(points)))
 
     # -- diagnostics ---------------------------------------------------------
@@ -441,104 +379,41 @@ class BlackBoxModel:
         )
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def complement(*vectors) -> np.ndarray:
+    """An orthonormal basis, as columns, of the orthogonal complement of the
+    span of ``vectors`` (of their numerical span, when they are dependent)."""
+    u, svals, _ = np.linalg.svd(np.stack(vectors, axis=1))
+    rank = int(np.sum(svals > 1e-12 * svals[0]))
+    return u[:, rank:]
 
 
-def _polyfromroots(roots) -> np.ndarray:
-    """``npoly.polyfromroots`` of real roots with its arithmetic: the linear
-    factors of the sorted roots, multiplied in the same balanced tree, by
-    ``np.convolve`` without ``polymul``'s conversions (its inputs are float
-    arrays with leading coefficient 1 already)."""
-    roots = np.sort(np.asarray(roots, dtype=float))
-    if roots.size == 0:
-        return np.ones(1)
-    p = [np.array([-r, 1.0]) for r in roots]
-    n = len(p)
-    while n > 1:
-        m, odd = divmod(n, 2)
-        tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
-        if odd:
-            tmp[0] = np.convolve(tmp[0], p[-1])
-        p, n = tmp, m
-    return p[0]
+def _pencil_real_eigenvalues(h, dl, dr, spectrum) -> np.ndarray:
+    """The real finite eigenvalues E of Q_r* (h - E) Q_l, ascending.
 
-
-def cleared_sum(roots, poles, weights, product=_polyfromroots) -> np.ndarray:
-    """Coefficients (low to high) of prod_r (E - r) * sum_k weights[k] / (poles[k] - E).
-
-    Every pole must be among ``roots``; its term drops one copy of it from
-    the product, so no division is left and the value is exact at the poles.
-    ``product(rest)`` gives prod (E - r) over ``rest``.
+    Shift-invert with s = i (1 + max |spectrum|): theta = 1 / (E - s) are the
+    eigenvalues of (A - s B)^-1 B, A = Q_r* h Q_l, B = Q_r* Q_l; a theta at
+    the rounding level of the largest is an infinite eigenvalue.
     """
-    out = np.zeros(max(len(roots), 1), dtype=np.result_type(np.asarray(weights), float))
-    for p, w in zip(poles, weights):
-        rest = list(roots)
-        rest.remove(p)
-        term = -w * product(rest)
-        out[: term.size] += term
-    return out
+    ql, qr = complement(dl), complement(dr)
+    if ql.shape[1] == 0:
+        return np.zeros(0)
+    shift = 1j * (1.0 + float(np.max(np.abs(spectrum))))
+    b = qr.conj().T @ ql
+    theta = np.linalg.eigvals(np.linalg.solve(qr.conj().T @ h @ ql - shift * b, b))
+    theta = theta[np.abs(theta) > 1e-12 * np.max(np.abs(theta))]
+    E = shift + 1.0 / theta
+    return np.sort(E.real[np.abs(E.imag) <= _REAL_TOL * np.maximum(1.0, np.abs(E.real))])
 
 
-def _horner(coef: np.ndarray, xr: np.ndarray, xi: np.ndarray):
-    """``npoly.polyval(x, coef)`` at complex x = xr + i xi, as real and
-    imaginary parts.  Each complex product is spelled out as
-    (ar br - ai bi, ar bi + ai br), the scalar rounding: numpy's array
-    complex product may fuse a multiply-add and round differently."""
-    zr, zi = xr * 0.0 - xi * 0.0, xr * 0.0 + xi * 0.0  # x * 0
-    vr, vi = coef[-1].real + zr, coef[-1].imag + zi
-    for c in coef[-2::-1]:
-        vr, vi = c.real + (vr * xr - vi * xi), c.imag + (vr * xi + vi * xr)
-    return vr, vi
-
-
-def _real_roots(coef: np.ndarray, avoid: Sequence[float] = ()) -> tuple[float, ...]:
-    """Certified real roots of a polynomial: companion-matrix roots filtered
-    to the real axis, Newton-polished (all candidates at once, up to 8
-    steps each), de-duplicated, residual-checked."""
-    coef = np.asarray(coef, dtype=complex)
-    nz = np.nonzero(np.abs(coef) > 0)[0]
-    if nz.size == 0:
-        raise ValueError("zero polynomial has no certified root list")
-    coef = coef[: nz[-1] + 1]
-    if coef.size == 1:
-        return ()
-    scale = float(np.max(np.abs(coef)))
-    roots = npoly.polyroots(coef)
-    deriv = coef[1:] * np.arange(1, coef.size)
-    roots = roots[~(np.abs(roots.imag) > _ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots.real)))]
-    xr, xi = roots.real.copy(), roots.imag.copy()
-    live = np.arange(roots.size)  # the roots still polishing
-    for _ in range(8):
-        if live.size == 0:
-            break
-        fr, fi = _horner(coef, xr[live], xi[live])
-        dr, di = _horner(deriv, xr[live], xi[live])
-        moving = (dr != 0.0) | (di != 0.0)
-        live, fr, fi, dr, di = live[moving], fr[moving], fi[moving], dr[moving], di[moving]
-        fx, dfx = fr.astype(complex), dr.astype(complex)
-        fx.imag, dfx.imag = fi, di
-        step = fx / dfx
-        xr[live] -= step.real
-        xi[live] -= step.imag
-        done = np.hypot(step.real, step.imag) < 1e-15 * np.maximum(
-            1.0, np.hypot(xr[live], xi[live]))
-        live = live[~done]
-    xr = xr[~(np.abs(xi) > 1e-9 * np.maximum(1.0, np.abs(xr)))]
-    res = np.hypot(*_horner(coef, xr, np.zeros_like(xr)))  # |p(x)| at real x
-    out = sorted(
-        x for x, r in zip(xr.tolist(), res.tolist())
-        if not r > _ROOT_RESIDUAL_TOL * (scale * max(1.0, abs(x)) ** (coef.size - 1))
-    )
-    # a root within 1e-9 relative of a point to avoid or of one already kept
-    # (out is ascending, so the last kept is the nearest) is the same point
-    avoid = np.asarray(avoid, dtype=float)
-    dedup: list[float] = []
-    for x in out:
-        tol = 1e-9 * max(1.0, abs(x))
-        if dedup and not abs(x - dedup[-1]) > tol:
+def _distinct(new, listed) -> tuple[float, ...]:
+    """The points of ``new``, ascending, without those within _DISTINCT_TOL
+    (relative) of a point listed or of one kept before."""
+    listed = np.asarray(listed, dtype=float)
+    kept: list[float] = []
+    for x in np.sort(np.asarray(new, dtype=float)).tolist():
+        tol = _DISTINCT_TOL * max(1.0, abs(x))
+        if kept and not abs(x - kept[-1]) > tol:
             continue
-        if np.all(np.abs(x - avoid) > tol):
-            dedup.append(x)
-    return tuple(dedup)
+        if np.all(np.abs(x - listed) > tol):
+            kept.append(x)
+    return tuple(kept)

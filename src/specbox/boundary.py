@@ -15,8 +15,8 @@ The decision tree (in order) on the ladder values f_k:
   UNDETERMINED     everything else: an honest fourth outcome instead of a
                    forced call at band edges or log singularities.
 
-Membership in the certified finite sets (sigma(H_S), S, N) is decided by the
-root lists, never by ladder behavior; those sets have measure zero and a grid
+Membership in the certified finite sets (sigma(H_S), S, N) is decided by
+their lists, never by ladder behavior; those sets have measure zero and a grid
 cannot see them; ``classify_grid`` compares the whole grid with each list
 at once.  The limit-profile checks read the Feshbach data a, b and
 d = a b - |c|^2 (``SystemBlock.d``) from one array call each over the grid
@@ -25,18 +25,17 @@ where the model is not degenerate and d(E) != 0; either check applies only
 where its target is finite in double precision (nu^2 d or nu^2 b can
 underflow to 0).
 
-Atoms in the gaps of the reservoir bands come from the secular equation,
-not from a ladder.  In a gap D(E) is real, an atom of mu_delta sits at a
-real zero E0 of D, and its weight is the residue -N(E0) / D'(E0) of
-G(delta, delta) = N / D.  ``point_mass_scan`` samples D, cleared of the
-poles of the uncoupled pairs, on every gap inside a norm bound of the
-coupled operator, and refines all sign changes at once with regula falsi
-steps, all in real arithmetic.  At each root it evaluates the same
-function once at E0 + ih and takes D'(E0) = Im D(E0 + ih) / h by the
-complex step, which subtracts nothing and so loses nothing to
-cancellation.  It does not see atoms embedded in a band, nor zeros of D
-without a sign change (tangential zeros; an atom sitting on a degenerate
-eigenvalue of H_S can be one).
+Atoms in the gaps of the reservoir bands come from the Feshbach matrix
+K(E) = H - E - lam^2 l_c(E) delta_l delta_l* - nu^2 r_c(E) delta_r delta_r*
+(``_Feshbach``: the coupled operator reduced onto the system and the
+reservoir atoms), not from a ladder.  In a gap l_c and r_c are real and
+increasing, so every eigenvalue of K falls with slope at most -1; the
+number of negative eigenvalues of K at the ends of a gap is the number of
+atoms in it, with multiplicity, and nothing is sampled.  ``point_mass_scan``
+bisects on that count, all brackets at once, until each holds one crossing,
+places each crossing by Newton's steps on the crossing eigenvalue, and takes
+each atom's weights from the null space of K there.  It does not see atoms
+embedded in a band.
 
 ``lattice_records`` is the one (energy x eps) lattice path, blocked and
 failure-local; ``density`` runs it on the four diagonal pairs of the
@@ -59,9 +58,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel, cleared_sum
+from .blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel
 from .errors import (
     DomainError,
     PointMassPresentError,
@@ -102,17 +100,11 @@ _MATCH_TOL = 1e-9
 C_TOL = 1e-6
 #: point masses at or below this weight are reported as 0
 ATOM_FLOOR = 1e-10
-#: the atom scan's uniform samples per gap, and its geometric samples
-#: towards each gap end (the distance halves from one to the next)
-SCAN_SAMPLES = 256
-SCAN_EDGE_STEPS = 50
-#: the atom scan covers |E| <= SCAN_BOUND_FACTOR times a norm bound
-SCAN_BOUND_FACTOR = 1.1
 #: the atom scan's complex step h: far below the rounding of E, so that
 #: Im f(E + ih) / h is f'(E) and Re f(E + ih) is f(E)
 _COMPLEX_STEP = 1e-100
-#: a safety cap; the scan's brackets close in about ten steps
-_REFINE_STEPS = 200
+#: a safety cap; the atom scan's Newton steps converge in a few
+_NEWTON_STEPS = 100
 #: most rungs a ladder may have, checked before any rung is allocated
 MAX_RUNGS = 10_000
 #: the failures of a ladder's evaluation that make it UNDETERMINED
@@ -335,10 +327,11 @@ def classify_grid(
 ) -> Iterator[EnergyClassification]:
     """The classification of each grid energy in turn.
 
-    Set membership (sigma(H_S), S, N) comes from the certified root lists with
-    match tolerance 1e-9.  The reservoir sets need both chi transforms to have
-    finite nonzero boundary values; the dissipative subsets additionally need
-    the imaginary part inside (im_tol, 1/im_tol).  Each transform's ladders
+    Set membership (sigma(H_S), S, N) comes from the lists of
+    ``exceptional_sets`` with match tolerance 1e-9.  The reservoir sets need
+    both chi transforms to have finite nonzero boundary values; the
+    dissipative subsets additionally need the imaginary part inside
+    (im_tol, 1/im_tol).  Each transform's ladders
     come from its own ``lattice_records`` run, so a numerical failure of one
     side's evaluation makes only that side's record UNDETERMINED.
     """
@@ -524,105 +517,203 @@ def _ladder_mass(eps: np.ndarray, vals: np.ndarray, ratio: float) -> float | Non
 
 def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, float]]:
     """Atoms of mu_{delta_l} and mu_{delta_r} in the open gaps of the
-    reservoir bands, found as the real zeros of the secular determinant D.
+    reservoir bands, found as the energies where the Feshbach matrix K(E)
+    (``_Feshbach``) is singular.
+
+    The count of negative eigenvalues of K at the ends of a gap gives the
+    number of atoms in it, with multiplicity.  Bisection on the count, all
+    brackets in one ``eigvalsh`` call per step, isolates each crossing, and
+    ``_newton`` places it.  At an atom E0 with an orthonormal null basis
+    psi of K, u = psi* delta and G = I + lam^2 l_c' a a* + nu^2 r_c' b b*
+    (a = psi* delta_l, b = psi* delta_r), the weight of delta is u* G^-1 u:
+    the squared overlap with the eigenvectors of the coupled operator,
+    whose norms hold the reservoir parts.
 
     Returns (E, w_delta_l, w_delta_r) by ascending E.  A weight at or below
-    ATOM_FLOOR reads 0, and a zero whose two weights both read 0 is left out.
-    Atoms embedded in a band and zeros of D without a sign change are not
+    ATOM_FLOOR reads 0, and an atom whose two weights both read 0 (a level
+    dark to both vectors) is left out.  Atoms embedded in a band are not
     scanned.
     """
     cp = _coupling(coupling)
-    secular = _secular_function(model, cp)
-    x, gap = _scan_points(model, cp)
-    f = secular(x)[0]
-    sign = np.sign(f)
-    cross = np.flatnonzero((gap[1:] == gap[:-1]) & (sign[1:] * sign[:-1] < 0))
-    roots = np.concatenate([
-        x[f == 0.0],
-        _refine(lambda e: secular(e)[0], x[cross], x[cross + 1], f[cross], f[cross + 1]),
-    ])
-    roots.sort()
-    det, num_l, num_r = secular(roots + 1j * _COMPLEX_STEP)
-    slope = det.imag / _COMPLEX_STEP
+    k = _Feshbach(model, cp)
+    lo, hi = _gaps(model, cp)
+    n_lo, n_hi = np.split(k.counts(np.concatenate([lo, hi])), 2)
+    # one task per crossing: in (lo, hi) the j-th eigenvalue of K, ascending,
+    # falls through 0 exactly once for j = n_lo .. n_hi - 1
+    size = np.maximum(n_hi - n_lo, 0)
+    if not size.any():
+        return []
+    gap = np.repeat(np.arange(size.size), size)
+    j = np.concatenate([np.arange(a, b) for a, b in zip(n_lo.tolist(), n_hi.tolist())])
+    lo, hi, n_lo, n_hi = (np.repeat(v, size) for v in (lo, hi, n_lo, n_hi))
+    ends = lo.copy(), hi.copy()
+    # bisect on the count until each bracket holds one crossing, or is as
+    # narrow as the match tolerance (a multiple atom stays a bracket of k)
+    while True:
+        live = np.flatnonzero((n_hi - n_lo > 1)
+                              & (hi - lo > _MATCH_TOL * np.maximum(1.0, np.abs(lo))))
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        count = k.counts(mid)
+        below = count > j[live]  # the crossing lies below mid
+        hi[live], n_hi[live] = np.where(below, mid, hi[live]), np.where(below, count, n_hi[live])
+        lo[live], n_lo[live] = np.where(below, lo[live], mid), np.where(below, n_lo[live], count)
+    E = _newton(k, j, lo, hi, ends)
+    # crossings of one gap that meet within the match tolerance are one atom,
+    # and the eigenvectors of their eigenvalues span the null space of K
+    apart = E[1:] - E[:-1] > _MATCH_TOL * np.maximum(1.0, np.abs(E[1:]))
+    groups = np.split(np.arange(E.size),
+                      np.flatnonzero((gap[1:] != gap[:-1]) | apart) + 1)
+    centres = np.array([E[g].mean() for g in groups])
+    _, vectors, dl, dr = k.eigh(centres)
     found = []
-    for E, w_l, w_r in zip(roots, -num_l.real / slope, -num_r.real / slope):
-        w_l, w_r = (float(w) if w > ATOM_FLOOR else 0.0 for w in (w_l, w_r))
+    for g, E0, psi, l1, r1 in zip(groups, centres.tolist(), vectors, dl, dr):
+        psi = psi[:, j[g]]
+        a, b = psi.conj().T @ k.delta_l, psi.conj().T @ k.delta_r
+        gram = np.eye(len(g)) + k.lam2 * l1 * np.outer(a, a.conj()) \
+            + k.nu2 * r1 * np.outer(b, b.conj())
+        w_l, w_r = (float(np.vdot(u, np.linalg.solve(gram, u)).real) for u in (a, b))
+        w_l, w_r = (w if w > ATOM_FLOOR else 0.0 for w in (w_l, w_r))
         if w_l or w_r:
-            found.append((float(E), w_l, w_r))
+            found.append((E0, w_l, w_r))
     return found
 
 
-def _secular_function(model: BlackBoxModel, cp: CouplingParams):
-    """E -> (D, N_l, N_r) in the gaps, with G(delta, delta) = N / D and all
-    three multiplied by prod (E - p) over the poles p of the uncoupled
-    pairs: the sigma(H_S) clusters (see ``SystemBlock.secular_polynomials``)
-    and the reservoir atoms.  Real E is evaluated in real arithmetic; every
-    factor is holomorphic in the gaps, so complex E near the axis gives the
-    complex step.
+def _newton(k: "_Feshbach", j: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The zero of the j-th eigenvalue mu of K in each bracket (lo, hi),
+    all brackets at once, by Newton's steps with mu' by Hellmann-Feynman,
+    mu' = -1 - lam^2 l_c' |<delta_l, psi>|^2 - nu^2 r_c' |<delta_r, psi>|^2.
 
-    With l, r the reservoir transforms, a, b the system diagonal pairs and
-    d = a b - |c|^2, D = 1 - nu^2 r b - lam^2 l a + lam^2 nu^2 r l d,
-    N_l = a - nu^2 r d and N_r = b - lam^2 l d.  Cleared, each is finite
-    at the poles, so a zero of D sitting on one still has its residue.
+    mu falls with slope at most -1, so each bracket holds one zero and keeps
+    it.  At a band edge l_c or r_c diverges like a logarithm, and a plain
+    step from afar overshoots the edge.  So each step is taken in
+    log |E - ref|, with ref one double beyond the end of the gap (``ends``)
+    that the step heads for (at a band edge, the edge itself); a small step
+    is a plain one.  A step that leaves the bracket is replaced by the
+    bracket's geometric midpoint in |E - ref|.
     """
-    polys = model.system.secular_polynomials()
-    reservoirs = []
-    for measure in (model.res_l, model.res_r):
-        xs = [x for x, _ in measure.atoms]
-        atoms = cleared_sum(xs, xs, [w for _, w in measure.atoms])
-        reservoirs.append((measure.pieces, npoly.polyfromroots(xs), atoms))
-    lam2, nu2 = cp.lam**2, cp.nu**2
+    lo, hi = lo.copy(), hi.copy()
+    refs = (np.nextafter(ends[0], -np.inf), np.nextafter(ends[1], np.inf))
+    E = 0.5 * (lo + hi)
+    live = np.arange(E.size)
+    for _ in range(_NEWTON_STEPS):
+        if live.size == 0:
+            break
+        x = E[live]
+        spectrum, vectors, dl, dr = k.eigh(x)
+        rows = np.arange(live.size)
+        mu, psi = spectrum[rows, j[live]], vectors[rows, :, j[live]]
+        slope = -1.0 - k.lam2 * dl * np.abs(psi.conj() @ k.delta_l) ** 2 \
+            - k.nu2 * dr * np.abs(psi.conj() @ k.delta_r) ** 2
+        lo[live] = l = np.where(mu >= 0.0, x, lo[live])
+        hi[live] = h = np.where(mu <= 0.0, x, hi[live])
+        step = -mu / slope
+        # ref: one double beyond the end the step heads for; x = ref + side * dist
+        up = step > 0.0
+        ref = np.where(up, refs[1][live], refs[0][live])
+        side = np.where(up, -1.0, 1.0)
+        dist = side * (x - ref)
+        new = x + side * dist * np.expm1(-np.abs(step) / dist)
+        # the point at distance sqrt(|l - ref| |h - ref|) from ref, as a
+        # weighted mean of l and h, so that it lies in the bracket
+        root_l, root_h = np.sqrt(np.abs(l - ref)), np.sqrt(np.abs(h - ref))
+        mid = (l * root_h + h * root_l) / (root_l + root_h)
+        eps = np.finfo(float).eps
+        tol = 4 * eps * np.maximum(1.0, np.abs(x))
+        # a step below a few ulp, or mu at the rounding level of K, where a
+        # step is noise
+        noise = 8 * eps * np.max(np.abs(spectrum), axis=1)
+        done = (np.abs(new - x) <= tol) | (np.abs(mu) <= noise)
+        new = np.where(done | ((new > l) & (new < h)), new, mid)
+        E[live] = new
+        live = live[~done & (h - l > tol)]
+    return E
 
-    def reservoir(pieces, pi, atoms, E):
-        pi = npoly.polyval(E, pi)
-        return pi, pi * sum(_piece_borel(p, E) for p in pieces) + npoly.polyval(E, atoms)
 
-    def secular(E):
-        E = np.asarray(E)
-        (pi_l, l), (pi_r, r) = (reservoir(*res, E) for res in reservoirs)
-        p, a, b, d = (npoly.polyval(E, c) for c in polys)
-        det = p * pi_l * pi_r - nu2 * r * pi_l * b - lam2 * l * pi_r * a \
-            + lam2 * nu2 * r * l * d
-        return det, a * pi_l * pi_r - nu2 * r * pi_l * d, b * pi_l * pi_r - lam2 * l * pi_r * d
+class _Feshbach:
+    """The Feshbach matrix of the gaps: the coupled operator reduced onto the
+    system and the reservoir atoms, with only the bands eliminated,
 
-    return secular
+        K(E) = H - E - lam^2 l_c(E) delta_l delta_l* - nu^2 r_c(E) delta_r delta_r*.
+
+    H is H_S bordered by one state per atom x of a coupled reservoir, of
+    energy x and coupled to the system by lam sqrt(w) delta_l (the right
+    side alike); delta_l, delta_r are padded with zeros, and l_c, r_c are
+    the transforms of the reservoir densities alone.  In a gap l_c and r_c
+    are real and increasing, so dK/dE <= -1: every eigenvalue of K falls
+    with slope at most -1, and the number of negative eigenvalues of K(E)
+    counts the atoms of the coupled operator below E in the gap.  K has no
+    pole at a reservoir atom, as l and r have.
+    """
+
+    def __init__(self, model: BlackBoxModel, cp: CouplingParams):
+        system = model.system
+        self.lam2, self.nu2 = float(cp.lam) ** 2, float(cp.nu) ** 2
+        sides = ((self.lam2, model.res_l, system.delta_l), (self.nu2, model.res_r, system.delta_r))
+        atoms = [(x, math.sqrt(g2 * w) * v) for g2, m, v in sides if g2 != 0.0
+                 for x, w in m.atoms]
+        bonds = np.array([bond for _, bond in atoms]).reshape(len(atoms), system.dim)
+        self.h = np.block([[system.h_s, bonds.T], [bonds.conj(), np.diag([x for x, _ in atoms])]])
+        self.delta_l, self.delta_r = (np.concatenate([v, np.zeros(len(atoms))])
+                                      for _, _, v in sides)
+        #: (coupling squared, density pieces, projector) per side
+        self.sides = [(g2, m.pieces, np.outer(v, v.conj()))
+                      for (g2, m, _), v in zip(sides, (self.delta_l, self.delta_r))]
+
+    def _transforms(self, z: np.ndarray) -> list[np.ndarray]:
+        """l_c and r_c at z; 0 on an uncoupled side, which K does not read."""
+        return [sum((_piece_borel(p, z) for p in pieces), np.zeros_like(z)) if g2 != 0.0
+                else np.zeros_like(z) for g2, pieces, _ in self.sides]
+
+    def _matrices(self, E: np.ndarray, transforms) -> np.ndarray:
+        K = self.h - E[:, None, None] * np.eye(self.h.shape[0])
+        for (g2, _, proj), t in zip(self.sides, transforms):
+            K = K - (g2 * t.real)[:, None, None] * proj
+        return K
+
+    def counts(self, E: np.ndarray) -> np.ndarray:
+        """The number of negative eigenvalues of K at each E."""
+        mu = np.linalg.eigvalsh(self._matrices(E, self._transforms(E)))
+        return np.sum(mu < 0.0, axis=-1)
+
+    def eigh(self, E: np.ndarray):
+        """The eigenvalues (ascending) and eigenvectors of K at each E, with
+        l_c' and r_c' there by the complex step."""
+        values = self._transforms(E + 1j * _COMPLEX_STEP)
+        mu, vectors = np.linalg.eigh(self._matrices(E, values))
+        return (mu, vectors, *(v.imag / _COMPLEX_STEP for v in values))
 
 
-def _scan_points(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
-    """Sample energies, ascending, and the index of the gap each lies in.
+def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps (lo, hi), ascending.
 
     The gaps are the open intervals between the reservoir bands inside
-    |E| <= SCAN_BOUND_FACTOR * R, where R = max |x| over both supports and
-    sigma(H_S), plus |lam| |delta_l| sqrt(m_l) + |nu| |delta_r| sqrt(m_r) with
-    m_l, m_r the reservoirs' total masses, bounds the norm of the coupled
-    operator.  Each gap gets SCAN_SAMPLES
-    uniform points, SCAN_EDGE_STEPS geometric points towards each end (the
-    transforms diverge logarithmically at a band edge) and the poles of the
-    uncoupled pairs that lie in it.
+    |E| <= 1 + 2R, where R = max |x| over both supports and sigma(H_S), plus
+    |lam| |delta_l| sqrt(m_l) + |nu| |delta_r| sqrt(m_r) with m_l, m_r the
+    reservoirs' total masses, bounds the norm of the coupled operator.  A
+    band edge is replaced by the double next to it inside the gap, where the
+    transforms are finite.
     """
     measures = (model.res_l, model.res_r)
     system = model.system
     bands = sorted((p.a, p.b) for m in measures for p in m.pieces)
-    atoms = [x for m in measures for x, _ in m.atoms]
     radius = max([abs(x) for band in bands for x in band]
-                 + [abs(x) for x in atoms] + list(np.abs(system.eigenvalues)))
+                 + [abs(x) for m in measures for x, _ in m.atoms]
+                 + list(np.abs(system.eigenvalues)))
     radius += abs(cp.lam) * np.linalg.norm(system.delta_l) * np.sqrt(model.res_l.total_mass)
     radius += abs(cp.nu) * np.linalg.norm(system.delta_r) * np.sqrt(model.res_r.total_mass)
-    bound = SCAN_BOUND_FACTOR * radius
+    bound = 1.0 + 2.0 * radius
     gaps, start = [], -bound
     for a, b in bands:
         if a > start:
             gaps.append((start, a))
         start = max(start, b)
     gaps.append((start, bound))
-    poles = np.concatenate([system.poles, atoms])
-    points = []
-    for a, b in gaps:
-        steps = (b - a) * 0.5 ** np.arange(1, SCAN_EDGE_STEPS + 1)
-        x = np.concatenate([np.linspace(a, b, SCAN_SAMPLES), a + steps, b - steps, poles])
-        points.append(_sorted_distinct(x[(x > a) & (x < b)]))
-    gap = np.repeat(np.arange(len(points)), [p.size for p in points])
-    return np.concatenate(points), gap
+    lo = np.array([a if a == -bound else math.nextafter(a, math.inf) for a, _ in gaps])
+    hi = np.array([b if b == bound else math.nextafter(b, -math.inf) for _, b in gaps])
+    return lo[lo < hi], hi[lo < hi]
 
 
 def _sorted_distinct(x) -> np.ndarray:
@@ -633,39 +724,3 @@ def _sorted_distinct(x) -> np.ndarray:
     keep = np.ones(x.size, dtype=bool)
     keep[1:] = x[1:] != x[:-1]
     return x[keep]
-
-
-def _refine(f, lo, hi, f_lo, f_hi) -> np.ndarray:
-    """Illinois-type regula falsi steps (the Anderson-Bjorck variant) on
-    every bracket at once, until each bracket is a few ulp wide or lands on
-    an exact zero."""
-    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    moved = np.zeros(lo.shape, dtype=int)  # the end moved last: -1 lo, +1 hi
-    for _ in range(_REFINE_STEPS):
-        tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
-        i = np.flatnonzero(hi - lo > tol)
-        if i.size == 0:
-            break
-        l, h, fl, fh, step = lo[i], hi[i], f_lo[i], f_hi[i], 0.5 * tol[i]
-        x = (l * fh - h * fl) / (fh - fl)
-        x = np.where(np.isfinite(x), x, 0.5 * (l + h))
-        # half a tolerance inside either end: a zero approached from one side
-        # still collapses its bracket
-        x = np.clip(x, l + step, h - step)
-        fx = f(x)
-        zero = fx == 0.0
-        right = np.sign(fx) == np.sign(fl)  # the zero lies in [x, h]
-        # when the same end moves twice running, scale the value kept at the
-        # other end by 1 - f(x) / f(moved end), or by 1/2 if that is not
-        # positive; a far, steep end then stops holding the step back
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = 1.0 - fx / np.where(right, fl, fh)
-        m = np.where(m > 0.0, m, 0.5)
-        fh = np.where(right & (moved[i] == -1), m * fh, fh)
-        fl = np.where(~right & (moved[i] == 1), m * fl, fl)
-        lo[i] = np.where(right | zero, x, l)
-        hi[i] = np.where(right & ~zero, h, x)
-        f_lo[i] = np.where(right, fx, fl)
-        f_hi[i] = np.where(right, fh, fx)
-        moved[i] = np.where(right, -1, 1)
-    return 0.5 * (lo + hi)

@@ -16,6 +16,7 @@ from specbox.blackbox import (
     TAGS,
     BlackBoxModel,
     SystemBlock,
+    complement,
 )
 from specbox.errors import InvalidModelError, PoleError
 from specbox.measures import SpectralMeasure
@@ -86,25 +87,30 @@ class TestSystemBlock:
 
 
     @pytest.mark.parametrize("h, dl, dr", [
-        # a doubly degenerate level with independent overlaps: d = a b - |c|^2
-        # has a double pole there, so P carries that level twice
+        # a doubly degenerate level with independent overlaps: the level is
+        # in every compression, and d = a b - |c|^2 has a double pole there
         (np.diag([0.0, 0.0, 1.5]), [1, 0, 1], [0, 1, 1j]),
         (np.array([[1.0, 0.5], [0.5, -1.0]]), [1, 0], [0.6, 0.8]),
     ])
-    def test_secular_polynomials_clear_the_poles(self, h, dl, dr):
+    def test_compressions_hold_the_zeros_of_a_b_and_d(self, h, dl, dr):
         system = SystemBlock(h, dl, dr)
-        p, a, b, d = system.secular_polynomials()
-        P = np.polynomial.polynomial
-        assert p.size - 1 == system.dim  # here: a double level twice, a simple one once
-        for E in (-0.7, 0.3, 2.2):
-            g = {(phi, psi): inverse_oracle(system, phi, psi, E)
-                 for phi in (DELTA_L, DELTA_R) for psi in (DELTA_L, DELTA_R)}
-            pe = P.polyval(E, p)
-            det = (g[DELTA_L, DELTA_L] * g[DELTA_R, DELTA_R]
-                   - g[DELTA_L, DELTA_R] * g[DELTA_R, DELTA_L])
-            assert P.polyval(E, a) == pytest.approx(pe * g[DELTA_L, DELTA_L].real, rel=1e-12)
-            assert P.polyval(E, b) == pytest.approx(pe * g[DELTA_R, DELTA_R].real, rel=1e-12)
-            assert P.polyval(E, d) == pytest.approx(pe * det.real, rel=1e-12, abs=1e-14)
+        model = BlackBoxModel(system, two_band_measure(), two_band_measure())
+        n_points = model.exceptional_sets.n_points
+        for vectors, value in (
+            ((dl,), lambda g: g[DELTA_L, DELTA_L]),
+            ((dr,), lambda g: g[DELTA_R, DELTA_R]),
+            ((dl, dr), lambda g: g[DELTA_L, DELTA_L] * g[DELTA_R, DELTA_R]
+             - g[DELTA_L, DELTA_R] * g[DELTA_R, DELTA_L]),
+        ):
+            q = complement(*(np.asarray(v, dtype=complex) for v in vectors))
+            assert q.shape == (system.dim, system.dim - len(vectors))
+            assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-14)
+            for E in np.linalg.eigvalsh(q.conj().T @ system.h_s @ q):
+                assert min(abs(E - p) for p in n_points) <= 1e-12
+                if min(abs(E - p) for p in system.poles) > 1e-9:
+                    g = {(phi, psi): inverse_oracle(system, phi, psi, E)
+                         for phi in (DELTA_L, DELTA_R) for psi in (DELTA_L, DELTA_R)}
+                    assert abs(value(g)) <= 1e-12
 
 
 class TestG0:

@@ -397,40 +397,48 @@ class TestSecularScan:
                     assert any(abs(E - E0) <= 1e-9 for E0, _, _ in scan)
 
     def test_scan_matches_mpmath(self):
-        # roots and weights against D, N_l and N_r at 40 digits; near a band
-        # edge a rounding of E moves the weight far more than the residue's
-        # error, so the weights are compared at the scan's own E
-        from mpmath import mp
-
         model, cp = sample_model()
         cases = [(model, (cp.lam, cp.nu))]
         for k in range(60):
             rng = np.random.default_rng([7, k])
             model = random_model(rng, max_dim=8, max_pieces=2)
             cases.append((model, (rng.uniform(0.1, 2), rng.uniform(0.1, 2))))
-        with mp.workdps(40):
-            for model, coupling in cases:
-                secular = _mp_secular(model, coupling)
-                det = lambda E: secular(E)[0]
-                scan = point_mass_scan(model, coupling)
-                roots = [E0 for E0, _, _ in scan]
-                poles = [*model.system.eigenvalues,
-                         *(x for m in (model.res_l, model.res_r) for x, _ in m.atoms)]
-                for E0, *weights in scan:
-                    scale = max(1.0, abs(E0))
-                    if any(abs(E0 - p) <= 1e-9 * scale for p in model.system.eigenvalues):
-                        continue  # D has a removable pole here
-                    # a bracket inside the gap that holds no pole and no
-                    # other root
-                    others = [abs(E0 - p) for p in [*poles, *roots] if p != E0]
-                    half = 0.5 * min([_band_distance(model, E0), 1e-3 * scale, *others])
-                    lo, hi = mp.mpf(E0 - half), mp.mpf(E0 + half)
-                    assert det(lo) * det(hi) < 0
-                    root = mp.findroot(det, (lo, hi), solver="anderson")
-                    assert abs(float(root) - E0) <= 1e-13 * scale
-                    E = mp.mpf(E0)
-                    slope = mp.diff(det, E)
-                    for num, w in zip(secular(E)[1:], weights):
-                        if w > ATOM_FLOOR:
-                            ref = float(-num / slope)
-                            assert abs(w - ref) <= 1e-10 * ref
+        for model, coupling in cases:
+            assert_scan_matches_mpmath(model, coupling)
+
+
+def assert_scan_matches_mpmath(model, coupling):
+    """The scan's roots and weights against D, N_l and N_r at 40 digits.
+
+    The weight is the residue -N/D' at the 40-digit root E*.  Near a band
+    edge, the rounding of E* to the scan's double E0 moves any weight
+    evaluated at E0 far more than 1e-10: by about the residue's own change
+    from E* to E0, which the bound adds twice (the scan's weight is another
+    function of E that meets the residue at E*).
+    """
+    from mpmath import mp
+
+    with mp.workdps(40):
+        secular = _mp_secular(model, coupling)
+        det = lambda E: secular(E)[0]
+        scan = point_mass_scan(model, coupling)
+        roots = [E0 for E0, _, _ in scan]
+        poles = [*model.system.eigenvalues,
+                 *(x for m in (model.res_l, model.res_r) for x, _ in m.atoms)]
+        for E0, *weights in scan:
+            scale = max(1.0, abs(E0))
+            if any(abs(E0 - p) <= 1e-9 * scale for p in model.system.eigenvalues):
+                continue  # D has a removable pole here
+            # a bracket inside the gap that holds no pole and no other root
+            others = [abs(E0 - p) for p in [*poles, *roots] if p != E0]
+            half = 0.5 * min([_band_distance(model, E0), 1e-3 * scale, *others])
+            lo, hi = mp.mpf(E0 - half), mp.mpf(E0 + half)
+            assert det(lo) * det(hi) < 0
+            root = mp.findroot(det, (lo, hi), solver="anderson")
+            assert abs(float(root) - E0) <= 1e-13 * scale
+            at_root, at_e0 = ([-num / mp.diff(det, E) for num in secular(E)[1:]]
+                              for E in (root, mp.mpf(E0)))
+            for w, ref, moved in zip(weights, at_root, at_e0):
+                if w > ATOM_FLOOR:
+                    rounding = float(abs(moved - ref))
+                    assert abs(w - float(ref)) <= 1e-10 * float(ref) + 2 * rounding

@@ -115,3 +115,26 @@ def test_readme_command_loads_no_numpy_ma(argv):
         print(json.dumps({{"code": code, "ma": "numpy.ma" in sys.modules}}))
     """)
     assert out == {"code": 0, "ma": False}
+
+
+def test_benchmark_names_resolve_after_cli_import():
+    # perfbench/spans.py patches these names and reads their modules from
+    # sys.modules right after ``import specbox.cli``: a rename or a lazy
+    # import would otherwise show only as a failed benchmark set-up
+    out = _run(f"""
+        import functools, json, sys
+        import specbox.cli
+        loaded = set(sys.modules)
+        sys.path.insert(0, {str(ROOT / "perfbench")!r})
+        from spans import FUNCTIONS, METHODS
+        missing = [f"{{mod}}.{{attr}}" for mod, attr, *_ in FUNCTIONS
+                   if mod not in loaded or not hasattr(sys.modules[mod], attr)]
+        missing += [f"{{mod}}.{{cls}}.{{attr}}" for mod, cls, attr, *_ in METHODS
+                    if mod not in loaded or attr not in vars(getattr(sys.modules[mod], cls))]
+        prop = sys.modules["specbox.blackbox"].BlackBoxModel.__dict__["exceptional_sets"]
+        print(json.dumps({{"missing": missing, "count": len(FUNCTIONS) + len(METHODS),
+                          "cached": isinstance(prop, functools.cached_property)}}))
+    """)
+    assert out["count"] > 0
+    assert out["missing"] == []
+    assert out["cached"]
