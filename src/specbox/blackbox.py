@@ -11,7 +11,7 @@ system matrix,
 The finite exceptional sets are eigenvalues of H_S compressed to the
 complements of the coupling vectors, never roots of polynomial
 coefficients.  With Q_phi an orthonormal basis of the orthogonal complement
-of phi (``complement``), by Cauchy interlacing and Jacobi's
+of phi (``_complement``), by Cauchy interlacing and Jacobi's
 complementary-minor identity:
 
 - a = G0(delta_l, delta_l) vanishes at the eigenvalues of Q_l* H_S Q_l, b at
@@ -55,7 +55,6 @@ __all__ = [
     "BlackBoxModel",
     "ExceptionalSets",
     "ValidationReport",
-    "complement",
 ]
 
 CHI_L = "chi_l"
@@ -337,7 +336,7 @@ class BlackBoxModel:
         if 0.5 * float(np.sum(sysb.minors)) <= 1e-13 * norms**2:
             return ExceptionalSets(sigma, s_zeros, None)
         zeros = [np.linalg.eigvalsh(q.conj().T @ h @ q)
-                 for q in (complement(dl), complement(dr), complement(dl, dr))]
+                 for q in (_complement(dl), _complement(dr), _complement(dl, dr))]
         points = (*sigma, *s_zeros)
         points += _distinct(np.concatenate(zeros), points)
         return ExceptionalSets(sigma, s_zeros, tuple(sorted(points)))
@@ -379,7 +378,7 @@ class BlackBoxModel:
         )
 
 
-def complement(*vectors) -> np.ndarray:
+def _complement(*vectors) -> np.ndarray:
     """An orthonormal basis, as columns, of the orthogonal complement of the
     span of ``vectors`` (of their numerical span, when they are dependent)."""
     u, svals, _ = np.linalg.svd(np.stack(vectors, axis=1))
@@ -394,7 +393,7 @@ def _pencil_real_eigenvalues(h, dl, dr, spectrum) -> np.ndarray:
     eigenvalues of (A - s B)^-1 B, A = Q_r* h Q_l, B = Q_r* Q_l; a theta at
     the rounding level of the largest is an infinite eigenvalue.
     """
-    ql, qr = complement(dl), complement(dr)
+    ql, qr = _complement(dl), _complement(dr)
     if ql.shape[1] == 0:
         return np.zeros(0)
     shift = 1j * (1.0 + float(np.max(np.abs(spectrum))))

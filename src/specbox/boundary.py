@@ -527,7 +527,8 @@ def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, 
     psi of K, u = psi* delta and G = I + lam^2 l_c' a a* + nu^2 r_c' b b*
     (a = psi* delta_l, b = psi* delta_r), the weight of delta is u* G^-1 u:
     the squared overlap with the eigenvectors of the coupled operator,
-    whose norms hold the reservoir parts.
+    whose norms hold the reservoir parts.  A simple atom's weights are
+    carried from the double E0 to its root to first order.
 
     Returns (E, w_delta_l, w_delta_r) by ascending E.  A weight at or below
     ATOM_FLOOR reads 0, and an atom whose two weights both read 0 (a level
@@ -566,18 +567,51 @@ def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, 
     groups = np.split(np.arange(E.size),
                       np.flatnonzero((gap[1:] != gap[:-1]) | apart) + 1)
     centres = np.array([E[g].mean() for g in groups])
-    _, vectors, dl, dr = k.eigh(centres)
+    cols = [j[g] for g in groups]
+    mu, slope, weights = _null_weights(k, centres, cols)
+    # the root of a simple atom lies -mu/mu' from its double E0, mostly
+    # within an ulp.  Near a band edge, where mu goes like the logarithm of
+    # the distance to the edge and the weights like the distance itself, the
+    # weights move by up to 1e-5 relative over that.  So they are carried to
+    # the root: by Newton's step in log-distance to the nearer gap end (a
+    # plain step is off by (step/dist)^2 / 2 there) and the weights' slope
+    # over the one ulp towards the root (kept inside the gap)
+    simple = np.flatnonzero([c.size == 1 for c in cols])
+    if simple.size:
+        E0 = centres[simple]
+        first = np.array([groups[i][0] for i in simple])
+        lo_end, hi_end = ends[0][first], ends[1][first]
+        dist = E0 - np.where(E0 - lo_end < hi_end - E0, np.nextafter(lo_end, -np.inf),
+                             np.nextafter(hi_end, np.inf))
+        step = dist * np.expm1(-mu[simple] / (slope[simple] * dist))
+        E1 = np.nextafter(E0, np.where(step > 0.0, np.inf, -np.inf))
+        inside = (E1 >= lo_end) & (E1 <= hi_end)
+        frac = np.where(inside, step / (E1 - E0), 0.0)
+        _, _, moved = _null_weights(k, np.where(inside, E1, E0), [cols[i] for i in simple])
+        weights[simple] += frac[:, None] * (moved - weights[simple])
     found = []
-    for g, E0, psi, l1, r1 in zip(groups, centres.tolist(), vectors, dl, dr):
-        psi = psi[:, j[g]]
-        a, b = psi.conj().T @ k.delta_l, psi.conj().T @ k.delta_r
-        gram = np.eye(len(g)) + k.lam2 * l1 * np.outer(a, a.conj()) \
-            + k.nu2 * r1 * np.outer(b, b.conj())
-        w_l, w_r = (float(np.vdot(u, np.linalg.solve(gram, u)).real) for u in (a, b))
+    for E0, (w_l, w_r) in zip(centres.tolist(), weights.tolist()):
         w_l, w_r = (w if w > ATOM_FLOOR else 0.0 for w in (w_l, w_r))
         if w_l or w_r:
             found.append((E0, w_l, w_r))
     return found
+
+
+def _null_weights(k: "_Feshbach", E: np.ndarray, cols: list[np.ndarray]):
+    """At each E, with the eigenvectors of K(E) in the columns ``cols`` (of
+    ascending eigenvalue) as the null basis psi: the first column's
+    eigenvalue mu and, for a single column, its slope mu' (``_newton``), and
+    the weights u* G^-1 u of delta_l and delta_r as an (E.size, 2) array."""
+    spectrum, vectors, dl, dr = k.eigh(E)
+    mu, slope, weights = np.empty(E.size), np.empty(E.size), np.empty((E.size, 2))
+    for i, (c, l1, r1) in enumerate(zip(cols, dl, dr)):
+        psi = vectors[i][:, c]
+        a, b = psi.conj().T @ k.delta_l, psi.conj().T @ k.delta_r
+        gram = np.eye(c.size) + k.lam2 * l1 * np.outer(a, a.conj()) \
+            + k.nu2 * r1 * np.outer(b, b.conj())
+        weights[i] = [np.vdot(u, np.linalg.solve(gram, u)).real for u in (a, b)]
+        mu[i], slope[i] = spectrum[i, c[0]], -gram[0, 0].real
+    return mu, slope, weights
 
 
 def _newton(k: "_Feshbach", j: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -690,7 +724,7 @@ def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndar
     """The gaps (lo, hi), ascending.
 
     The gaps are the open intervals between the reservoir bands inside
-    |E| <= 1 + 2R, where R = max |x| over both supports and sigma(H_S), plus
+    |E| <= 1.1 R, where R = max |x| over both supports and sigma(H_S), plus
     |lam| |delta_l| sqrt(m_l) + |nu| |delta_r| sqrt(m_r) with m_l, m_r the
     reservoirs' total masses, bounds the norm of the coupled operator.  A
     band edge is replaced by the double next to it inside the gap, where the
@@ -704,7 +738,7 @@ def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndar
                  + list(np.abs(system.eigenvalues)))
     radius += abs(cp.lam) * np.linalg.norm(system.delta_l) * np.sqrt(model.res_l.total_mass)
     radius += abs(cp.nu) * np.linalg.norm(system.delta_r) * np.sqrt(model.res_r.total_mass)
-    bound = 1.0 + 2.0 * radius
+    bound = 1.1 * radius
     gaps, start = [], -bound
     for a, b in bands:
         if a > start:

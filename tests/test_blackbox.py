@@ -16,7 +16,7 @@ from specbox.blackbox import (
     TAGS,
     BlackBoxModel,
     SystemBlock,
-    complement,
+    _complement,
 )
 from specbox.errors import InvalidModelError, PoleError
 from specbox.measures import SpectralMeasure
@@ -102,7 +102,7 @@ class TestSystemBlock:
             ((dl, dr), lambda g: g[DELTA_L, DELTA_L] * g[DELTA_R, DELTA_R]
              - g[DELTA_L, DELTA_R] * g[DELTA_R, DELTA_L]),
         ):
-            q = complement(*(np.asarray(v, dtype=complex) for v in vectors))
+            q = _complement(*(np.asarray(v, dtype=complex) for v in vectors))
             assert q.shape == (system.dim, system.dim - len(vectors))
             assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-14)
             for E in np.linalg.eigvalsh(q.conj().T @ system.h_s @ q):
