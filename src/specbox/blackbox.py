@@ -344,20 +344,18 @@ class BlackBoxModel:
     # -- diagnostics ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Report-only diagnostics: Hermiticity, non-decoupling, cyclicity
-        heuristic (numeric Krylov rank), reservoir non-triviality, and the
-        degenerate-N flag with the empirical N \\ sigma(H_S) comparison."""
+        """Report-only diagnostics: Hermiticity, non-decoupling, cyclicity,
+        reservoir non-triviality, and the degenerate-N flag with the
+        empirical N \\ sigma(H_S) comparison.  The cyclicity rank, the
+        dimension of the cyclic subspace of {delta_l, delta_r}, sums over the
+        eigenvalue clusters of H_S the rank of the cluster's overlaps with
+        delta_l and delta_r (singular values above 1e-8 max |delta|)."""
         sysb = self.system
         n = sysb.dim
-        krylov = []
-        for v in (sysb.delta_l, sysb.delta_r):
-            w = v.astype(complex)
-            for _ in range(n):
-                krylov.append(w)
-                w = sysb.h_s @ w
-        K = np.stack(krylov, axis=1)
-        svals = np.linalg.svd(K, compute_uv=False)
-        rank = int(np.sum(svals > _RANK_TOL * svals[0])) if svals.size else 0
+        x, y = sysb._coef[DELTA_L], sysb._coef[DELTA_R]
+        tol = _RANK_TOL * max(np.linalg.norm(sysb.delta_l), np.linalg.norm(sysb.delta_r))
+        rank = sum(int(np.linalg.matrix_rank(np.stack([x[list(g)], y[list(g)]], axis=1), tol=tol))
+                   for g in sysb._groups)
         exc = self.exceptional_sets
         outside = tuple(
             E

@@ -32,10 +32,9 @@ reservoir atoms), not from a ladder.  In a gap l_c and r_c are real and
 increasing, so every eigenvalue of K falls with slope at most -1; the
 number of negative eigenvalues of K at the ends of a gap is the number of
 atoms in it, with multiplicity, and nothing is sampled.  ``point_mass_scan``
-bisects on that count, all brackets at once, until each holds one crossing,
-places each crossing by Newton's steps on the crossing eigenvalue, and takes
-each atom's weights from the null space of K there.  It does not see atoms
-embedded in a band.
+places each crossing by Newton's steps on the crossing eigenvalue, bracketed
+by its gap, and takes each atom's weights from the null space of K there.
+It does not see atoms embedded in a band.
 
 ``lattice_records`` is the one (energy x eps) lattice path, blocked and
 failure-local; ``density`` runs it on the four diagonal pairs of the
@@ -521,9 +520,10 @@ def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, 
     (``_Feshbach``) is singular.
 
     The count of negative eigenvalues of K at the ends of a gap gives the
-    number of atoms in it, with multiplicity.  Bisection on the count, all
-    brackets in one ``eigvalsh`` call per step, isolates each crossing, and
-    ``_newton`` places it.  At an atom E0 with an orthonormal null basis
+    number of atoms in it, with multiplicity: the eigenvalues of K from the
+    one counts to the other each cross 0 once in the gap, and ``_newton``
+    places every crossing at once, each bracketed by its gap.  At an atom
+    E0 with an orthonormal null basis
     psi of K, u = psi* delta and G = I + lam^2 l_c' a a* + nu^2 r_c' b b*
     (a = psi* delta_l, b = psi* delta_r), the weight of delta is u* G^-1 u:
     the squared overlap with the eigenvectors of the coupled operator,
@@ -546,21 +546,8 @@ def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, 
         return []
     gap = np.repeat(np.arange(size.size), size)
     j = np.concatenate([np.arange(a, b) for a, b in zip(n_lo.tolist(), n_hi.tolist())])
-    lo, hi, n_lo, n_hi = (np.repeat(v, size) for v in (lo, hi, n_lo, n_hi))
-    ends = lo.copy(), hi.copy()
-    # bisect on the count until each bracket holds one crossing, or is as
-    # narrow as the match tolerance (a multiple atom stays a bracket of k)
-    while True:
-        live = np.flatnonzero((n_hi - n_lo > 1)
-                              & (hi - lo > _MATCH_TOL * np.maximum(1.0, np.abs(lo))))
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        count = k.counts(mid)
-        below = count > j[live]  # the crossing lies below mid
-        hi[live], n_hi[live] = np.where(below, mid, hi[live]), np.where(below, count, n_hi[live])
-        lo[live], n_lo[live] = np.where(below, lo[live], mid), np.where(below, n_lo[live], count)
-    E = _newton(k, j, lo, hi, ends)
+    lo, hi = np.repeat(lo, size), np.repeat(hi, size)
+    E = _newton(k, j, lo, hi)
     # crossings of one gap that meet within the match tolerance are one atom,
     # and the eigenvectors of their eigenvalues span the null space of K
     apart = E[1:] - E[:-1] > _MATCH_TOL * np.maximum(1.0, np.abs(E[1:]))
@@ -580,7 +567,7 @@ def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, 
     if simple.size:
         E0 = centres[simple]
         first = np.array([groups[i][0] for i in simple])
-        lo_end, hi_end = ends[0][first], ends[1][first]
+        lo_end, hi_end = lo[first], hi[first]
         dist = E0 - np.where(E0 - lo_end < hi_end - E0, np.nextafter(lo_end, -np.inf),
                              np.nextafter(hi_end, np.inf))
         step = dist * np.expm1(-mu[simple] / (slope[simple] * dist))
@@ -614,22 +601,21 @@ def _null_weights(k: "_Feshbach", E: np.ndarray, cols: list[np.ndarray]):
     return mu, slope, weights
 
 
-def _newton(k: "_Feshbach", j: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The zero of the j-th eigenvalue mu of K in each bracket (lo, hi),
-    all brackets at once, by Newton's steps with mu' by Hellmann-Feynman,
+def _newton(k: "_Feshbach", j: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The zero of the j-th eigenvalue mu of K in each gap (lo, hi), all
+    gaps at once, by Newton's steps with mu' by Hellmann-Feynman,
     mu' = -1 - lam^2 l_c' |<delta_l, psi>|^2 - nu^2 r_c' |<delta_r, psi>|^2.
 
-    mu falls with slope at most -1, so each bracket holds one zero and keeps
-    it.  At a band edge l_c or r_c diverges like a logarithm, and a plain
-    step from afar overshoots the edge.  So each step is taken in
-    log |E - ref|, with ref one double beyond the end of the gap (``ends``)
-    that the step heads for (at a band edge, the edge itself); a small step
-    is a plain one.  A step that leaves the bracket is replaced by the
-    bracket's geometric midpoint in |E - ref|.
+    mu falls with slope at most -1, so the gap holds one zero, and the
+    bracket that the steps shrink around it keeps it.  At a band edge l_c
+    or r_c diverges like a logarithm, and a plain step from afar overshoots
+    the edge.  So each step is taken in log |E - ref|, with ref one double
+    beyond the end of the gap that the step heads for (at a band edge, the
+    edge itself); a small step is a plain one.  A step that leaves the
+    bracket is replaced by the bracket's geometric midpoint in |E - ref|.
     """
+    refs = (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
     lo, hi = lo.copy(), hi.copy()
-    refs = (np.nextafter(ends[0], -np.inf), np.nextafter(ends[1], np.inf))
     E = 0.5 * (lo + hi)
     live = np.arange(E.size)
     for _ in range(_NEWTON_STEPS):
@@ -727,8 +713,10 @@ def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndar
     |E| <= 1.1 R, where R = max |x| over both supports and sigma(H_S), plus
     |lam| |delta_l| sqrt(m_l) + |nu| |delta_r| sqrt(m_r) with m_l, m_r the
     reservoirs' total masses, bounds the norm of the coupled operator.  A
-    band edge is replaced by the double next to it inside the gap, where the
-    transforms are finite.
+    band edge is replaced by the double next to it inside the gap.  The
+    transforms are finite there, also at +-5e-324 next to an edge at 0,
+    where ``_piece_borel`` takes the logarithm of the quotient as a
+    difference of logarithms.
     """
     measures = (model.res_l, model.res_r)
     system = model.system

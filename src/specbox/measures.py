@@ -212,13 +212,22 @@ class SpectralMeasure:
 def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
     """Closed-form int_a^b p(x)/(x-z) dx for an array of z off [a, b]; a
     real array stays in real arithmetic, since off [a, b] the logarithm's
-    argument is positive."""
+    argument is positive.  Where (b - z) / (a - z) over- or underflows (by
+    an edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z),
+    of the moduli for a real array."""
     out = np.empty_like(z)
     far = np.abs(z) > _FAR_FACTOR * max(p.radius, 1.0)
     near = ~far
     if np.any(near):
         zn = z[near]
-        term = np.log((p.b - zn) / (p.a - zn))  # I_0
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            ratio = (p.b - zn) / (p.a - zn)  # complex overflow can read nan
+            exact = np.isfinite(ratio) & (np.abs(ratio) >= np.finfo(float).tiny)
+        term = np.log(np.where(exact, ratio, 1.0))  # I_0
+        if not exact.all():
+            zx = zn[~exact]
+            log = np.log if np.iscomplexobj(zx) else lambda x: np.log(np.abs(x))
+            term[~exact] = log(p.b - zx) - log(p.a - zx)
         acc = p.coef[0] * term
         for n in range(1, len(p.coef)):
             term = (p.b ** n - p.a ** n) / n + zn * term  # I_n from I_{n-1}

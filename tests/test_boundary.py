@@ -13,6 +13,7 @@ from specbox.boundary import (
     UNDETERMINED,
     ZERO,
     EpsilonLadder,
+    _Feshbach,
     boundary_value,
     classify_energy,
     density_from_record,
@@ -405,6 +406,21 @@ class TestSecularScan:
             cases.append((model, (rng.uniform(0.1, 2), rng.uniform(0.1, 2))))
         for model, coupling in cases:
             assert_scan_matches_mpmath(model, coupling)
+
+    def test_scan_cost(self, monkeypatch):
+        # the eigensolver calls of 40 scans, a count that repeats exactly: 472
+        # with Newton's steps started from each crossing's gap, 559 with a
+        # bisection on the count in front of them
+        calls = []
+        for name in ("counts", "eigh"):
+            method = getattr(_Feshbach, name)
+            monkeypatch.setattr(_Feshbach, name,
+                                lambda self, E, m=method: calls.append(1) or m(self, E))
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            model = random_model(rng)
+            point_mass_scan(model, tuple(rng.uniform(-2.0, 2.0, 2)))
+        assert len(calls) <= 480
 
 
 def assert_scan_matches_mpmath(model, coupling):

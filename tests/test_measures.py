@@ -128,6 +128,15 @@ class TestBorel:
         assert got == pytest.approx(oracle, rel=1e-12)
         assert abs(got.imag) < 1e-15
 
+    def test_next_to_an_edge_at_zero(self):
+        # at z = -5e-324 by [0, 1] the quotient (b - z) / (a - z) overflows,
+        # at z = 5e-324 by [-3, 0] it underflows to 0; the transform is
+        # log|b - z| - log|a - z| all the same
+        tiny = 5e-324
+        up, down = (SpectralMeasure(pieces=[(ab, [1.0])]) for ab in ([0.0, 1.0], [-3.0, 0.0]))
+        assert up.borel(-tiny) == pytest.approx(-np.log(tiny), rel=1e-15)
+        assert down.borel(tiny) == pytest.approx(np.log(tiny) - np.log(3.0), rel=1e-15)
+
     def test_domain_errors(self, two_band):
         with pytest.raises(DomainError):
             two_band.borel(1.5)       # inside a piece

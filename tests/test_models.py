@@ -4,6 +4,9 @@
   two node counts, N against the interlacing counts of a and b found from
   the pole sums alone, and S empty (c has no zero).
 - The double level on sigma(H_S): closed-form weights of a double atom.
+- The cyclicity rank of the chains, the double level and a dark level.
+- Band edges at 0 and touching pieces: the atom scan against the
+  discretization oracle at 200 and 400 nodes per piece.
 - delta_l orthogonal to delta_r: S against the zeros of c at 40 digits.
 - Every dim-48 chain builds: the decoupling test reads the cross pair's
   clustered weights, not rounding noise.
@@ -17,41 +20,52 @@ from specbox.boundary import point_mass_scan
 from specbox.resolvent import discretize
 
 import models
-from test_boundary import assert_scan_matches_mpmath
-
-
-def _gap_distance(E):
-    """Distance from E to the bands [-2, -1] and [1, 2]."""
-    return min(max(a - E, E - b, 0.0) for a, b in ((-2.0, -1.0), (1.0, 2.0)))
+from test_boundary import _band_distance, assert_scan_matches_mpmath
 
 
 def _oracle_atoms(model, nodes):
     """The eigenvalues of the discretized operator more than 1e-2 outside
     the bands, with their overlaps with delta_l and delta_r."""
     disc = discretize(model, nodes)
-    energies, vecs = np.linalg.eigh(disc.assemble(models.COUPLING))
+    h = disc.assemble(models.COUPLING)
+    # every catalogue model is real: a real symmetric solve is 4 times faster
+    energies, vecs = np.linalg.eigh(h if h.imag.any() else h.real)
     overlaps = np.abs(np.stack([disc.delta_l, disc.delta_r]).conj() @ vecs) ** 2
-    keep = np.array([_gap_distance(E) > 1e-2 for E in energies])
+    keep = np.array([_band_distance(model, E) > 1e-2 for E in energies])
     return energies[keep], overlaps[:, keep].T
 
 
-@pytest.mark.parametrize("dim", models.CHAIN_DIMS)
-def test_chain_atoms_match_the_oracle(dim):
-    model = models.chain(dim)
-    coarse, fine = _oracle_atoms(model, 100), _oracle_atoms(model, 150)
+def assert_scan_matches_oracle(model, nodes):
+    """The scan against the oracle at the two node counts ``nodes``, both
+    ways, on the atoms more than 1e-2 outside the bands."""
+    coarse, fine = (_oracle_atoms(model, n) for n in nodes)
     # the oracle shows its own convergence
     assert coarse[0].size == fine[0].size
     assert np.max(np.abs(coarse[0] - fine[0])) <= 1e-12
     energies, overlaps = fine
     scan = point_mass_scan(model, models.COUPLING)
     for E0, *weights in scan:
-        if _gap_distance(E0) > 1e-2:
+        if _band_distance(model, E0) > 1e-2:
             j = np.argmin(np.abs(energies - E0))
             assert abs(energies[j] - E0) <= 1e-9
             assert np.max(np.abs(overlaps[j] - weights)) <= 1e-7
     for E, overlap in zip(energies, overlaps):
         if overlap.max() >= 1e-6:
             assert any(abs(E - E0) <= 1e-9 for E0, _, _ in scan)
+
+
+@pytest.mark.parametrize("dim", models.CHAIN_DIMS)
+def test_chain_atoms_match_the_oracle(dim):
+    assert_scan_matches_oracle(models.chain(dim), (100, 150))
+
+
+@pytest.mark.parametrize("name", ["left_edge_at_zero", "right_edge_at_zero", "touching_pieces"])
+def test_moved_bands_match_the_oracle(name):
+    # next to an edge at 0 the gap ends at -5e-324 or 5e-324, where the
+    # quotient inside the logarithm of the piece's transform over- or
+    # underflows: the count there read inf or NaN, and the left gap's two
+    # atoms were dropped
+    assert_scan_matches_oracle(getattr(models, name)(), (200, 400))
 
 
 def _pole_sum(poles, weights, E):
@@ -110,6 +124,20 @@ def test_every_dim48_chain_builds():
         assert report.ok
 
 
+def test_cyclicity_rank_counts_the_visible_levels():
+    # the rank of the 2n Krylov vectors H_S^k delta read 28, 16 and 7 at dims
+    # 32, 48 and 64: the powers lose rank long before the subspace does
+    ranks = [models.chain(dim).validate().cyclicity_rank for dim in models.CHAIN_DIMS]
+    assert ranks == [16, 32, 48, 62]
+    # at dim 64 two levels have overlaps with both vectors below 1e-8
+    model = models.chain(64)
+    overlaps = np.abs(model.system.eigenvectors[[0, -1]])
+    assert int(np.sum(overlaps.max(axis=0) <= 1e-8)) == 2
+    assert models.double_level().validate().cyclicity_rank == 3
+    report = models.dark_level().validate()
+    assert (report.cyclicity_rank, report.cyclic_system_heuristic) == (1, False)
+
+
 def test_double_level_weights():
     lam, nu = models.COUPLING
     scan = point_mass_scan(models.double_level(), models.COUPLING)
@@ -118,7 +146,9 @@ def test_double_level_weights():
 
 
 def test_catalogue_scans_match_mpmath():
-    for model in (models.chain(16), models.double_level(), models.orthogonal_deltas()):
+    for model in (models.chain(16), models.double_level(), models.orthogonal_deltas(),
+                  models.left_edge_at_zero(), models.right_edge_at_zero(),
+                  models.touching_pieces()):
         assert_scan_matches_mpmath(model, models.COUPLING)
 
 
