@@ -34,10 +34,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
-from .boundary import DIVERGENT, EpsilonLadder, Tolerances, _sorted_distinct, lattice_records
+from .boundary import DIVERGENT, _sorted_distinct, lattice_records
+from .config import CouplingParams, EpsilonLadder, Tolerances
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
-from .resolvent import _TAG_INDEX, CouplingParams, G0Basics, _solve_all, green_from_basics
+from .resolvent import _TAG_INDEX, G0Basics, _solve_all, green_from_basics
 
 __all__ = [
     "averaged_poisson_closed",

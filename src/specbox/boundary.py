@@ -59,18 +59,16 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel
-from .errors import (
-    DomainError,
-    PointMassPresentError,
-    SpecboxError,
-    UndeterminedLimitError,
-)
+# defined in config, which every command runs first; still importable from here
+from .config import MAX_RUNGS, CouplingParams, EpsilonLadder, Tolerances
+from .errors import PointMassPresentError, SpecboxError, UndeterminedLimitError
 from .measures import _piece_borel
-from .resolvent import CouplingParams, _coupling, green, green_all
+from .resolvent import _coupling, green, green_all
 
 __all__ = [
     "Tolerances",
     "EpsilonLadder",
+    "MAX_RUNGS",
     "BoundaryRecord",
     "EnergyClassification",
     "boundary_value",
@@ -104,60 +102,11 @@ ATOM_FLOOR = 1e-10
 _COMPLEX_STEP = 1e-100
 #: a safety cap; the atom scan's Newton steps converge in a few
 _NEWTON_STEPS = 100
-#: most rungs a ladder may have, checked before any rung is allocated
-MAX_RUNGS = 10_000
 #: the failures of a ladder's evaluation that make it UNDETERMINED
 _NUMERICAL_ERRORS = (SpecboxError, ArithmeticError, np.linalg.LinAlgError)
 #: lattice points (energies x rungs) per call of ``lattice_records``: its
 #: arrays stay this small however long the grid and deep the ladder
 LATTICE_POINTS = 1024
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The thresholds every layer reads: ladder classification (div_tol,
-    zero_tol), the dissipative sets (im_tol), the certificate floor on
-    |D(E + i0)| (d_floor) and the quadrature duel (quad_tol)."""
-
-    div_tol: float = 1e6
-    zero_tol: float = 1e-6
-    im_tol: float = 1e-8
-    #: below this |D(E + i0)| the verdict is withheld rather than risked: the
-    #: theory guarantees D != 0 but not a quantitative lower bound
-    d_floor: float = 1e-8
-    quad_tol: float = 1e-9
-
-
-@dataclass(frozen=True)
-class EpsilonLadder:
-    """Geometric ladder eps_max * ratio^k clipped at eps_min."""
-
-    eps_max: float = 1e-1
-    eps_min: float = 1e-9
-    ratio: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.eps_min < self.eps_max:
-            raise DomainError(
-                f"need 0 < eps_min < eps_max, got ({self.eps_min}, {self.eps_max})"
-            )
-        if not 0 < self.ratio < 1:
-            raise DomainError(f"ratio must be in (0, 1), got {self.ratio}")
-        if self.eps_min / self.eps_max == 0:  # the log in _rungs would fail
-            raise DomainError(
-                f"eps_min / eps_max underflows to 0 for ({self.eps_min}, {self.eps_max})"
-            )
-        rungs = self._rungs()
-        if rungs < 4:  # point_mass compares the last three steps
-            raise DomainError("the ladder needs at least 4 rungs")
-        if rungs > MAX_RUNGS:
-            raise DomainError(f"the ladder may have at most {MAX_RUNGS} rungs, got {rungs}")
-
-    def _rungs(self) -> int:
-        return int(math.floor(math.log(self.eps_min / self.eps_max) / math.log(self.ratio))) + 1
-
-    def epsilons(self) -> np.ndarray:
-        return self.eps_max * self.ratio ** np.arange(self._rungs())
 
 
 @dataclass

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
-from .boundary import UNDETERMINED, EpsilonLadder, Tolerances, classify_grid
+from .boundary import UNDETERMINED, classify_grid
+from .config import EpsilonLadder, Tolerances
 from .errors import UnsupportedScenarioError
 from .measures import SpectralMeasure
 from .resolvent import G0Basics, _coupling, discretize

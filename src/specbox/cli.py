@@ -19,27 +19,12 @@ import traceback
 
 import click
 
-from .averaging import (
-    averaged_poisson_closed,
-    averaged_poisson_quadrature,
-    fixed_bond,
-    verify_abs_continuity,
-)
-from .blackbox import DELTA_L, DELTA_R, TAGS
-from .boundary import (
-    DIVERGENT,
-    UNDETERMINED,
-    classify_grid,
-    density_from_record,
-    diagonal_records,
-    point_mass,
-    point_mass_scan,
-)
-from .certify import NUMERICALLY_UNRESOLVED, certify_no_sc, eigen_residual, remark2_model
-from .config import RunConfig, build_run_config, load_config
-from .emit import render_csv, render_json, write_output
+# every module but errors is read through its name, so a command executes
+# only the modules it uses (see specbox/__init__.py); the certify module
+# goes by another name because the certify command takes its own
+from . import averaging, blackbox, boundary, config, emit, resolvent
+from . import certify as certification
 from .errors import AccuracyError, ConfigError, SpecboxError
-from .resolvent import green_all
 
 __all__ = ["cli", "main"]
 
@@ -84,8 +69,8 @@ def _run_config(command):
     """
     @functools.wraps(command)
     def run(config_path, strict, **overrides):
-        raw = load_config(config_path) if config_path else None
-        unresolved = command(build_run_config(raw, overrides))
+        raw = config.load_config(config_path) if config_path else None
+        unresolved = command(config.build_run_config(raw, overrides))
         if strict and unresolved:
             raise StrictFailure(f"{unresolved} unresolved outcome(s) under --strict")
 
@@ -94,11 +79,11 @@ def _run_config(command):
     return run
 
 
-def _emit(cfg: RunConfig, payload: dict, header: list[str], rows: list[list]) -> None:
+def _emit(cfg: config.RunConfig, payload: dict, header: list[str], rows: list[list]) -> None:
     if cfg.out_format == "csv":
-        write_output(render_csv(header, rows), cfg.out_path)
+        emit.write_output(emit.render_csv(header, rows), cfg.out_path)
     else:
-        write_output(render_json(payload), cfg.out_path)
+        emit.write_output(emit.render_json(payload), cfg.out_path)
 
 
 def _columns(header: list[str], records: list[dict]) -> list[list]:
@@ -106,7 +91,7 @@ def _columns(header: list[str], records: list[dict]) -> list[list]:
     return [[rec[key] for key in header] for rec in records]
 
 
-def _meta(cfg: RunConfig, command: str) -> dict:
+def _meta(cfg: config.RunConfig, command: str) -> dict:
     return {
         "command": command,
         "coupling": {"lambda": cfg.coupling.lam, "nu": cfg.coupling.nu},
@@ -146,8 +131,8 @@ def greens(cfg):
     model = cfg.require_model()
     grid = cfg.require_grid()
     zs = grid + 1j * cfg.greens_im_z
-    values = green_all(model, cfg.coupling, zs).reshape(len(zs), -1)
-    pairs = [(phi, psi) for phi in TAGS for psi in TAGS]
+    values = resolvent.green_all(model, cfg.coupling, zs).reshape(len(zs), -1)
+    pairs = [(phi, psi) for phi in blackbox.TAGS for psi in blackbox.TAGS]
     rows, entries = [], []
     for z, gs in zip(zs.tolist(), values.tolist()):
         cells = {}
@@ -183,9 +168,9 @@ def classify(cfg):
     grid = cfg.require_grid()
     nu_val = cfg.coupling.nu if cfg.coupling.nu != 0.0 else None
     rows, entries, unresolved = [], [], 0
-    for c in classify_grid(model, grid, nu_val, cfg.ladder, tol=cfg.tolerances):
+    for c in boundary.classify_grid(model, grid, nu_val, cfg.ladder, tol=cfg.tolerances):
         entries.append(c.to_dict())
-        if UNDETERMINED in (c.rec_chi_l.status, c.rec_chi_r.status):
+        if boundary.UNDETERMINED in (c.rec_chi_l.status, c.rec_chi_r.status):
             unresolved += 1
         l_re, l_im = _parts(c.rec_chi_l)
         r_re, r_im = _parts(c.rec_chi_r)
@@ -214,24 +199,24 @@ def density(cfg):
     model = cfg.require_model()
     grid = cfg.require_grid()
     entries, unresolved = [], 0
-    records = diagonal_records(model, cfg.coupling, grid, cfg.ladder, tol=cfg.tolerances)
+    records = boundary.diagonal_records(model, cfg.coupling, grid, cfg.ladder, tol=cfg.tolerances)
     for E, row in zip(grid, records):
-        for phi, rec in zip(TAGS, row):
+        for phi, rec in zip(blackbox.TAGS, row):
             # a divergent ladder carries its point mass; an undetermined
             # ladder or a point mass that does not converge is unresolved
             ac = pm = None
-            if rec.status == DIVERGENT:
+            if rec.status == boundary.DIVERGENT:
                 pm = rec.pole_weight
-            elif rec.status != UNDETERMINED:
-                ac = density_from_record(rec)
+            elif rec.status != boundary.UNDETERMINED:
+                ac = boundary.density_from_record(rec)
             if ac is None and pm is None:
                 unresolved += 1
             entries.append({"E": float(E), "phi": phi, "status": rec.status,
                             "ac_density": ac, "point_mass": pm})
-    scan = point_mass_scan(model, cfg.coupling)
+    scan = boundary.point_mass_scan(model, cfg.coupling)
     atoms = [
         {"phi": phi, "E": E0, "weight": weights[i]}
-        for i, phi in enumerate((DELTA_L, DELTA_R))
+        for i, phi in enumerate((blackbox.DELTA_L, blackbox.DELTA_R))
         for E0, *weights in scan
         if weights[i] > 0
     ]
@@ -255,16 +240,16 @@ def average(cfg):
     model = cfg.require_model()
     grid = cfg.require_grid()
     eps = cfg.average_eps
-    report = verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder,
-                                   lam=cfg.coupling.lam, tol=cfg.tolerances)
+    report = averaging.verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder,
+                                             lam=cfg.coupling.lam, tol=cfg.tolerances)
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
     entries = []
     for E in grid:
-        for phi in TAGS:
-            kappa = fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
-            closed = averaged_poisson_closed(model, kappa, phi, float(E), eps)
+        for phi in blackbox.TAGS:
+            kappa = averaging.fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
+            closed = averaging.averaged_poisson_closed(model, kappa, phi, float(E), eps)
             try:
-                quadr = averaged_poisson_quadrature(
+                quadr = averaging.averaged_poisson_quadrature(
                     model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol
                 )
                 rel = abs(closed - quadr) / max(abs(closed), abs(quadr), 1e-300)
@@ -282,7 +267,7 @@ def average(cfg):
     _emit(cfg, payload, AVERAGE_HEADER, _columns(AVERAGE_HEADER, entries))
     # a row is unresolved when its ladder is, or when the duel stalls or
     # fails (a NaN rel_diff fails too)
-    return sum(e["ladder_status"] == UNDETERMINED or e["rel_diff"] is None
+    return sum(e["ladder_status"] == boundary.UNDETERMINED or e["rel_diff"] is None
                or not e["rel_diff"] <= cfg.tolerances.quad_tol for e in entries)
 
 
@@ -296,12 +281,12 @@ def certify(cfg):
     """Pointwise no-singular-continuous certificate over the grid."""
     model = cfg.require_model()
     grid = cfg.require_grid()
-    cert = certify_no_sc(model, cfg.coupling, grid, cfg.ladder, tol=cfg.tolerances)
+    cert = certification.certify_no_sc(model, cfg.coupling, grid, cfg.ladder, tol=cfg.tolerances)
     payload = _meta(cfg, "certify")
     payload["certificate"] = cert.to_dict()
     _emit(cfg, payload, CERTIFY_HEADER,
           _columns(CERTIFY_HEADER, payload["certificate"]["points"]))
-    return cert.counts()[NUMERICALLY_UNRESOLVED]
+    return cert.counts()[certification.NUMERICALLY_UNRESOLVED]
 
 
 @cli.group()
@@ -314,10 +299,10 @@ def scenario():
 def scenario_remark2(cfg):
     """Persistent zero mode of the reference model: residual, atom weight,
     and the two independent routes to the same weight."""
-    model = remark2_model()
+    model = certification.remark2_model()
     nodes_pp = cfg.nodes_per_piece
-    residual, weight = eigen_residual(model, cfg.coupling, nodes_pp)
-    atom = point_mass(model, cfg.coupling, DELTA_L, 0.0, cfg.ladder)
+    residual, weight = certification.eigen_residual(model, cfg.coupling, nodes_pp)
+    atom = boundary.point_mass(model, cfg.coupling, blackbox.DELTA_L, 0.0, cfg.ladder)
     payload = _meta(cfg, "scenario remark2")
     payload.update({
         "nodes_per_piece": nodes_pp,

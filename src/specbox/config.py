@@ -4,6 +4,11 @@ Complex numbers are encoded as [re, im] pairs throughout; measures use the
 literal form {"atoms": [[x, w], ...], "pieces": [{"interval": [a, b],
 "poly": [c0, c1, ...]}, ...]}.  All validation errors carry the offending
 field path.
+
+The parameter types the numerical layers take (``CouplingParams``,
+``EpsilonLadder`` and ``Tolerances``) are defined here, in the module every
+command executes first, so that parsing a config executes none of those
+layers; ``resolvent`` and ``boundary`` import them from here.
 """
 
 from __future__ import annotations
@@ -16,12 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from .blackbox import BlackBoxModel, SystemBlock
-from .boundary import EpsilonLadder, Tolerances
 from .errors import ConfigError, DomainError, InvalidModelError
 from .measures import SpectralMeasure
-from .resolvent import CouplingParams
 
-__all__ = ["RunConfig", "load_config", "build_run_config"]
+__all__ = [
+    "CouplingParams",
+    "EpsilonLadder",
+    "Tolerances",
+    "RunConfig",
+    "load_config",
+    "build_run_config",
+]
 
 _FORMATS = ("json", "csv")
 
@@ -32,6 +42,76 @@ MAX_GRID_POINTS = 1_000_000
 #: n = 2000 about 1.15 s and 31 MB on one BLAS thread), the largest cost of
 #: ``scenario remark2``, which applies H through its bond blocks
 MAX_NODES_PER_PIECE = 2000
+#: most rungs a ladder may have, checked before any rung is allocated
+MAX_RUNGS = 10_000
+
+
+@dataclass(frozen=True)
+class CouplingParams:
+    """The real coupling pair; ``lam`` scales the left bond, ``nu`` the right.
+
+    Either field may be an array of bond strengths (the quadrature nodes of
+    the averaged transform); it then broadcasts against the evaluation points.
+    """
+
+    lam: float | np.ndarray
+    nu: float | np.ndarray
+
+    def __post_init__(self):
+        # D(z) needs lam**2 and nu**2, so the squares must be finite as well;
+        # an overflowing square is the error here, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(np.all(np.isfinite(np.square(np.asarray(x, dtype=float))))
+                         for x in (self.lam, self.nu))
+        if not finite:
+            raise DomainError("coupling parameters must be finite with finite squares")
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The thresholds every layer reads: ladder classification (div_tol,
+    zero_tol), the dissipative sets (im_tol), the certificate floor on
+    |D(E + i0)| (d_floor) and the quadrature duel (quad_tol)."""
+
+    div_tol: float = 1e6
+    zero_tol: float = 1e-6
+    im_tol: float = 1e-8
+    #: below this |D(E + i0)| the verdict is withheld rather than risked: the
+    #: theory guarantees D != 0 but not a quantitative lower bound
+    d_floor: float = 1e-8
+    quad_tol: float = 1e-9
+
+
+@dataclass(frozen=True)
+class EpsilonLadder:
+    """Geometric ladder eps_max * ratio^k clipped at eps_min."""
+
+    eps_max: float = 1e-1
+    eps_min: float = 1e-9
+    ratio: float = 0.5
+
+    def __post_init__(self):
+        if not 0 < self.eps_min < self.eps_max:
+            raise DomainError(
+                f"need 0 < eps_min < eps_max, got ({self.eps_min}, {self.eps_max})"
+            )
+        if not 0 < self.ratio < 1:
+            raise DomainError(f"ratio must be in (0, 1), got {self.ratio}")
+        if self.eps_min / self.eps_max == 0:  # the log in _rungs would fail
+            raise DomainError(
+                f"eps_min / eps_max underflows to 0 for ({self.eps_min}, {self.eps_max})"
+            )
+        rungs = self._rungs()
+        if rungs < 4:  # point_mass compares the last three steps
+            raise DomainError("the ladder needs at least 4 rungs")
+        if rungs > MAX_RUNGS:
+            raise DomainError(f"the ladder may have at most {MAX_RUNGS} rungs, got {rungs}")
+
+    def _rungs(self) -> int:
+        return int(math.floor(math.log(self.eps_min / self.eps_max) / math.log(self.ratio))) + 1
+
+    def epsilons(self) -> np.ndarray:
+        return self.eps_max * self.ratio ** np.arange(self._rungs())
 
 
 @dataclass

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, InvalidModelError
 
@@ -92,14 +91,15 @@ def _validate_piece(a: float, b: float, coef: Sequence[float]) -> _Piece:
     # Positivity: sample at Chebyshev points and endpoints, and refine with the
     # critical points of p (real roots of p') inside the interval.
     xs = [np.array([a, b]), _chebyshev_points(a, b, _POS_SAMPLES)]
+    p = coef[::-1]  # highest degree first, as np.polyval and np.roots read it
     if len(coef) > 2:
-        crit = npoly.polyroots(np.asarray(coef[1:]) * np.arange(1, len(coef)))  # p' = 0
+        crit = np.roots(np.polyder(p))  # p' = 0
         crit = crit[np.abs(crit.imag) < 1e-9].real
         crit = crit[(crit > a) & (crit < b)]
         if crit.size:
             xs.append(crit)
     samples = np.concatenate(xs)
-    vals = npoly.polyval(samples, coef)
+    vals = np.polyval(p, samples)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if float(np.min(vals)) < -_NEG_TOL * scale:
         worst = samples[int(np.argmin(vals))]

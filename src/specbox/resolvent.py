@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
+from .config import CouplingParams  # defined in config, still importable from here
 from .errors import DomainError, NearSingularError, OracleError
 from .measures import SpectralMeasure
 
@@ -49,27 +49,6 @@ __all__ = [
 ]
 
 _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    """The real coupling pair; ``lam`` scales the left bond, ``nu`` the right.
-
-    Either field may be an array of bond strengths (the quadrature nodes of
-    the averaged transform); it then broadcasts against the evaluation points.
-    """
-
-    lam: float | np.ndarray
-    nu: float | np.ndarray
-
-    def __post_init__(self):
-        # D(z) needs lam**2 and nu**2, so the squares must be finite as well;
-        # an overflowing square is the error here, not a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = all(np.all(np.isfinite(np.square(np.asarray(x, dtype=float))))
-                         for x in (self.lam, self.nu))
-        if not finite:
-            raise DomainError("coupling parameters must be finite with finite squares")
 
 
 def _coupling(coupling) -> CouplingParams:
@@ -305,6 +284,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1], computed once per n (each
     rule is an n x n eigensolve); the arrays are read-only because every
     caller shares them."""
+    # imported here: only the oracle reads a rule, and numpy.polynomial
+    # costs every other command its import
+    from numpy.polynomial.legendre import leggauss
+
     t, v = leggauss(n)
     t.setflags(write=False)
     v.setflags(write=False)

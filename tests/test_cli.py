@@ -320,12 +320,12 @@ class TestExitCodes:
 
     def test_strict_average_counts_failed_duel(self, monkeypatch, capsys):
         # a quadrature off by more than quad_tol is an unresolved row
-        import specbox.cli
+        import specbox.averaging
 
-        quadrature = specbox.cli.averaged_poisson_quadrature
+        quadrature = specbox.averaging.averaged_poisson_quadrature
         args = ["average", "--config", str(SAMPLE_PATH), "--grid", "1.5:1.5:1"]
         assert main([*args, "--strict"]) == 0
-        monkeypatch.setattr(specbox.cli, "averaged_poisson_quadrature",
+        monkeypatch.setattr(specbox.averaging, "averaged_poisson_quadrature",
                             lambda *a, **k: quadrature(*a, **k) * (1 + 1e-6))
         assert main(args) == 0
         capsys.readouterr()
@@ -509,7 +509,6 @@ class TestDensity:
 
     def test_one_solve_per_block(self, tmp_path, monkeypatch, capsys):
         import specbox.boundary
-        import specbox.cli
 
         green_all = specbox.boundary.green_all
         solves = []
@@ -523,7 +522,6 @@ class TestDensity:
 
         monkeypatch.setattr(specbox.boundary, "green_all", counted)
         monkeypatch.setattr(specbox.boundary, "point_mass", refuse)
-        monkeypatch.setattr(specbox.cli, "point_mass", refuse)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(remark2_config()))
         # a block holds at most LATTICE_POINTS points, so a deeper ladder
