@@ -56,6 +56,9 @@ _LEFT = (CHI_L, DELTA_L)
 N_EXCLUSION = 1e-6
 #: the relative tolerance of the rank-one average's quadrature
 RANK_ONE_TOL = 1e-10
+#: the narrowest peak, in ulp of theta = atan(s), that the duel's
+#: quadrature is asked to resolve
+_PEAK_ULPS = 4
 
 
 def fixed_bond(phi: str, lam: float, nu: float) -> float:
@@ -250,7 +253,8 @@ def averaged_poisson_quadrature(
     so this is an independent check on the residue formula.  The uncoupled
     values are cached across s (they do not depend on the averaged bond), and
     the near-real pole pair of 1/(1 - s^2 v w) is handed to the quadrature as
-    breakpoints.
+    breakpoints.  Raises AccuracyError where the rule stalls, and where it
+    cannot see that pair's peak on the theta = atan(s) axis.
     """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
@@ -266,8 +270,18 @@ def averaged_poisson_quadrature(
         return np.imag(green_from_basics(nodes, cp, phi, phi))
 
     poles = ()
-    if v * w != 0:  # the product, which may underflow where v and w do not
-        p = 1.0 / np.sqrt(v * w)
+    if v != 0 and w != 0:
+        # the poles +-p make a peak of theta-width |Im p| / (1 + Re p^2) at
+        # theta = atan(Re p).  Where v w underflows, or that width is within
+        # a few ulp of theta, no breakpoint or node resolves the peak, and the
+        # rule would return the integral without it
+        p = 1.0 / np.sqrt(v * w) if v * w != 0 else complex(math.inf)
+        with np.errstate(over="ignore"):
+            width = abs(p.imag) / (1.0 + p.real**2)
+        if not width > _PEAK_ULPS * np.spacing(abs(math.atan(p.real))):
+            raise AccuracyError(f"the integrand's peak at E = {E} is below the rule's "
+                                "resolution in theta = atan(s)",
+                                estimate=math.nan, achieved=math.inf)
         poles = (p, -p)
     return _tan_quadrature(integrand, tol, poles)
 

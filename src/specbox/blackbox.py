@@ -8,6 +8,10 @@ system matrix,
 
     G0(phi, psi, z) = sum_k (phi, e_k)(e_k, psi) / (E_k - z).
 
+``SystemBlock.green`` evaluates the system pairs and
+``SpectralMeasure.borel`` the reservoir ones; ``resolvent.G0Basics`` holds
+the six that do not vanish.
+
 The finite exceptional sets are eigenvalues of H_S compressed to the
 complements of the coupling vectors, never roots of polynomial
 coefficients.  With Q_phi an orthonormal basis of the orthogonal complement
@@ -63,7 +67,6 @@ CHI_R = "chi_r"
 DELTA_R = "delta_r"
 TAGS = (CHI_L, DELTA_L, CHI_R, DELTA_R)
 _SYSTEM_TAGS = (DELTA_L, DELTA_R)
-_RESERVOIR_TAGS = (CHI_L, CHI_R)
 
 #: Sentinel: the product defining the averaging exceptional set vanishes
 #: identically, so "the finite set" degenerates to the whole line.
@@ -291,23 +294,6 @@ class BlackBoxModel:
                 "into two non-interacting halves"
             )
 
-    # -- uncoupled Green's functions ---------------------------------------
-
-    def g0(self, phi: str, psi: str, z):
-        """Uncoupled G0(phi, psi, z) using the block-diagonal structure."""
-        for tag in (phi, psi):
-            if tag not in TAGS:
-                raise ValueError(f"unknown vector tag {tag!r}")
-        if phi in _RESERVOIR_TAGS or psi in _RESERVOIR_TAGS:
-            if phi == psi == CHI_L:
-                return self.res_l.borel(z)
-            if phi == psi == CHI_R:
-                return self.res_r.borel(z)
-            # different blocks: exactly zero
-            z_arr = np.asarray(z, dtype=complex)
-            return 0j if z_arr.ndim == 0 else np.zeros(z_arr.shape, dtype=complex)
-        return self.system.green(phi, psi, z)
-
     # -- exceptional sets ---------------------------------------------------
 
     @cached_property
@@ -325,7 +311,8 @@ class BlackBoxModel:
         sysb = self.system
         h, dl, dr = sysb.h_s, sysb.delta_l, sysb.delta_r
         sigma = tuple(float(x) for x in sysb.poles)
-        s_zeros = _distinct(_pencil_real_eigenvalues(h, dl, dr, sysb.eigenvalues), sigma)
+        ql, qr = _complement(dl), _complement(dr)
+        s_zeros = _distinct(_pencil_real_eigenvalues(h, ql, qr, sysb.eigenvalues), sigma)
         # d vanishes identically iff every minor does: they are >= 0, and at
         # the lowest pole p_1, d has the terms M_11 / (2 (p_1 - E)^2) and
         # sum_{j>1} M_1j / ((p_j - p_1)(p_1 - E)).  Half the minors' sum is
@@ -336,7 +323,7 @@ class BlackBoxModel:
         if 0.5 * float(np.sum(sysb.minors)) <= 1e-13 * norms**2:
             return ExceptionalSets(sigma, s_zeros, None)
         zeros = [np.linalg.eigvalsh(q.conj().T @ h @ q)
-                 for q in (_complement(dl), _complement(dr), _complement(dl, dr))]
+                 for q in (ql, qr, _complement(dl, dr))]
         points = (*sigma, *s_zeros)
         points += _distinct(np.concatenate(zeros), points)
         return ExceptionalSets(sigma, s_zeros, tuple(sorted(points)))
@@ -346,7 +333,7 @@ class BlackBoxModel:
     def validate(self) -> ValidationReport:
         """Report-only diagnostics: Hermiticity, non-decoupling, cyclicity,
         reservoir non-triviality, and the degenerate-N flag with the
-        empirical N \\ sigma(H_S) comparison.  The cyclicity rank, the
+        points of N outside sigma(H_S).  The cyclicity rank, the
         dimension of the cyclic subspace of {delta_l, delta_r}, sums over the
         eigenvalue clusters of H_S the rank of the cluster's overlaps with
         delta_l and delta_r (singular values above 1e-8 max |delta|)."""
@@ -357,11 +344,9 @@ class BlackBoxModel:
         rank = sum(int(np.linalg.matrix_rank(np.stack([x[list(g)], y[list(g)]], axis=1), tol=tol))
                    for g in sysb._groups)
         exc = self.exceptional_sets
-        outside = tuple(
-            E
-            for E in (exc.n_points or ())
-            if min(abs(E - s) for s in exc.sigma_hs) > 1e-9
-        )
+        # N lists sigma(H_S) itself, and every other point of N lies beyond
+        # the distinct-point tolerance from it
+        outside = tuple(E for E in (exc.n_points or ()) if E not in exc.sigma_hs)
         return ValidationReport(
             herm_residual=sysb.herm_residual,
             eig_residual=sysb.eig_residual,
@@ -384,14 +369,14 @@ def _complement(*vectors) -> np.ndarray:
     return u[:, rank:]
 
 
-def _pencil_real_eigenvalues(h, dl, dr, spectrum) -> np.ndarray:
-    """The real finite eigenvalues E of Q_r* (h - E) Q_l, ascending.
+def _pencil_real_eigenvalues(h, ql, qr, spectrum) -> np.ndarray:
+    """The real finite eigenvalues E of Q_r* (h - E) Q_l, ascending, given
+    the complements Q_l and Q_r of delta_l and delta_r.
 
     Shift-invert with s = i (1 + max |spectrum|): theta = 1 / (E - s) are the
     eigenvalues of (A - s B)^-1 B, A = Q_r* h Q_l, B = Q_r* Q_l; a theta at
     the rounding level of the largest is an infinite eigenvalue.
     """
-    ql, qr = _complement(dl), _complement(dr)
     if ql.shape[1] == 0:
         return np.zeros(0)
     shift = 1j * (1.0 + float(np.max(np.abs(spectrum))))

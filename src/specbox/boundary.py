@@ -23,7 +23,7 @@ d = a b - |c|^2 (``SystemBlock.d``) from one array call each over the grid
 energies off sigma(H_S).  The check c2 divides by d, so it applies only
 where the model is not degenerate and d(E) != 0; either check applies only
 where its target is finite in double precision (nu^2 d or nu^2 b can
-underflow to 0).
+underflow to 0, and is 0 at nu = 0).
 
 Atoms in the gaps of the reservoir bands come from the Feshbach matrix
 K(E) = H - E - lam^2 l_c(E) delta_l delta_l* - nu^2 r_c(E) delta_r delta_r*
@@ -213,8 +213,9 @@ class EnergyClassification:
     ``in_n`` is None when the averaging exceptional set is degenerate (the
     whole line).  ``c2``/``c3`` describe, for the supplied nu, whether the
     limit profile matches the divergence/vanishing characterizations of the
-    averaged singular support; each is a dict with keys ``applicable`` and
-    ``satisfied``.
+    averaged singular support; each is a dict with keys ``applicable``,
+    ``satisfied`` and ``target``, and None only where no nu is supplied
+    (``certify``).  At nu = 0 neither check is applicable.
     """
 
     E: float
@@ -291,8 +292,8 @@ def classify_grid(
     if nu is not None:
         nu = float(nu)
         # the Feshbach data a, b and d, one array call each, at the energies
-        # the profile checks read: off sigma(H_S), and none where nu = 0
-        needs = ~in_sigma & (nu != 0.0)
+        # the profile checks read: off sigma(H_S)
+        needs = ~in_sigma
         system, E_in = model.system, grid[needs]
         feshbach = zip(system.green(DELTA_L, DELTA_L, E_in).real.tolist(),
                        system.green(DELTA_R, DELTA_R, E_in).real.tolist(),
@@ -331,17 +332,16 @@ def classify_grid(
 
 def _c_set_diagnostics(model, nu, rec_l, rec_r, data):
     """Limit-profile checks behind the averaged singular support, given nu
-    and the Feshbach data (a, b, d) at E, or None where E is in sigma(H_S)
-    or nu = 0.
+    and the Feshbach data (a, b, d) at E, or None where E is in sigma(H_S).
 
     Profile 2: left chi transform diverges while the right one approaches
     G0(delta_l, delta_l, E) / (nu^2 d(E)).  Profile 3: left chi transform
     vanishes while the right one approaches 1 / (nu^2 G0(delta_r, delta_r, E)).
     Both need E outside sigma(H_S) and a target that is finite in double
-    precision (nu^2 d or nu^2 b may underflow).  Profile 2 also needs
-    d(E) != 0 on a model that is not degenerate: where d vanishes
-    identically its computed value is roundoff, and the target would divide
-    by it.
+    precision (nu^2 d or nu^2 b may underflow, and is 0 at nu = 0).  Profile
+    2 also needs d(E) != 0 on a model that is not degenerate: where d
+    vanishes identically its computed value is roundoff, and the target
+    would divide by it.
     """
     c2 = {"applicable": False, "satisfied": False, "target": None}
     c3 = {"applicable": False, "satisfied": False, "target": None}
@@ -437,7 +437,8 @@ def point_mass(
     E: float,
     ladder: EpsilonLadder = EpsilonLadder(),
 ) -> float:
-    """mu_phi({E}) as the Richardson limit of eps * Im G(phi, phi, E + i eps)."""
+    """mu_phi({E}) as the Richardson limit of eps * Im G(phi, phi, E + i eps):
+    a referee for ``point_mass_scan``, which no command calls."""
     eps = ladder.epsilons()
     zs = E + 1j * eps
     vals = np.asarray(green(model, coupling, phi, phi, zs))
@@ -487,7 +488,7 @@ def point_mass_scan(model: BlackBoxModel, coupling) -> list[tuple[float, float, 
     cp = _coupling(coupling)
     k = _Feshbach(model, cp)
     lo, hi = _gaps(model, cp)
-    n_lo, n_hi = np.split(k.counts(np.concatenate([lo, hi])), 2)
+    n_lo, n_hi = np.split(np.sum(k.eigh(np.concatenate([lo, hi]))[0] < 0.0, axis=-1), 2)
     # one task per crossing: in (lo, hi) the j-th eigenvalue of K, ascending,
     # falls through 0 exactly once for j = n_lo .. n_hi - 1
     size = np.maximum(n_hi - n_lo, 0)
@@ -631,28 +632,21 @@ class _Feshbach:
         self.sides = [(g2, m.pieces, np.outer(v, v.conj()))
                       for (g2, m, _), v in zip(sides, (self.delta_l, self.delta_r))]
 
-    def _transforms(self, z: np.ndarray) -> list[np.ndarray]:
-        """l_c and r_c at z; 0 on an uncoupled side, which K does not read."""
-        return [sum((_piece_borel(p, z) for p in pieces), np.zeros_like(z)) if g2 != 0.0
-                else np.zeros_like(z) for g2, pieces, _ in self.sides]
-
-    def _matrices(self, E: np.ndarray, transforms) -> np.ndarray:
-        K = self.h - E[:, None, None] * np.eye(self.h.shape[0])
-        for (g2, _, proj), t in zip(self.sides, transforms):
-            K = K - (g2 * t.real)[:, None, None] * proj
-        return K
-
-    def counts(self, E: np.ndarray) -> np.ndarray:
-        """The number of negative eigenvalues of K at each E."""
-        mu = np.linalg.eigvalsh(self._matrices(E, self._transforms(E)))
-        return np.sum(mu < 0.0, axis=-1)
-
     def eigh(self, E: np.ndarray):
         """The eigenvalues (ascending) and eigenvectors of K at each E, with
-        l_c' and r_c' there by the complex step."""
-        values = self._transforms(E + 1j * _COMPLEX_STEP)
-        mu, vectors = np.linalg.eigh(self._matrices(E, values))
-        return (mu, vectors, *(v.imag / _COMPLEX_STEP for v in values))
+        l_c' and r_c' there by the complex step: the one eigensolve of K, so
+        the gap counts and the crossings read the same matrices.  l_c and
+        r_c read 0 on an uncoupled side, which K does not read."""
+        z = E + 1j * _COMPLEX_STEP
+        K = self.h - E[:, None, None] * np.eye(self.h.shape[0])
+        slopes = []
+        for g2, pieces, proj in self.sides:
+            t = sum((_piece_borel(p, z) for p in pieces), np.zeros_like(z)) if g2 != 0.0 \
+                else np.zeros_like(z)
+            K = K - (g2 * t.real)[:, None, None] * proj
+            slopes.append(t.imag / _COMPLEX_STEP)
+        mu, vectors = np.linalg.eigh(K)
+        return (mu, vectors, *slopes)
 
 
 def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndarray]:

@@ -166,9 +166,9 @@ def classify(cfg):
     """Per-energy set membership and boundary-value diagnostics."""
     model = cfg.require_model()
     grid = cfg.require_grid()
-    nu_val = cfg.coupling.nu if cfg.coupling.nu != 0.0 else None
     rows, entries, unresolved = [], [], 0
-    for c in boundary.classify_grid(model, grid, nu_val, cfg.ladder, tol=cfg.tolerances):
+    for c in boundary.classify_grid(model, grid, cfg.coupling.nu, cfg.ladder,
+                                    tol=cfg.tolerances):
         entries.append(c.to_dict())
         if boundary.UNDETERMINED in (c.rec_chi_l.status, c.rec_chi_r.status):
             unresolved += 1
@@ -178,10 +178,7 @@ def classify(cfg):
             c.E, c.in_m0, c.in_ml, c.in_mr, c.in_sigma_hs, c.in_s,
             c.in_n, c.rec_chi_l.status, l_re, l_im,
             c.rec_chi_r.status, r_re, r_im,
-            None if c.c2 is None else c.c2["applicable"],
-            None if c.c2 is None else c.c2["satisfied"],
-            None if c.c3 is None else c.c3["applicable"],
-            None if c.c3 is None else c.c3["satisfied"],
+            c.c2["applicable"], c.c2["satisfied"], c.c3["applicable"], c.c3["satisfied"],
         ])
     payload = _meta(cfg, "classify")
     payload["points"] = entries
@@ -302,7 +299,10 @@ def scenario_remark2(cfg):
     model = certification.remark2_model()
     nodes_pp = cfg.nodes_per_piece
     residual, weight = certification.eigen_residual(model, cfg.coupling, nodes_pp)
-    atom = boundary.point_mass(model, cfg.coupling, blackbox.DELTA_L, 0.0, cfg.ladder)
+    # the atom at 0 from the null space of K, matched as the exceptional sets
+    # match; the scan leaves out a weight at or below its floor, which reads 0
+    atom = next((w_l for E0, w_l, _ in boundary.point_mass_scan(model, cfg.coupling)
+                 if abs(E0) <= boundary._MATCH_TOL), 0.0)
     payload = _meta(cfg, "scenario remark2")
     payload.update({
         "nodes_per_piece": nodes_pp,

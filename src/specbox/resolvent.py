@@ -197,8 +197,8 @@ class DiscretizedModel:
     vectors carry sqrt(weight) entries so that (chi, (H_res - z)^{-1} chi)
     is exactly the quadrature approximation of the reservoir transform.  H
     couples the reservoir nodes only to the system, through the two bond
-    blocks of ``_bonds``; ``assemble``, ``apply`` and the oracle's
-    elimination all read H's entries from them.
+    blocks of ``_bonds``; ``apply`` and the oracle's elimination both read
+    H's entries from them, and neither forms the dense H.
     """
 
     def __init__(self, model: BlackBoxModel, nodes_per_piece: int):
@@ -258,16 +258,6 @@ class DiscretizedModel:
         a_rs = np.concatenate([s * np.outer(chi, delta.conj()) for s, chi, delta in bonds])
         a_sr = np.concatenate([s * np.outer(delta, chi.conj()) for s, chi, delta in bonds], axis=1)
         return a_rs, a_sr
-
-    def assemble(self, coupling) -> np.ndarray:
-        """Dense Hermitian H(lam, nu)."""
-        res, sys = self._res_index, self._sys_slice
-        a_rs, a_sr = self._bonds(_coupling(coupling))
-        H = np.diag(self.h0_diag)
-        H[sys, sys] = self.model.system.h_s
-        H[res, sys] = a_rs
-        H[sys, res] = a_sr
-        return H
 
     def apply(self, coupling, u: np.ndarray) -> np.ndarray:
         """H(lam, nu) u without forming H: O(dim * n) time and memory."""

@@ -1,9 +1,11 @@
-"""Shared fixtures: the two reference models used throughout the suite."""
+"""Shared fixtures: the two reference models used throughout the suite, and
+two referees built from the block structure: the uncoupled pairs and the
+dense discretized H."""
 
 import numpy as np
 import pytest
 
-from specbox.blackbox import BlackBoxModel, SystemBlock
+from specbox.blackbox import CHI_L, CHI_R, BlackBoxModel, SystemBlock
 from specbox.measures import SpectralMeasure
 
 
@@ -81,3 +83,32 @@ def random_model(
             )
         except InvalidModelError:
             continue
+
+
+def g0(model: BlackBoxModel, phi: str, psi: str, z):
+    """The uncoupled G0(phi, psi, z) from the block structure: the reservoir
+    transform on a chi diagonal, the system pair on the delta block, and 0
+    across blocks."""
+    if CHI_L in (phi, psi) or CHI_R in (phi, psi):
+        if phi == psi:
+            return (model.res_l if phi == CHI_L else model.res_r).borel(z)
+        return np.zeros_like(np.asarray(z, dtype=complex))[()]
+    return model.system.green(phi, psi, z)
+
+
+def ref_assemble(disc, coupling):
+    """The dense discretized H(lam, nu): each bond's outer products added to
+    the whole system rows and columns."""
+    from specbox.resolvent import _coupling
+
+    cp = _coupling(coupling)
+    lam, nu = cp.lam, cp.nu
+    n = disc.model.system.dim
+    sys = slice(disc.m_l, disc.m_l + n)
+    H = np.diag(disc.h0_diag)
+    H[sys, sys] = disc.model.system.h_s
+    for strength, chi, delta in ((lam, disc.chi_l, disc.delta_l), (nu, disc.chi_r, disc.delta_r)):
+        if strength != 0.0:
+            H[sys, :] += strength * np.outer(delta[sys], chi.conj())
+            H[:, sys] += strength * np.outer(chi, delta[sys].conj())
+    return H

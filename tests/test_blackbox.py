@@ -20,6 +20,7 @@ from specbox.blackbox import (
 )
 from specbox.errors import InvalidModelError, PoleError
 from specbox.measures import SpectralMeasure
+from specbox.resolvent import G0Basics
 
 from conftest import make_t2_system, random_model, two_band_measure
 
@@ -114,36 +115,42 @@ class TestSystemBlock:
 
 
 class TestG0:
+    """The uncoupled pairs the resolvent reads: ``G0Basics.at`` from the
+    reservoir transforms and the system pairs."""
+
     def test_cross_block_pairs_vanish(self, t2_model):
-        for z in (1j, 0.5 + 0.1j, 5.0):
-            assert t2_model.g0(CHI_L, DELTA_R, z) == 0
-            assert t2_model.g0(DELTA_L, CHI_L, z) == 0
-            assert t2_model.g0(CHI_L, CHI_R, z) == 0
+        # the right-hand sides of the 4x4 solve, B[psi, phi] = G0(phi, psi),
+        # hold no pair across the blocks
+        blocks = {CHI_L: 0, DELTA_L: 1, DELTA_R: 1, CHI_R: 2}
+        B = G0Basics.at(t2_model, np.array([1j, 0.5 + 0.1j, 5.0])).rhs_matrix()
+        for i, psi in enumerate(TAGS):
+            for j, phi in enumerate(TAGS):
+                if blocks[phi] != blocks[psi]:
+                    assert np.all(B[:, i, j] == 0)
 
     def test_chi_pairs_are_reservoir_transforms(self, t2_model):
         z = 0.3 + 0.4j
-        assert t2_model.g0(CHI_L, CHI_L, z) == t2_model.res_l.borel(z)
-        assert t2_model.g0(CHI_R, CHI_R, z) == t2_model.res_r.borel(z)
+        basics = G0Basics.at(t2_model, z)
+        assert basics.l == t2_model.res_l.borel(z)
+        assert basics.r == t2_model.res_r.borel(z)
 
     def test_remark2_scalar_value(self, remark2):
-        assert remark2.g0(DELTA_L, DELTA_L, 2j) == pytest.approx(0.5j, rel=1e-15)
+        assert remark2.system.green(DELTA_L, DELTA_L, 2j) == pytest.approx(0.5j, rel=1e-15)
 
     def test_conjugate_symmetry_all_pairs(self, t2_model):
         rng = np.random.default_rng(2)
-        for _ in range(1000):
-            z = complex(rng.uniform(-4, 4), rng.uniform(1e-3, 3))
-            i, j = rng.integers(0, 4, size=2)
-            phi, psi = TAGS[i], TAGS[j]
-            lhs = t2_model.g0(phi, psi, np.conj(z))
-            rhs = np.conj(t2_model.g0(psi, phi, z))
-            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-15)
+        z = rng.uniform(-4, 4, 1000) + 1j * rng.uniform(1e-3, 3, 1000)
+        lower, upper = G0Basics.at(t2_model, np.conj(z)), G0Basics.at(t2_model, z)
+        for lhs, rhs in ((lower.l, upper.l), (lower.r, upper.r), (lower.a, upper.a),
+                         (lower.b, upper.b), (lower.c, upper.cb), (lower.cb, upper.c)):
+            assert lhs == pytest.approx(np.conj(rhs), rel=1e-13, abs=1e-15)
 
     def test_herglotz_diagonal_pairs(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, max_dim=5)
         zs = rng.uniform(-4, 4, 500) + 1j * 10.0 ** rng.uniform(-5, 0.5, 500)
-        for tag in TAGS:
-            vals = np.array([model.g0(tag, tag, z) for z in zs])
+        basics = G0Basics.at(model, zs)
+        for vals in (basics.l, basics.a, basics.r, basics.b):
             assert np.all(vals.imag >= 0)
 
 
@@ -213,7 +220,7 @@ class TestExceptionalSets:
         exc = t2_slanted_model.exceptional_sets
         assert len(exc.s_zeros) == 1
         for root in exc.s_zeros:
-            val = t2_slanted_model.g0(DELTA_L, DELTA_R, float(root))
+            val = t2_slanted_model.system.green(DELTA_L, DELTA_R, float(root))
             assert abs(val) <= 1e-10
 
     def test_n_roots_reproduce_zero(self, t2_slanted_model):
@@ -241,9 +248,9 @@ class TestExceptionalSets:
                 if min(abs(E - s) for s in exc.sigma_hs) < 1e-9:
                     continue
                 product = (
-                    model.g0(DELTA_L, DELTA_L, E)
-                    * model.g0(DELTA_R, DELTA_R, E)
-                    * model.g0(DELTA_L, DELTA_R, E)
+                    model.system.green(DELTA_L, DELTA_L, E)
+                    * model.system.green(DELTA_R, DELTA_R, E)
+                    * model.system.green(DELTA_L, DELTA_R, E)
                     * model.system.d(E)
                 )
                 assert abs(product) <= 1e-10
@@ -267,7 +274,7 @@ class TestExceptionalSets:
                 [min(abs(E - p) for p in exc.sigma_hs) > 1e-6 for E in grid]
             )
             grid = grid[keep]
-            vals = np.array([model.g0(DELTA_L, DELTA_R, float(E)).real for E in grid])
+            vals = np.array([model.system.green(DELTA_L, DELTA_R, float(E)).real for E in grid])
             signs = np.sign(vals)
             flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
             for idx in flips:
@@ -308,3 +315,24 @@ class TestValidate:
         for _ in range(10):
             rep = random_model(rng, max_dim=6).validate()
             assert rep.ok
+
+    def test_complements_built_once_and_n_outside_sigma(self, monkeypatch):
+        # the exceptional sets build Q_l, Q_r and the complement of both once
+        # per model, and N \ sigma(H_S) is the points of N that are not in
+        # sigma(H_S): the same tuple as a 1e-9 distance test
+        import specbox.blackbox
+
+        calls = []
+        complement = specbox.blackbox._complement
+        monkeypatch.setattr(specbox.blackbox, "_complement",
+                            lambda *v: calls.append(1) or complement(*v))
+        rng = np.random.default_rng(20261020)
+        for _ in range(30):
+            model = random_model(rng, max_dim=6)
+            calls.clear()
+            rep = model.validate()
+            assert len(calls) <= 3
+            exc = model.exceptional_sets
+            assert rep.n_outside_sigma_hs == tuple(
+                E for E in (exc.n_points or ()) if min(abs(E - s) for s in exc.sigma_hs) > 1e-9)
+            assert rep.degenerate_n or len(rep.n_outside_sigma_hs) > 0

@@ -1,9 +1,10 @@
 """The model build is bit-identical to the straightforward formulas.
 
 The moments and the discretized operator are built by array expressions.
-The reference implementations below are the plain per-moment loop and the
-dense outer-product assembly of the discretized operator; every output must
-equal theirs exactly (``np.array_equal``).
+The reference implementations are the plain per-moment loop below and the
+dense outer-product assembly of the discretized operator
+(``conftest.ref_assemble``, the dense H the other tests solve); every output
+must equal theirs exactly (``np.array_equal``).
 """
 
 from pathlib import Path
@@ -16,7 +17,7 @@ from specbox.blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
 from specbox.config import build_run_config, load_config
 from specbox.resolvent import discretize
 
-from conftest import random_model, random_reservoir
+from conftest import random_model, random_reservoir, ref_assemble
 
 SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
 PAIRS = [(phi, psi) for phi in (DELTA_L, DELTA_R) for psi in (DELTA_L, DELTA_R)]
@@ -30,20 +31,6 @@ def ref_moments(a, b, coef, count):
         powers = m + 1 + np.arange(len(coef))
         mom[m] = np.sum(np.asarray(coef) * (b ** powers - a ** powers) / powers)
     return mom
-
-
-def ref_assemble(disc, lam, nu):
-    """The dense H(lam, nu): each bond's outer products added to the whole
-    system rows and columns."""
-    n = disc.model.system.dim
-    sys = slice(disc.m_l, disc.m_l + n)
-    H = np.diag(disc.h0_diag)
-    H[sys, sys] = disc.model.system.h_s
-    for strength, chi, delta in ((lam, disc.chi_l, disc.delta_l), (nu, disc.chi_r, disc.delta_r)):
-        if strength != 0.0:
-            H[sys, :] += strength * np.outer(delta[sys], chi.conj())
-            H[:, sys] += strength * np.outer(chi, delta[sys].conj())
-    return H
 
 
 # -- the models --------------------------------------------------------------
@@ -112,8 +99,10 @@ def test_shared_arrays_are_read_only():
 
 
 def test_assemble_matches_reference():
-    # 30 models of dimension >= 2, each with one delta entry set to zero,
-    # assembled with both bonds, with lam = 0 and with both strengths 0
+    # the dense reference H is, column by column, the operator that
+    # ``apply`` applies: 30 models of dimension >= 2, each with one delta
+    # entry set to zero, with both bonds, with lam = 0 and with both
+    # strengths 0
     rng = np.random.default_rng([20261018, 14])
     draws = 0
     while draws < 30:
@@ -126,6 +115,8 @@ def test_assemble_matches_reference():
         model = BlackBoxModel(SystemBlock(system.h_s, dl, dr), model.res_l, model.res_r)
         disc = discretize(model, 7)
         lam, nu = rng.uniform(0.2, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        unit = np.eye(disc.dim, dtype=complex)
         for cp in ((lam, nu), (0.0, nu), (0.0, 0.0)):
-            assert np.array_equal(disc.assemble(cp), ref_assemble(disc, *cp))
+            applied = np.stack([disc.apply(cp, u) for u in unit], axis=1)
+            assert np.array_equal(applied, ref_assemble(disc, cp))
         draws += 1

@@ -31,7 +31,7 @@ class TestRemark2Model:
         assert exc.to_dict()["N"] == DEGENERATE_WHOLE_LINE
 
     def test_scalar_green(self, remark2):
-        assert remark2.g0(DELTA_L, DELTA_L, 2j) == pytest.approx(0.5j, rel=1e-15)
+        assert remark2.system.green(DELTA_L, DELTA_L, 2j) == pytest.approx(0.5j, rel=1e-15)
 
 
 class TestCertify:

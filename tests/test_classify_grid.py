@@ -68,8 +68,8 @@ def _profiles(model, E, nu, rec_l, rec_r, in_sigma):
     c3 = {"applicable": False, "satisfied": False, "target": None}
     if nu == 0.0 or in_sigma:
         return c2, c3
-    a = model.g0(DELTA_L, DELTA_L, float(E)).real
-    b = model.g0(DELTA_R, DELTA_R, float(E)).real
+    a = model.system.green(DELTA_L, DELTA_L, float(E)).real
+    b = model.system.green(DELTA_R, DELTA_R, float(E)).real
     d = model.system.d(float(E))
     r_val = rec_r.value if rec_r.finite else None
 
@@ -130,9 +130,9 @@ def _reference_certify(model, coupling, grid, ladder=EpsilonLadder(), *, tol=Tol
         if not ((cls.in_ml or cls.in_mr) and not (cls.in_sigma_hs or cls.in_s)):
             cert.points.append(CertificatePoint(E, OUT_OF_SCOPE, False))
             continue
-        a = model.g0(DELTA_L, DELTA_L, E).real
-        b = model.g0(DELTA_R, DELTA_R, E).real
-        c = model.g0(DELTA_L, DELTA_R, E)
+        a = model.system.green(DELTA_L, DELTA_L, E).real
+        b = model.system.green(DELTA_R, DELTA_R, E).real
+        c = model.system.green(DELTA_L, DELTA_R, E)
         d = model.system.d(E)
         l, r = cls.rec_chi_l.value, cls.rec_chi_r.value
         with np.errstate(over="ignore", invalid="ignore"):

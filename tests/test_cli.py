@@ -212,6 +212,25 @@ class TestExitCodes:
         assert payload["point_mass_at_zero"] == pytest.approx(1 / 3, abs=1e-4)
         assert payload["exceptional_sets"]["N"] == "DEGENERATE_WHOLE_LINE"
 
+    def test_scenario_remark2_atom_from_the_scan(self, monkeypatch, capsys):
+        # the atom at 0 comes from K's null space, never from the ladder: its
+        # weight is 1 / (1 + lam^2 + nu^2) within 1e-12 at every coupling
+        import specbox.boundary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scenario remark2 called point_mass")
+
+        monkeypatch.setattr(specbox.boundary, "point_mass", refuse)
+        strengths = ["0", "0.1", "1", "10", "1e3"]
+        for lam in strengths:
+            for nu in strengths:
+                code = main(["scenario", "remark2", "--lambda", lam, "--nu", nu,
+                             "--nodes", "20"])
+                payload = json.loads(capsys.readouterr().out)
+                assert code == 0
+                want = payload["expected_weight"]
+                assert abs(payload["point_mass_at_zero"] - want) <= 1e-12 * want, (lam, nu)
+
     def test_scenario_remark2_nodes_over_cap_exits_1(self, monkeypatch, capsys):
         import tracemalloc
 
@@ -352,6 +371,25 @@ class TestExitCodes:
             assert quadrature == rel_diff == empty
         assert main([*args, "--strict"]) == 2
         assert "4 unresolved outcome(s)" in capsys.readouterr().err
+
+    def test_far_duel_is_null_where_the_rule_cannot_see_the_peak(self, tmp_path, capsys):
+        # far outside the bands the pole pair of the duel's integrand narrows
+        # below the rule's resolution on the theta = atan(s) axis, and at
+        # 1e300 v w underflows: such rows are null, never a value that misses
+        # the peak.  A row the rule answers agrees within its own acceptance
+        # of 100 quad_tol (``_tan_quadrature`` raises beyond it)
+        doc = copy.deepcopy(SAMPLE)
+        doc["grid"] = {"list": [*np.logspace(3.0, 8.0, 11).tolist(), 1e300]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["average", "--config", str(path)]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        tol = build_run_config(doc).tolerances.quad_tol
+        assert len(table) == 48
+        for row in table:
+            assert (row["quadrature"] is None) == (row["rel_diff"] is None), row
+            assert row["rel_diff"] is None or row["rel_diff"] <= 100 * tol, row
+        assert all(row["rel_diff"] is None for row in table if row["E"] >= 1e5)
 
     def test_underflowing_pole_product_warns_nothing(self, capsys):
         # at E = 1e300 the product v w underflows to 0 while v and w do not

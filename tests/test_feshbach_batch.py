@@ -90,7 +90,7 @@ def _run(capsys, argv):
 
 
 class TestNonFinite:
-    @pytest.mark.parametrize("nu", ["1e-155", "1e-162", "1e-170"])
+    @pytest.mark.parametrize("nu", ["0", "1e-155", "1e-162", "1e-170"])
     def test_underflowing_nu_squared_leaves_the_profiles_unapplied(self, capsys, nu):
         argv = ["classify", "--grid", "0.5:0.5:1", "--nu", nu]
         code, out, err = _run(capsys, argv)

@@ -24,8 +24,9 @@ def test_quickstart_runs():
 
 def test_namespace_is_the_quickstart():
     (names,) = re.findall(r"from specbox import \((.*?)\)", QUICKSTART, flags=re.S)
+    # dir, not vars: a lazy export enters vars(specbox) only on its first read
     public = {
-        name for name, value in vars(specbox).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(specbox)
+        if not name.startswith("_") and not isinstance(getattr(specbox, name), types.ModuleType)
     }
     assert public == {name.strip() for name in names.split(",") if name.strip()}
