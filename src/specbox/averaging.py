@@ -38,7 +38,7 @@ from .boundary import DIVERGENT, _sorted_distinct, lattice_records
 from .config import CouplingParams, EpsilonLadder, Tolerances
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
-from .resolvent import _TAG_INDEX, G0Basics, _solve_all, green_from_basics
+from .resolvent import _TAG_INDEX, G0Basics, _solve, green_from_basics
 
 __all__ = [
     "averaged_poisson_closed",
@@ -77,12 +77,12 @@ def _zero_bond_coupling(phi: str, kappa: float) -> CouplingParams:
 
 def _vw(model: BlackBoxModel, nu: float, phi: str, z):
     """Zero-bond values v = G(phi, phi) and w = G(partner, partner) at z
-    (array-capable), read off one solve."""
+    (array-capable), read off one solve with those two right-hand sides."""
     cp = _zero_bond_coupling(phi, nu)
     basics = G0Basics.at(model, z)
-    pairs = _solve_all(basics, cp)
     i, j = _TAG_INDEX[phi], _TAG_INDEX[_PARTNER[phi]]
-    return pairs[..., i, i], pairs[..., j, j], basics
+    X = _solve(basics, cp, [i, j])
+    return X[..., i, 0], X[..., j, 1], basics
 
 
 def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
@@ -93,10 +93,10 @@ def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
     float, anything else an array of the broadcast shape.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
+    if (eps <= 0).any():
         raise DomainError(f"eps must be > 0, got {eps}")
     v, w, _ = _vw(model, float(nu), phi, E + 1j * eps)
-    if np.any(w == 0):
+    if (w == 0).any():
         raise DomainError("partner Green's function vanished exactly; input singular")
     p = np.pi * np.abs(np.sqrt(v / w).real)
     return float(p) if p.ndim == 0 else p

@@ -8,9 +8,9 @@ system matrix,
 
     G0(phi, psi, z) = sum_k (phi, e_k)(e_k, psi) / (E_k - z).
 
-``SystemBlock.green`` evaluates the system pairs and
-``SpectralMeasure.borel`` the reservoir ones; ``resolvent.G0Basics`` holds
-the six that do not vanish.
+``SystemBlock.green`` evaluates one system pair, ``SystemBlock.green_pairs``
+all four in one array expression, and ``SpectralMeasure.borel`` the
+reservoir ones; ``resolvent.G0Basics`` holds the six that do not vanish.
 
 The finite exceptional sets are eigenvalues of H_S compressed to the
 complements of the coupling vectors, never roots of polynomial
@@ -67,6 +67,8 @@ CHI_R = "chi_r"
 DELTA_R = "delta_r"
 TAGS = (CHI_L, DELTA_L, CHI_R, DELTA_R)
 _SYSTEM_TAGS = (DELTA_L, DELTA_R)
+#: the four system pairs in ``green_pairs`` order: a, b, c and cbar
+_PAIRS = ((DELTA_L, DELTA_L), (DELTA_R, DELTA_R), (DELTA_L, DELTA_R), (DELTA_R, DELTA_L))
 
 #: Sentinel: the product defining the averaging exceptional set vanishes
 #: identically, so "the finite set" degenerates to the whole line.
@@ -144,6 +146,7 @@ class SystemBlock:
             for psi in _SYSTEM_TAGS:
                 w = np.conj(self._coef[phi]) * self._coef[psi]
                 self._weights[phi, psi] = np.array([np.sum(w[list(g)]) for g in self._groups])
+        self._pair_rows = np.stack([self._weights[pair] for pair in _PAIRS])
         # M: the Cauchy-Binet minors |x_i y_j - x_j y_i|^2 of the overlaps x, y
         # of delta_l, delta_r, summed over clusters (see d)
         x, y = self._coef[DELTA_L], self._coef[DELTA_R]
@@ -156,7 +159,7 @@ class SystemBlock:
         #: Cluster-summed minors (the diagonal counts each pair i < j twice).
         self.minors = member.T @ minors @ member
         # shared by every caller
-        for a in (self.poles, self.minors, *self._weights.values()):
+        for a in (self.poles, self.minors, self._pair_rows, *self._weights.values()):
             a.setflags(write=False)
 
     def _cluster_eigenvalues(self):
@@ -189,16 +192,29 @@ class SystemBlock:
 
     def green(self, phi: str, psi: str, z):
         """System-pair Green's function, array-capable in z."""
+        return self._pole_sums(self._weights[phi, psi][None], z)[0]
+
+    def green_pairs(self, z):
+        """The four system pairs (a, b, c, cbar) = G0(delta_l, delta_l),
+        G0(delta_r, delta_r), G0(delta_l, delta_r) and G0(delta_r, delta_l) at
+        z, from one array expression with one pole check; each has the bits of
+        its ``green`` call."""
+        return self._pole_sums(self._pair_rows, z)
+
+    def _pole_sums(self, weights: np.ndarray, z) -> tuple:
+        """sum_k weights[i, k] / (p_k - z) for each row i of ``weights``: a
+        complex per row for scalar z, else a contiguous array of z's shape.
+        Each row is its own reduction over the poles, so it has the same bits
+        however many rows share the call."""
         z_arr = np.asarray(z, dtype=complex)
-        scalar = z_arr.ndim == 0
-        z_flat = np.atleast_1d(z_arr)
+        z_flat = z_arr.reshape(-1)
         on_axis = z_flat.imag == 0.0
-        if np.any(on_axis):
+        if on_axis.any():
             self._check_poles(z_flat.real[on_axis])
-        w = self.pair_weights(phi, psi)
-        vals = np.sum(w / (self.poles - z_flat[..., None]), axis=-1)
-        vals = vals.reshape(z_arr.shape)
-        return complex(vals) if scalar else vals
+        vals = np.sum(weights[:, None, :] / (self.poles - z_flat[:, None]), axis=-1)
+        if z_arr.ndim == 0:
+            return tuple(complex(v) for v in vals[:, 0])
+        return tuple(vals.reshape(weights.shape[:1] + z_arr.shape))
 
     def d(self, E):
         """d = a b - |c|^2, the determinant of the 2x2 system Green matrix,

@@ -240,11 +240,24 @@ def average(cfg):
     report = averaging.verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder,
                                              lam=cfg.coupling.lam, tol=cfg.tolerances)
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
+    kappas = {phi: averaging.fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
+              for phi in blackbox.TAGS}
+    # the closed column, one array call per phi over the grid; where that call
+    # fails (D underflows, w vanishes) the rows call it one by one, so the
+    # first failing row raises its own error, as in the per-row order
+    closed_by_tag = {}
+    for phi, kappa in kappas.items():
+        try:
+            closed_by_tag[phi] = averaging.averaged_poisson_closed(
+                model, kappa, phi, grid, eps).tolist()
+        except SpecboxError:
+            closed_by_tag[phi] = None
     entries = []
-    for E in grid:
-        for phi in blackbox.TAGS:
-            kappa = averaging.fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
-            closed = averaging.averaged_poisson_closed(model, kappa, phi, float(E), eps)
+    for k, E in enumerate(grid):
+        for phi, kappa in kappas.items():
+            column = closed_by_tag[phi]
+            closed = averaging.averaged_poisson_closed(model, kappa, phi, float(E), eps) \
+                if column is None else column[k]
             try:
                 quadr = averaging.averaged_poisson_quadrature(
                     model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol

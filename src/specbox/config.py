@@ -61,7 +61,7 @@ class CouplingParams:
         # D(z) needs lam**2 and nu**2, so the squares must be finite as well;
         # an overflowing square is the error here, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = all(np.all(np.isfinite(np.square(np.asarray(x, dtype=float))))
+            finite = all(np.isfinite(np.square(np.asarray(x, dtype=float))).all()
                          for x in (self.lam, self.nu))
         if not finite:
             raise DomainError("coupling parameters must be finite with finite squares")

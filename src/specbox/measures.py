@@ -187,13 +187,13 @@ class SpectralMeasure:
         z_flat = np.atleast_1d(z_arr)
 
         on_axis = z_flat.imag == 0.0
-        if np.any(on_axis):
+        if on_axis.any():
             x_real = z_flat.real[on_axis]
             for x0, _ in self.atoms:
-                if np.any(x_real == x0):
+                if (x_real == x0).any():
                     raise DomainError(f"z = {x0} sits exactly on an atom")
             for p in self.pieces:
-                if np.any((x_real >= p.a) & (x_real <= p.b)):
+                if ((x_real >= p.a) & (x_real <= p.b)).any():
                     raise DomainError(
                         f"real z inside density piece [{p.a}, {p.b}]"
                     )
@@ -210,36 +210,46 @@ class SpectralMeasure:
 
 
 def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
-    """Closed-form int_a^b p(x)/(x-z) dx for an array of z off [a, b]; a
-    real array stays in real arithmetic, since off [a, b] the logarithm's
-    argument is positive.  Where (b - z) / (a - z) over- or underflows (by
-    an edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z),
-    of the moduli for a real array."""
-    out = np.empty_like(z)
+    """Closed-form int_a^b p(x)/(x-z) dx for an array of z off [a, b]: the
+    recurrence near the piece, the moment series far from it, and the masks
+    that split z only where it holds both kinds of point."""
     far = np.abs(z) > _FAR_FACTOR * max(p.radius, 1.0)
-    near = ~far
-    if np.any(near):
-        zn = z[near]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            ratio = (p.b - zn) / (p.a - zn)  # complex overflow can read nan
-            exact = np.isfinite(ratio) & (np.abs(ratio) >= np.finfo(float).tiny)
-        term = np.log(np.where(exact, ratio, 1.0))  # I_0
-        if not exact.all():
-            zx = zn[~exact]
-            log = np.log if np.iscomplexobj(zx) else lambda x: np.log(np.abs(x))
-            term[~exact] = log(p.b - zx) - log(p.a - zx)
-        acc = p.coef[0] * term
-        for n in range(1, len(p.coef)):
-            term = (p.b ** n - p.a ** n) / n + zn * term  # I_n from I_{n-1}
-            acc += p.coef[n] * term
-        out[near] = acc
-    if np.any(far):
-        zf = z[far]
-        inv = p.scale / zf
-        acc = np.zeros_like(zf)
-        power = inv.copy()
-        for m in range(_FAR_TERMS):
-            acc -= p.moments[m] * power
-            power *= inv
-        out[far] = acc
+    if not far.any():
+        return _near_borel(p, z)
+    if far.all():
+        return _far_borel(p, z)
+    out = np.empty_like(z)
+    out[~far] = _near_borel(p, z[~far])
+    out[far] = _far_borel(p, z[far])
     return out
+
+
+def _near_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
+    """The recurrence I_n from I_0.  A real array stays in real arithmetic,
+    since off [a, b] the logarithm's argument is positive.  Where
+    (b - z) / (a - z) over- or underflows (by an edge at 0: z = -5e-324 and
+    [0, 1]), I_0 is log(b - z) - log(a - z), of the moduli for a real array."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ratio = (p.b - z) / (p.a - z)  # complex overflow can read nan
+        exact = np.isfinite(ratio) & (np.abs(ratio) >= np.finfo(float).tiny)
+    term = np.log(np.where(exact, ratio, 1.0))  # I_0
+    if not exact.all():
+        zx = z[~exact]
+        log = np.log if np.iscomplexobj(zx) else lambda x: np.log(np.abs(x))
+        term[~exact] = log(p.b - zx) - log(p.a - zx)
+    acc = p.coef[0] * term
+    for n in range(1, len(p.coef)):
+        term = (p.b ** n - p.a ** n) / n + z * term  # I_n from I_{n-1}
+        acc += p.coef[n] * term
+    return acc
+
+
+def _far_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
+    """The moment series -sum_m mu_m / z^(m+1), in powers of scale / z."""
+    inv = p.scale / z
+    acc = np.zeros_like(z)
+    power = inv.copy()
+    for m in range(_FAR_TERMS):
+        acc -= p.moments[m] * power
+        power *= inv
+    return acc

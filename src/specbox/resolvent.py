@@ -10,8 +10,9 @@ whose coefficient matrix A depends only on z and the coupling, with
 
 where l, r are the reservoir transforms and a, b, c, cbar the system pairs.
 Solving A X = B with the four right-hand sides at once yields all 16 pairs;
-the printed closed forms for the diagonal pairs are kept as independent
-cross-checks.
+a caller that reads fewer first arguments solves with only their columns,
+which gives the same bits.  The printed closed forms for the diagonal pairs
+are kept as independent cross-checks.
 
 The oracle replaces each density piece by Gauss-Legendre nodes (density
 absorbed into the weights), keeps atoms as exact nodes, embeds chi as the
@@ -71,15 +72,8 @@ class G0Basics:
 
     @classmethod
     def at(cls, model: BlackBoxModel, z) -> "G0Basics":
-        system = model.system
-        return cls(
-            l=model.res_l.borel(z),
-            r=model.res_r.borel(z),
-            a=system.green(DELTA_L, DELTA_L, z),
-            b=system.green(DELTA_R, DELTA_R, z),
-            c=system.green(DELTA_L, DELTA_R, z),
-            cb=system.green(DELTA_R, DELTA_L, z),
-        )
+        l, r = model.res_l.borel(z), model.res_r.borel(z)
+        return cls(l, r, *model.system.green_pairs(z))
 
     def det_D(self, coupling: CouplingParams):
         lam2, nu2 = coupling.lam**2, coupling.nu**2
@@ -129,18 +123,23 @@ def det_D(model: BlackBoxModel, coupling, z):
     return G0Basics.at(model, z).det_D(cp)
 
 
-def _solve_all(basics: G0Basics, coupling: CouplingParams) -> np.ndarray:
-    """All 16 coupled pairs; result[..., i, j] = G(tag_i, tag_j)."""
+def _solve(basics: G0Basics, coupling: CouplingParams, columns=slice(None)) -> np.ndarray:
+    """X[..., psi, k] = G(phi_k, psi), psi in TAGS order, for the first
+    arguments phi_k that ``columns`` picks from TAGS: the 4x4 solve with only
+    their right-hand sides.  A column has the same bits whatever other
+    columns share the solve."""
     D = basics.det_D(coupling)
-    if np.any(np.abs(np.atleast_1d(D)) < 1e-300):
+    if (np.abs(D) < 1e-300).any():
         raise NearSingularError(
             "D(z) underflowed; z is numerically at a resonance of the coupled model"
         )
-    A = basics.system_matrix(coupling)
-    B = basics.rhs_matrix()
-    X = np.linalg.solve(A, B)
+    return np.linalg.solve(basics.system_matrix(coupling), basics.rhs_matrix()[..., :, columns])
+
+
+def _solve_all(basics: G0Basics, coupling: CouplingParams) -> np.ndarray:
+    """All 16 coupled pairs; result[..., i, j] = G(tag_i, tag_j)."""
     # X[..., psi_row, phi_col] = G(phi, psi): transpose the trailing block
-    return np.swapaxes(X, -1, -2)
+    return np.swapaxes(_solve(basics, coupling), -1, -2)
 
 
 def green_all(model: BlackBoxModel, coupling, z) -> np.ndarray:
@@ -158,9 +157,10 @@ def green(model: BlackBoxModel, coupling, phi: str, psi: str, z):
 
 
 def green_from_basics(basics: G0Basics, coupling, phi: str, psi: str):
-    """Coupled pair from precomputed uncoupled values (hot loops over coupling)."""
+    """Coupled pair from precomputed uncoupled values (hot loops over coupling),
+    solved with phi's right-hand side alone."""
     cp = _coupling(coupling)
-    return _solve_all(basics, cp)[..., _TAG_INDEX[phi], _TAG_INDEX[psi]]
+    return _solve(basics, cp, [_TAG_INDEX[phi]])[..., _TAG_INDEX[psi], 0]
 
 
 def green_closed(model: BlackBoxModel, coupling, phi: str, z):

@@ -55,6 +55,20 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             averaged_poisson_closed(t2_model, 0.8, DELTA_L, 0.3, np.array([1e-2, 0.0]))
 
+    def test_array_grid_matches_scalar(self):
+        # ``average`` reads its closed column from one call over the grid per
+        # phi; each value has the bits of that row's scalar call
+        grid = np.linspace(-3.0, 3.0, 61)
+        models = [build_run_config(load_config(str(SAMPLE_PATH))).model]
+        models += [random_model(np.random.default_rng([7, k])) for k in range(6)]
+        for model in models:
+            for phi in TAGS:
+                for kappa in (0.7, 1.0):
+                    column = averaged_poisson_closed(model, kappa, phi, grid, 1e-3)
+                    rows = [averaged_poisson_closed(model, kappa, phi, E, 1e-3)
+                            for E in grid.tolist()]
+                    assert column.tolist() == rows
+
     def test_matches_quadrature_remark2_band(self, remark2):
         closed = averaged_poisson_closed(remark2, 1.0, CHI_L, 1.5, 1e-3)
         quadr = averaged_poisson_quadrature(remark2, 1.0, CHI_L, 1.5, 1e-3)

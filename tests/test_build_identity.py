@@ -1,10 +1,15 @@
-"""The model build is bit-identical to the straightforward formulas.
+"""The model build and the point-evaluation kernels are bit-identical to the
+straightforward formulas.
 
 The moments and the discretized operator are built by array expressions.
 The reference implementations are the plain per-moment loop below and the
 dense outer-product assembly of the discretized operator
 (``conftest.ref_assemble``, the dense H the other tests solve); every output
-must equal theirs exactly (``np.array_equal``).
+must equal theirs exactly (``np.array_equal``).  The kernels are held to the
+same rule: the four system pairs in one call against one ``SystemBlock.green``
+call each, the one-column solves against the four-column one, and the Cauchy
+transform of a piece against its per-piece formula with both masks
+(``ref_piece_borel``).
 """
 
 from pathlib import Path
@@ -12,15 +17,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specbox import measures
-from specbox.blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
-from specbox.config import build_run_config, load_config
-from specbox.resolvent import discretize
+from specbox import averaging, measures
+from specbox.blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
+from specbox.config import CouplingParams, build_run_config, load_config
+from specbox.errors import PoleError
+from specbox.resolvent import G0Basics, _solve_all, discretize, green_from_basics
 
 from conftest import random_model, random_reservoir, ref_assemble
 
 SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
 PAIRS = [(phi, psi) for phi in (DELTA_L, DELTA_R) for psi in (DELTA_L, DELTA_R)]
+#: the pairs in ``green_pairs`` order: a, b, c and cbar
+PAIR_ORDER = [(DELTA_L, DELTA_L), (DELTA_R, DELTA_R), (DELTA_L, DELTA_R), (DELTA_R, DELTA_L)]
 
 
 # -- reference implementations ----------------------------------------------
@@ -31,6 +39,39 @@ def ref_moments(a, b, coef, count):
         powers = m + 1 + np.arange(len(coef))
         mom[m] = np.sum(np.asarray(coef) * (b ** powers - a ** powers) / powers)
     return mom
+
+
+def ref_piece_borel(p, z):
+    """The Cauchy transform of one piece as one formula with a near and a far
+    mask, each applied also where it selects every point or none."""
+    out = np.empty_like(z)
+    far = np.abs(z) > measures._FAR_FACTOR * max(p.radius, 1.0)
+    near = ~far
+    if np.any(near):
+        zn = z[near]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            ratio = (p.b - zn) / (p.a - zn)
+            exact = np.isfinite(ratio) & (np.abs(ratio) >= np.finfo(float).tiny)
+        term = np.log(np.where(exact, ratio, 1.0))
+        if not exact.all():
+            zx = zn[~exact]
+            log = np.log if np.iscomplexobj(zx) else lambda x: np.log(np.abs(x))
+            term[~exact] = log(p.b - zx) - log(p.a - zx)
+        acc = p.coef[0] * term
+        for n in range(1, len(p.coef)):
+            term = (p.b ** n - p.a ** n) / n + zn * term
+            acc += p.coef[n] * term
+        out[near] = acc
+    if np.any(far):
+        zf = z[far]
+        inv = p.scale / zf
+        acc = np.zeros_like(zf)
+        power = inv.copy()
+        for m in range(measures._FAR_TERMS):
+            acc -= p.moments[m] * power
+            power *= inv
+        out[far] = acc
+    return out
 
 
 # -- the models --------------------------------------------------------------
@@ -120,3 +161,137 @@ def test_assemble_matches_reference():
             applied = np.stack([disc.apply(cp, u) for u in unit], axis=1)
             assert np.array_equal(applied, ref_assemble(disc, cp))
         draws += 1
+
+
+# -- point-evaluation kernels --------------------------------------------------
+
+def _points(rng, shape, scale=4.0):
+    """Complex points of ``shape`` around the spectrum, some near the axis."""
+    re = rng.uniform(-scale, scale, shape)
+    im = 10.0 ** rng.uniform(-9, 1, shape) * rng.choice([-1.0, 1.0], shape)
+    return re + 1j * im
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_green_pairs_match_one_green_call_each(name):
+    system = MODELS[name].system
+    rng = np.random.default_rng([20261018, 15, len(name)])
+    # real energies off sigma(H_S): between the poles and beyond them
+    poles = system.poles
+    real = np.concatenate([(poles[1:] + poles[:-1]) / 2, poles[[0, -1]] + [-0.5, 0.5]])
+    for z in (complex(_points(rng, ())), 0.3 + 0.0j, _points(rng, (7,)), _points(rng, (3, 5)),
+              real, real.astype(complex), _points(rng, (0,))):
+        got = system.green_pairs(z)
+        assert len(got) == 4
+        for value, (phi, psi) in zip(got, PAIR_ORDER):
+            _assert_same(value, system.green(phi, psi, z))
+            assert not isinstance(value, np.ndarray) or value.flags.c_contiguous
+
+
+def test_green_pairs_raise_the_pole_error_of_green():
+    system = MODELS["sample"].system
+    for k, pole in enumerate(system.poles):
+        z = np.array([0.25 + 1j, pole, pole + 1e-14, 2.0])
+        with pytest.raises(PoleError) as one:
+            system.green(DELTA_L, DELTA_R, z)
+        with pytest.raises(PoleError) as four:
+            system.green_pairs(z)
+        assert str(four.value) == str(one.value)
+        assert (four.value.energy, four.value.index) == (one.value.energy, one.value.index) \
+            == (float(pole), k)
+
+
+def test_g0basics_checks_the_poles_once(monkeypatch):
+    model = MODELS["sample"]
+    calls = []
+    check = SystemBlock._check_poles
+    monkeypatch.setattr(SystemBlock, "_check_poles",
+                        lambda self, re: calls.append(re.size) or check(self, re))
+    # real points outside the reservoirs' support [-2, 2], and one off the axis
+    G0Basics.at(model, np.array([-7.0, 0.5 + 1j, 9.0]))
+    G0Basics.at(model, 11.0)
+    assert calls == [2, 1]
+    G0Basics.at(model, np.array([0.5 + 1j, 3j]))
+    assert calls == [2, 1]
+
+
+def _couplings(rng, shape):
+    lam, nu = rng.uniform(-2.0, 2.0, 2)
+    s = np.tan(rng.uniform(-1.5, 1.5, shape))
+    yield CouplingParams(float(lam), float(nu))
+    yield CouplingParams(0.0, float(nu))
+    yield CouplingParams(float(lam), 0.0)
+    # a bond over an array of strengths, as the quadrature duel evaluates
+    yield CouplingParams(s, float(nu))
+    yield CouplingParams(float(lam), s)
+
+
+@pytest.mark.parametrize("name", ["sample", "random0", "random1", "random2", "random3",
+                                  "clustered1"])
+def test_one_column_solves_match_the_four_column_solve(name):
+    model = MODELS[name]
+    rng = np.random.default_rng([20261018, 16, len(name)])
+    for shape in ((), (9,), (2, 6)):
+        z = _points(rng, shape)
+        basics = G0Basics.at(model, z)
+        nodes = G0Basics(*(np.broadcast_to(np.asarray(getattr(basics, f))[..., None],
+                                           shape + (5,))
+                           for f in ("l", "r", "a", "b", "c", "cb")))
+        for cp in _couplings(rng, shape + (5,)):
+            at = nodes if np.ndim(cp.lam) or np.ndim(cp.nu) else basics
+            full = _solve_all(at, cp)
+            for i, phi in enumerate(TAGS):
+                for j, psi in enumerate(TAGS):
+                    _assert_same(np.asarray(green_from_basics(at, cp, phi, psi)),
+                                 np.asarray(full[..., i, j]))
+        for phi in TAGS:
+            kappa = float(rng.uniform(-2.0, 2.0))
+            v, w, _ = averaging._vw(model, kappa, phi, z)
+            full = _solve_all(basics, averaging._zero_bond_coupling(phi, kappa))
+            i, j = TAGS.index(phi), TAGS.index(averaging._PARTNER[phi])
+            assert np.array_equal(v, full[..., i, i]) and np.array_equal(w, full[..., j, j])
+
+
+def _piece_cases():
+    rng = np.random.default_rng([20261018, 17])
+    pieces = [((-2.0, -1.0), [1.0]), ((0.5, 3.0), [0.2, -0.1, 0.05]),
+              ((-1e-3, 2e-3), [1.0, 3.0]), ((0.0, 1.0), [1.0, -1.0, 0.5]),
+              ((-3.0, 0.0), [2.0]), ((0.0, 1e7), [1.0]), ((-1e7, 1e7), [1.0, 1e-7, 1e-14])]
+    for (a, b), coef in pieces:
+        (piece,) = measures.SpectralMeasure(pieces=[([a, b], coef)]).pieces
+        cut = measures._FAR_FACTOR * max(piece.radius, 1.0)
+        near = cut * rng.uniform(0.0, 0.95, 40) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+        far = cut * 10.0 ** rng.uniform(0.01, 3, 40) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+        assert (np.abs(near) <= cut).all() and (np.abs(far) > cut).all()
+        mixed = np.concatenate([near[:20], far[:20]])
+        rng.shuffle(mixed)
+        # real points off [a, b], near and far
+        real = np.concatenate([a - 10.0 ** rng.uniform(-6, 1, 6) * max(1.0, b - a),
+                               b + 10.0 ** rng.uniform(-6, 1, 6) * max(1.0, b - a),
+                               [-2 * cut, 2 * cut]])
+        yield piece, (near, far, mixed, mixed.reshape(5, 8), real, real[:12], real[12:],
+                      near[:1], far[:1])
+    # the edge at 0: the quotient over- or underflows next to it
+    for (a, b) in ((0.0, 1.0), (-1.0, 0.0)):
+        (piece,) = measures.SpectralMeasure(pieces=[([a, b], [1.0, 0.5])]).pieces
+        tiny = 5e-324
+        side = -tiny if a == 0.0 else tiny
+        yield piece, (np.array([side]), np.array([side + 0j]), np.array([side, 0.5j, 4.0]),
+                      np.array([side, 0.5j, 40.0]))
+
+
+def test_piece_borel_matches_the_masked_formula():
+    count = 0
+    for piece, arrays in _piece_cases():
+        for z in arrays:
+            with np.errstate(all="ignore"):
+                got, want = measures._piece_borel(piece, z), ref_piece_borel(piece, z)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (piece, z)
+            count += 1
+    assert count == 7 * 9 + 2 * 4
