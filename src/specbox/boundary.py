@@ -18,12 +18,12 @@ The decision tree (in order) on the ladder values f_k:
 Membership in the certified finite sets (sigma(H_S), S, N) is decided by
 their lists, never by ladder behavior; those sets have measure zero and a grid
 cannot see them; ``classify_grid`` compares the whole grid with each list
-at once.  The limit-profile checks read the Feshbach data a, b
-(``SystemBlock.green_pairs``) and d = a b - |c|^2 (``SystemBlock.d``) from
-one array call each over the grid energies off sigma(H_S).  The check c2
-divides by d, so it applies only where the model is not degenerate and
-d(E) != 0; either check applies only where its target is finite in double
-precision (nu^2 d or nu^2 b can underflow to 0, and is 0 at nu = 0).
+at once.  The limit-profile checks read the Feshbach data a, b and
+d = a b - |c|^2 (``SystemBlock.d``) from one array call each over the grid
+energies off sigma(H_S).  The check c2 divides by d, so it applies only
+where the model is not degenerate and d(E) != 0; either check applies only
+where its target is finite in double precision (nu^2 d or nu^2 b can
+underflow to 0, and is 0 at nu = 0).
 
 Atoms in the gaps of the reservoir bands come from the Feshbach matrix
 K(E) = H - E - lam^2 l_c(E) delta_l delta_l* - nu^2 r_c(E) delta_r delta_r*
@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .blackbox import TAGS, BlackBoxModel
+from .blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel
 # defined in config, which every command runs first; still importable from here
 from .config import MAX_RUNGS, CouplingParams, EpsilonLadder, Tolerances
 from .errors import PointMassPresentError, SpecboxError, UndeterminedLimitError
@@ -291,12 +291,13 @@ def classify_grid(
     in_n = [None] * grid.size if exc.degenerate else _near(grid, exc.n_points).tolist()
     if nu is not None:
         nu = float(nu)
-        # the Feshbach data a, b (one call for the system pairs) and d, at the
-        # energies the profile checks read: off sigma(H_S)
+        # the Feshbach data a, b and d, one array call each, at the energies
+        # the profile checks read: off sigma(H_S)
         needs = ~in_sigma
         system, E_in = model.system, grid[needs]
-        a, b, _, _ = system.green_pairs(E_in)
-        feshbach = zip(a.real.tolist(), b.real.tolist(), system.d(E_in).tolist())
+        feshbach = zip(system.green(DELTA_L, DELTA_L, E_in).real.tolist(),
+                       system.green(DELTA_R, DELTA_R, E_in).real.tolist(),
+                       system.d(E_in).tolist())
     sides = [lattice_records(lambda E, eps, m=measure: m.borel(E + 1j * eps), grid, [()],
                              ladder, tol=tol)
              for measure in (model.res_l, model.res_r)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blackbox import BlackBoxModel, SystemBlock
+from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
 from .boundary import UNDETERMINED, classify_grid
 from .config import EpsilonLadder, Tolerances
 from .errors import UnsupportedScenarioError
@@ -120,13 +120,14 @@ def certify_no_sc(
     cert = Certificate(lam=cp.lam, nu=cp.nu)
     rows = list(classify_grid(model, grid, ladder=ladder, tol=tol))
     early = [_unreached(cls) for cls in rows]
-    # the Feshbach data a, b, c and d at the in-scope energies: the system
-    # pairs in one call and d in another; they avoid sigma(H_S), so no call
-    # meets a pole
+    # the Feshbach data a, b, c and d at the in-scope energies, one array
+    # call each; they avoid sigma(H_S), so no call meets a pole
     E_in = np.array([cls.E for cls, v in zip(rows, early) if v is None], dtype=float)
     system = model.system
-    a, b, c, _ = system.green_pairs(E_in)
-    feshbach = zip(a.real.tolist(), b.real.tolist(), c.tolist(), system.d(E_in).tolist())
+    feshbach = zip(system.green(DELTA_L, DELTA_L, E_in).real.tolist(),
+                   system.green(DELTA_R, DELTA_R, E_in).real.tolist(),
+                   system.green(DELTA_L, DELTA_R, E_in).tolist(),
+                   system.d(E_in).tolist())
 
     for cls, verdict in zip(rows, early):
         E = cls.E

@@ -242,22 +242,13 @@ def average(cfg):
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
     kappas = {phi: averaging.fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
               for phi in blackbox.TAGS}
-    # the closed column, one array call per phi over the grid; where that call
-    # fails (D underflows, w vanishes) the rows call it one by one, so the
-    # first failing row raises its own error, as in the per-row order
-    closed_by_tag = {}
-    for phi, kappa in kappas.items():
-        try:
-            closed_by_tag[phi] = averaging.averaged_poisson_closed(
-                model, kappa, phi, grid, eps).tolist()
-        except SpecboxError:
-            closed_by_tag[phi] = None
+    # the closed column, one array call per phi over the grid
+    closed_by_tag = {phi: averaging.averaged_poisson_closed(model, kappa, phi, grid, eps).tolist()
+                     for phi, kappa in kappas.items()}
     entries = []
     for k, E in enumerate(grid):
         for phi, kappa in kappas.items():
-            column = closed_by_tag[phi]
-            closed = averaging.averaged_poisson_closed(model, kappa, phi, float(E), eps) \
-                if column is None else column[k]
+            closed = closed_by_tag[phi][k]
             try:
                 quadr = averaging.averaged_poisson_quadrature(
                     model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol

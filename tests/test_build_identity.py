@@ -234,6 +234,14 @@ def _couplings(rng, shape):
 @pytest.mark.parametrize("name", ["sample", "random0", "random1", "random2", "random3",
                                   "clustered1"])
 def test_one_column_solves_match_the_four_column_solve(name):
+    """The solves with one or two right-hand-side columns give the bits of the
+    four-column solve.  numpy's solve runs LAPACK's getrf and getrs on each
+    4x4 system, and whether getrs rounds a column the same way whatever the
+    other columns are depends on the BLAS that numpy is linked against, not on
+    specbox.  It holds with OpenBLAS 0.3.31 (numpy's bundled scipy-openblas);
+    a BLAS that routes one column through a different kernel would fail here,
+    and ``average`` would then print other last bits than the four-column
+    solve did."""
     model = MODELS[name]
     rng = np.random.default_rng([20261018, 16, len(name)])
     for shape in ((), (9,), (2, 6)):
