@@ -8,12 +8,14 @@ pair and its partner at E + i eps,
 
 the branch of the square root being exactly the one that makes the result
 nonnegative.  The independent check is adaptive quadrature of the left-hand
-side along the honest linear-system path, compactified by s = tan(theta):
-a numpy G7/K15 Gauss-Kronrod rule with QUADPACK's error estimate, where each
-refinement round solves the 4x4 system at every node of every new panel in
-one batched call.  The rank-one classic (a single bond averaged over its
-strength gives the Lebesgue measure, Poisson density pi) runs on the same
-quadrature engine.
+side along the honest linear-system path: a numpy G7/K15 Gauss-Kronrod rule
+with QUADPACK's error estimate, where each refinement round solves the 4x4
+system at every node of every new panel in one batched call.  The integrand
+is even in s, so the duel integrates twice the half line, in a variable
+matched to the pole pair of 1/(1 - s^2 v w) (``_peak_quadrature``).  The
+rank-one classic (a single bond averaged over its strength gives the
+Lebesgue measure, Poisson density pi) runs on the same engine over the
+whole line, compactified by s = tan(theta).
 
 ``verify_abs_continuity`` scans a grid for divergence of the averaged
 transform as eps shrinks, one tag at a time on ``boundary``'s (energy x
@@ -28,6 +30,7 @@ over the right bond with the left one fixed at ``lam`` (``fixed_bond``).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -56,9 +59,11 @@ _LEFT = (CHI_L, DELTA_L)
 N_EXCLUSION = 1e-6
 #: the relative tolerance of the rank-one average's quadrature
 RANK_ONE_TOL = 1e-10
-#: the narrowest peak, in ulp of theta = atan(s), that the duel's
-#: quadrature is asked to resolve
-_PEAK_ULPS = 4
+#: why a duel has no value (``AccuracyError.reason``): its integrand's peak
+#: is narrower than the integrand's own rounding there, or the adaptive rule
+#: stopped short of its tolerance
+PEAK_BELOW_ROUNDING = "peak_below_rounding"
+QUADRATURE_STALLED = "quadrature_stalled"
 
 
 def fixed_bond(phi: str, lam: float, nu: float) -> float:
@@ -212,6 +217,20 @@ def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
         errs = np.concatenate([errs[keep], new_errs])
 
 
+def _accepted_quad(g, a: float, b: float, tol: float, points) -> float:
+    """``quad`` of g over [a, b] at relative tolerance tol; raises
+    AccuracyError where the error estimate exceeds 100 tol times the value."""
+    val, err = quad(g, a, b, epsabs=1e-300, epsrel=tol, limit=800, points=points or None)
+    if err > 100 * tol * max(abs(val), 1e-12):
+        raise AccuracyError(
+            f"quadrature stalled: estimate {val} with error {err}",
+            estimate=val,
+            achieved=err,
+            reason=QUADRATURE_STALLED,
+        )
+    return val
+
+
 def _tan_quadrature(integrand, tol: float, poles=()):
     """Improper integral over the whole line of s via s = tan(theta).
 
@@ -221,22 +240,45 @@ def _tan_quadrature(integrand, tol: float, poles=()):
         return integrand(t) * (1.0 + t * t)
 
     pts = [math.atan(b) for b in _pole_breakpoints(poles)]
-    val, err = quad(
-        g,
-        -math.pi / 2,
-        math.pi / 2,
-        epsabs=1e-300,
-        epsrel=tol,
-        limit=800,
-        points=pts or None,
-    )
-    if err > 100 * tol * max(abs(val), 1e-12):
-        raise AccuracyError(
-            f"quadrature stalled: estimate {val} with error {err}",
-            estimate=val,
-            achieved=err,
-        )
-    return val
+    return _accepted_quad(g, -math.pi / 2, math.pi / 2, tol, pts)
+
+
+#: where ``_peak_quadrature``'s first panels end in tau.  The pole pair's
+#: terms there are 1/cosh(tau) and tanh(tau), analytic but at tau = +-i pi/2,
+#: and the Bernstein ellipse that sets the G7/K15 rate on each of the panels
+#: [0, 1], [1, 3] and [3, 9] stays clear of those points
+_TAU_BREAKS = (0.0, 1.0, -1.0, 3.0, -3.0, 9.0, -9.0)
+
+
+def _peak_quadrature(integrand, p: complex, tol: float) -> float:
+    """Integral over the whole line of an even ``integrand`` whose nearest
+    singularities are the poles +-p and their conjugates: twice the half line
+    s >= 0, in one ``quad`` call over two joined pieces.
+
+    With c = |Re p| and h = |Im p|, s = c + h sinh(tau) maps [0, c + |p|].
+    There the Lorentzian of the pole at c becomes 1/cosh(tau) and its
+    dispersive part tanh(tau), so a peak of any width h takes the same few
+    panels.  Beyond, s = (c + |p|) / y for y from 1 down to 0, on which the
+    1/s^2 tail is flat.  Each piece's derivative at the joint is within a
+    factor 2 of the other's, so neither end loses resolution there.  The
+    first panels end at the joint, at ``_TAU_BREAKS``, and half a unit above
+    tau's lower end when that lies below -1/2: for h << c the partner pole -p
+    sits about log 2 below that end.
+    """
+    c, h = abs(p.real), abs(p.imag)
+    lo, hi = -math.asinh(c / h), math.asinh(abs(p) / h)
+    joint = c + h * math.sinh(hi)
+    span = hi - lo
+
+    def g(x):
+        near = x <= span
+        tau = x + lo
+        y = 1.0 + span - x
+        s = np.where(near, c + h * np.sinh(tau), joint / y)
+        return integrand(s) * np.where(near, h * np.cosh(tau), joint / (y * y))
+
+    pts = [b - lo for b in (*_TAU_BREAKS, min(lo + 0.5, 0.0)) if lo < b < hi] + [span]
+    return 2.0 * _accepted_quad(g, 0.0, span + 1.0, tol, pts)
 
 
 def averaged_poisson_quadrature(
@@ -252,15 +294,28 @@ def averaged_poisson_quadrature(
     Every integrand evaluation goes through the linear-system resolvent path,
     so this is an independent check on the residue formula.  The uncoupled
     values are cached across s (they do not depend on the averaged bond), and
-    the near-real pole pair of 1/(1 - s^2 v w) is handed to the quadrature as
-    breakpoints.  Raises AccuracyError where the rule stalls, and where it
-    cannot see that pair's peak on the theta = atan(s) axis.
+    the near-real pole pair +-p of 1/(1 - s^2 v w) sets the variable of
+    ``_peak_quadrature``.  Raises AccuracyError with ``reason``
+    PEAK_BELOW_ROUNDING where v w underflows, or where u c / h (u the double
+    spacing at 1, c = |Re p|, h = |Im p|), the 4x4 integrand's relative
+    rounding at its peak, exceeds tol; and with QUADRATURE_STALLED where the
+    rule stalls.
     """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     nu = float(nu)
     v, w, basics = _vw(model, nu, phi, complex(E, eps))
-    v, w = complex(v), complex(w)
+    vw = complex(v) * complex(w)
+    if vw == 0:
+        raise AccuracyError(f"v w underflows at E = {E}", estimate=math.nan,
+                            achieved=math.inf, reason=PEAK_BELOW_ROUNDING)
+    p = 1.0 / cmath.sqrt(vw)
+    if _EPS * abs(p.real) > tol * abs(p.imag):
+        raise AccuracyError(f"the integrand's peak at E = {E} is below its rounding: "
+                            f"u c = {_EPS * abs(p.real):.3e} against tol h = "
+                            f"{tol * abs(p.imag):.3e}",
+                            estimate=math.nan, achieved=math.inf,
+                            reason=PEAK_BELOW_ROUNDING)
     left = phi in _LEFT
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -269,21 +324,7 @@ def averaged_poisson_quadrature(
         cp = CouplingParams(s, nu) if left else CouplingParams(nu, s)
         return np.imag(green_from_basics(nodes, cp, phi, phi))
 
-    poles = ()
-    if v != 0 and w != 0:
-        # the poles +-p make a peak of theta-width |Im p| / (1 + Re p^2) at
-        # theta = atan(Re p).  Where v w underflows, or that width is within
-        # a few ulp of theta, no breakpoint or node resolves the peak, and the
-        # rule would return the integral without it
-        p = 1.0 / np.sqrt(v * w) if v * w != 0 else complex(math.inf)
-        with np.errstate(over="ignore"):
-            width = abs(p.imag) / (1.0 + p.real**2)
-        if not width > _PEAK_ULPS * np.spacing(abs(math.atan(p.real))):
-            raise AccuracyError(f"the integrand's peak at E = {E} is below the rule's "
-                                "resolution in theta = atan(s)",
-                                estimate=math.nan, achieved=math.inf)
-        poles = (p, -p)
-    return _tan_quadrature(integrand, tol, poles)
+    return _peak_quadrature(integrand, p, tol)
 
 
 def rank_one_average(measure: SpectralMeasure, E: float, eps: float) -> float:

@@ -7,8 +7,8 @@ column sets.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical-resolution
 failure under --strict (any UNDETERMINED or NUMERICALLY_UNRESOLVED outcome, or
-an averaged-transform duel whose rel_diff exceeds quad_tol or whose quadrature
-stalled), 3 internal error.
+an averaged-transform duel whose rel_diff exceeds quad_tol or that has no
+value), 3 internal error.
 """
 
 from __future__ import annotations
@@ -249,16 +249,19 @@ def average(cfg):
     for k, E in enumerate(grid):
         for phi, kappa in kappas.items():
             closed = closed_by_tag[phi][k]
+            reason = None
             try:
                 quadr = averaging.averaged_poisson_quadrature(
                     model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol
                 )
                 rel = abs(closed - quadr) / max(abs(closed), abs(quadr), 1e-300)
-            except AccuracyError:  # a stalled duel leaves its cells empty
+            except AccuracyError as exc:  # a null duel leaves its cells empty
                 quadr = rel = None
+                reason = exc.reason
             entries.append({"E": float(E), "phi": phi, "closed": closed,
                             "quadrature": quadr, "rel_diff": rel,
-                            "ladder_status": status_by_key.get((float(E), phi))})
+                            "ladder_status": status_by_key.get((float(E), phi)),
+                            "reason": reason})
     payload = _meta(cfg, "average")
     payload["eps"] = eps
     payload["table"] = entries
@@ -266,8 +269,8 @@ def average(cfg):
     if cfg.out_format == "csv":
         click.echo(f"abs_continuity verdict: {report.verdict}", err=True)
     _emit(cfg, payload, AVERAGE_HEADER, _columns(AVERAGE_HEADER, entries))
-    # a row is unresolved when its ladder is, or when the duel stalls or
-    # fails (a NaN rel_diff fails too)
+    # a row is unresolved when its ladder is, or when the duel has no value
+    # or fails (a NaN rel_diff fails too)
     return sum(e["ladder_status"] == boundary.UNDETERMINED or e["rel_diff"] is None
                or not e["rel_diff"] <= cfg.tolerances.quad_tol for e in entries)
 

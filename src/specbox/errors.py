@@ -41,12 +41,16 @@ class OracleError(SpecboxError, RuntimeError):
 
 
 class AccuracyError(SpecboxError, RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Adaptive quadrature could not reach the requested tolerance.
 
-    def __init__(self, message: str, estimate: float, achieved: float):
+    ``reason``, where given, names the cause in a machine-readable word."""
+
+    def __init__(self, message: str, estimate: float, achieved: float,
+                 reason: str | None = None):
         super().__init__(message)
         self.estimate = estimate
         self.achieved = achieved
+        self.reason = reason
 
 
 class UnsupportedScenarioError(SpecboxError, ValueError):

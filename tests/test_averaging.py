@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from specbox.averaging import (
-    _pole_breakpoints,
+    PEAK_BELOW_ROUNDING,
+    QUADRATURE_STALLED,
+    _LEFT,
+    _tan_quadrature,
     _vw,
     averaged_poisson_closed,
     averaged_poisson_quadrature,
@@ -23,9 +26,9 @@ from specbox.averaging import (
 from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS
 from specbox.boundary import EpsilonLadder, Tolerances
 from specbox.config import build_run_config, load_config
-from specbox.errors import DomainError
+from specbox.errors import AccuracyError, DomainError
 from specbox.measures import SpectralMeasure
-from specbox.resolvent import CouplingParams, green, green_from_basics
+from specbox.resolvent import CouplingParams, G0Basics, green, green_from_basics
 
 from conftest import random_model
 from test_acceptance import SEED as ACCEPTANCE_SEED
@@ -94,25 +97,24 @@ class TestQuadrature:
         assert val > 0
 
     def test_even_symmetry(self, remark2):
-        # the integrand depends on the bond through its square: half-range
-        # doubling equals the full-range integral
-        E, eps, nu = 1.5, 1e-2, 0.6
-        full = averaged_poisson_quadrature(remark2, nu, CHI_L, E, eps)
-        # integrate over |s|: each half of the line gives half the integral
-        from specbox.averaging import _tan_quadrature
-        from specbox.resolvent import G0Basics
-
-        basics = G0Basics.at(remark2, complex(E, eps))
-
-        def integrand(s):
-            nodes = G0Basics(*(np.broadcast_to(x, s.shape) for x in (
-                basics.l, basics.r, basics.a, basics.b, basics.c, basics.cb)))
-            return np.imag(
-                green_from_basics(nodes, CouplingParams(np.abs(s), nu), CHI_L, CHI_L)
-            )
-
-        sym = _tan_quadrature(integrand, 1e-12)
-        assert sym == pytest.approx(full, abs=1e-12 + 1e-12 * abs(full))
+        # the bond enters Im G(phi, phi) only through its square, for each of
+        # the four vectors: the integrand is even node by node, and the duel's
+        # twice the half line equals the whole line's integral
+        rng = np.random.default_rng(20261020)
+        cases = [(remark2, 0.6, CHI_L, 1.5, 1e-2)]
+        for _ in range(3):
+            model = random_model(rng, max_dim=4, max_pieces=2)
+            cases += [(model, float(rng.uniform(0.3, 2.0)), phi, float(rng.uniform(-3, 3)),
+                       float(10 ** rng.uniform(-3, -1))) for phi in TAGS]
+        s = np.concatenate([np.linspace(0.0, 5.0, 41), np.logspace(1.0, 8.0, 8)])
+        for model, nu, phi, E, eps in cases:
+            integrand = _duel_integrand(model, nu, phi, complex(E, eps))
+            np.testing.assert_allclose(integrand(-s), integrand(s), rtol=1e-14, atol=0)
+            v, w, _ = _vw(model, nu, phi, complex(E, eps))
+            p = 1.0 / np.sqrt(complex(v * w))
+            full = _tan_quadrature(integrand, 1e-12, poles=(p, -p))
+            half = averaged_poisson_quadrature(model, nu, phi, E, eps, tol=1e-12)
+            assert half == pytest.approx(full, abs=1e-12, rel=1e-11), (phi, E, eps)
 
     def test_randomized_duel(self):
         rng = np.random.default_rng(41)
@@ -130,9 +132,37 @@ class TestQuadrature:
 SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
 
 
+def _duel_integrand(model, nu, phi, z):
+    """s -> Im G_(s-bond)(phi, phi, z) at an array of bond strengths, one
+    4x4 solve per node, as the duel evaluates it."""
+    _, _, basics = _vw(model, nu, phi, z)
+
+    def integrand(s):
+        nodes = G0Basics(*(np.broadcast_to(x, s.shape) for x in (
+            basics.l, basics.r, basics.a, basics.b, basics.c, basics.cb)))
+        cp = CouplingParams(s, nu) if phi in _LEFT else CouplingParams(nu, s)
+        return np.imag(green_from_basics(nodes, cp, phi, phi))
+
+    return integrand
+
+
+def _whole_line_breakpoints(poles) -> list[float]:
+    """The referees' breakpoints: x and x +/- k|y| for k = 1, 10, ..., 1e4
+    around each pole x + i y, over the whole line of s."""
+    pts: set[float] = set()
+    for p in poles:
+        x, y = float(np.real(p)), abs(float(np.imag(p)))
+        candidates = [x]
+        scale = max(y, 1e-300)
+        for k in (1.0, 10.0, 100.0, 1e3, 1e4):
+            candidates.extend((x - k * scale, x + k * scale))
+        pts.update(c for c in candidates if math.isfinite(c))
+    return sorted(pts)
+
+
 def _quadpack_duel(model, nu, phi, E, eps, tol):
-    """The averaged transform by scipy's QUADPACK on the scalar integrand:
-    one 4x4 solve per node, tan-substituted, at the same pole breakpoints."""
+    """The averaged transform by scipy's QUADPACK: one 4x4 solve per node,
+    tan-substituted over the whole line, at its own pole breakpoints."""
     from scipy.integrate import quad
 
     v, w, basics = _vw(model, nu, phi, complex(E, eps))
@@ -147,10 +177,27 @@ def _quadpack_duel(model, nu, phi, E, eps, tol):
     if v != 0 and w != 0:
         p = 1.0 / np.sqrt(v * w)
         poles = (p, -p)
-    pts = [math.atan(b) for b in _pole_breakpoints(poles)]
+    pts = [math.atan(b) for b in _whole_line_breakpoints(poles)]
     val, _ = quad(g, -math.pi / 2, math.pi / 2, epsabs=1e-300, epsrel=tol, limit=800,
                   points=pts or None)
     return val
+
+
+def _quadpack_scalar(v, w, tol):
+    """The whole line's integral of the scalar Im[v / (1 - s^2 v w)] by
+    scipy's QUADPACK, in s itself: breakpoints around the poles +-p on a
+    finite middle, and the two infinite tails beyond it."""
+    from scipy.integrate import quad
+
+    def f(s):
+        return (v / (1.0 - s * s * v * w)).imag
+
+    p = 1.0 / np.sqrt(v * w)
+    pts = _whole_line_breakpoints((p, -p))
+    edge = 2.0 * max(abs(x) for x in pts) + 1.0
+    kw = {"epsabs": 0.0, "epsrel": tol, "limit": 800}
+    return (quad(f, -edge, edge, points=pts, **kw)[0] + quad(f, edge, math.inf, **kw)[0]
+            + quad(f, -math.inf, -edge, **kw)[0])
 
 
 def _sample_cases(grid):
@@ -190,6 +237,29 @@ class TestQuadpackReferee:
             )
             for x, y in itertools.combinations(values, 2):
                 assert abs(x - y) <= tol * max(abs(x), abs(y)), (E, phi, values)
+
+    def test_far_rows_against_the_scalar_integrand(self):
+        # far outside the bands the sample config's pole pair narrows to
+        # h / c ~ 1e-7 and below.  A row the rule answers agrees with the
+        # closed form and with QUADPACK on the scalar integrand within the
+        # rule's own acceptance of 100 quad_tol; every other row says why
+        tol = Tolerances().quad_tol
+        answered = 0
+        for model, nu, phi, E, eps in _sample_cases(np.logspace(1.0, 8.0, 49)):
+            try:
+                quadr = averaged_poisson_quadrature(model, nu, phi, E, eps, tol=tol)
+            except AccuracyError as exc:
+                assert exc.reason in (PEAK_BELOW_ROUNDING, QUADRATURE_STALLED), (E, phi)
+                continue
+            answered += 1
+            v, w, _ = _vw(model, nu, phi, complex(E, eps))
+            referee = _quadpack_scalar(complex(v), complex(w), 0.1 * tol)
+            closed = averaged_poisson_closed(model, nu, phi, E, eps)
+            for other in (closed, referee):
+                assert abs(quadr - other) <= 100 * tol * abs(other), (E, phi, quadr, other)
+        # u c / h passes quad_tol near E = 4,500: every row up to
+        # E = 10^(1 + 7 * 18 / 48) = 4,217 is answered
+        assert answered == 4 * 19
 
 
 class TestRankOne:

@@ -352,32 +352,43 @@ class TestExitCodes:
         assert "4 unresolved outcome(s)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_stalled_duel_leaves_its_cells_empty(self, fmt, capsys):
-        # at E = 5000 the sample config's quadrature cannot reach quad_tol;
-        # the rows keep their closed form and ladder status
-        args = ["average", "--config", str(SAMPLE_PATH), "--grid", "5000:5000:1",
-                "--format", fmt]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        if fmt == "json":
-            rows = [[r["closed"], r["quadrature"], r["rel_diff"], r["ladder_status"]]
-                    for r in json.loads(out)["table"]]
-        else:
-            rows = [line.split(",")[2:] for line in out.splitlines()[1:]]
-        assert len(rows) == 4
-        empty = None if fmt == "json" else ""
-        for closed, quadrature, rel_diff, status in rows:
-            assert float(closed) > 0 and status == "FINITE_NONZERO"
-            assert quadrature == rel_diff == empty
-        assert main([*args, "--strict"]) == 2
-        assert "4 unresolved outcome(s)" in capsys.readouterr().err
+    def test_stalled_duel_leaves_its_cells_empty(self, fmt, capsys, monkeypatch):
+        # a duel without a value leaves its cells empty, and the rows keep
+        # their closed form and ladder status.  At E = 5000 the sample
+        # config's peak is below the integrand's rounding (u c / h = 1.1e-9
+        # against quad_tol = 1e-9); at E = 1.5 a rule whose error estimate
+        # stays at its value stalls
+        import specbox.averaging
+
+        for grid, reason, stall in (("5000:5000:1", "peak_below_rounding", False),
+                                    ("1.5:1.5:1", "quadrature_stalled", True)):
+            if stall:
+                monkeypatch.setattr(specbox.averaging, "quad", lambda *a, **k: (1.0, 1.0))
+            args = ["average", "--config", str(SAMPLE_PATH), "--grid", grid, "--format", fmt]
+            assert main(args) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                table = json.loads(out)["table"]
+                assert [r["reason"] for r in table] == [reason] * 4
+                rows = [[r["closed"], r["quadrature"], r["rel_diff"], r["ladder_status"]]
+                        for r in table]
+            else:
+                assert out.splitlines()[0] == ",".join(AVERAGE_HEADER)
+                rows = [line.split(",")[2:] for line in out.splitlines()[1:]]
+            assert len(rows) == 4
+            empty = None if fmt == "json" else ""
+            for closed, quadrature, rel_diff, status in rows:
+                assert float(closed) > 0 and status == "FINITE_NONZERO"
+                assert quadrature == rel_diff == empty
+            assert main([*args, "--strict"]) == 2
+            assert "4 unresolved outcome(s)" in capsys.readouterr().err
 
     def test_far_duel_is_null_where_the_rule_cannot_see_the_peak(self, tmp_path, capsys):
         # far outside the bands the pole pair of the duel's integrand narrows
-        # below the rule's resolution on the theta = atan(s) axis, and at
-        # 1e300 v w underflows: such rows are null, never a value that misses
-        # the peak.  A row the rule answers agrees within its own acceptance
-        # of 100 quad_tol (``_tan_quadrature`` raises beyond it)
+        # below the 4x4 integrand's rounding at the peak, and at 1e300 v w
+        # underflows: such rows are null, never a value that misses the peak.
+        # A row the rule answers agrees within its own acceptance of 100
+        # quad_tol (``_accepted_quad`` raises beyond it)
         doc = copy.deepcopy(SAMPLE)
         doc["grid"] = {"list": [*np.logspace(3.0, 8.0, 11).tolist(), 1e300]}
         path = tmp_path / "far.json"
@@ -388,8 +399,29 @@ class TestExitCodes:
         assert len(table) == 48
         for row in table:
             assert (row["quadrature"] is None) == (row["rel_diff"] is None), row
+            assert (row["reason"] is None) == (row["rel_diff"] is not None), row
             assert row["rel_diff"] is None or row["rel_diff"] <= 100 * tol, row
-        assert all(row["rel_diff"] is None for row in table if row["E"] >= 1e5)
+        assert all(row["reason"] == "peak_below_rounding" for row in table if row["E"] >= 1e5)
+
+    def test_duel_rows_from_100_to_10000_are_within_quad_tol_or_say_why(self, tmp_path,
+                                                                          capsys):
+        # where the peak is narrow but above the integrand's rounding, the
+        # half-line map resolves it: every answered row is within quad_tol
+        doc = copy.deepcopy(SAMPLE)
+        doc["grid"] = {"list": np.logspace(2.0, 4.0, 49).tolist()}
+        path = tmp_path / "mid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["average", "--config", str(path)]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        tol = build_run_config(doc).tolerances.quad_tol
+        assert len(table) == 4 * 49
+        for row in table:
+            if row["rel_diff"] is None:
+                assert row["reason"] in ("peak_below_rounding", "quadrature_stalled"), row
+            else:
+                assert row["reason"] is None and row["rel_diff"] <= tol, row
+        # u c / h passes quad_tol near E = 4,500 on the sample config
+        assert all(row["rel_diff"] is not None for row in table if row["E"] < 4000)
 
     def test_underflowing_pole_product_warns_nothing(self, capsys):
         # at E = 1e300 the product v w underflows to 0 while v and w do not
