@@ -187,7 +187,7 @@ def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
     call of ``func``.  The error estimate is QUADPACK's (Piessens et al.,
     1983), and the rule stops once the summed error is at most
     max(epsabs, epsrel |I|) or ``limit`` panels exist.  Returns (value,
-    error estimate).  ``_tan_quadrature`` calls it through this module
+    error estimate).  ``_accepted_quad`` calls it through this module
     attribute, so a tracer can patch the one name.
     """
     edges = _sorted_distinct(np.concatenate([[a, b], np.asarray(points or [], dtype=float)]))
