@@ -296,24 +296,24 @@ def averaged_poisson_quadrature(
     values are cached across s (they do not depend on the averaged bond), and
     the near-real pole pair +-p of 1/(1 - s^2 v w) sets the variable of
     ``_peak_quadrature``.  Raises AccuracyError with ``reason``
-    PEAK_BELOW_ROUNDING where v w underflows, or where u c / h (u the double
-    spacing at 1, c = |Re p|, h = |Im p|), the 4x4 integrand's relative
-    rounding at its peak, exceeds tol; and with QUADRATURE_STALLED where the
-    rule stalls.
+    PEAK_BELOW_ROUNDING where v w underflows, overflows or is NaN, or where
+    u c / h (u the double spacing at 1, c = |Re p|, h = |Im p|), the 4x4
+    integrand's relative rounding at its peak, exceeds tol; and with
+    QUADRATURE_STALLED where the rule stalls.
     """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     nu = float(nu)
     v, w, basics = _vw(model, nu, phi, complex(E, eps))
     vw = complex(v) * complex(w)
-    if vw == 0:
-        raise AccuracyError(f"v w underflows at E = {E}", estimate=math.nan,
-                            achieved=math.inf, reason=PEAK_BELOW_ROUNDING)
-    p = 1.0 / cmath.sqrt(vw)
-    if _EPS * abs(p.real) > tol * abs(p.imag):
+    p = 1.0 / cmath.sqrt(vw) if vw != 0 else complex(math.inf)
+    c, h = abs(p.real), abs(p.imag)
+    # fails closed: an underflowed, overflowed or NaN v w leaves h at 0, inf
+    # or NaN, and every such peak is nulled
+    if not (0.0 < h < math.inf and _EPS * c <= tol * h):
         raise AccuracyError(f"the integrand's peak at E = {E} is below its rounding: "
-                            f"u c = {_EPS * abs(p.real):.3e} against tol h = "
-                            f"{tol * abs(p.imag):.3e}",
+                            f"v w = {vw}, u c = {_EPS * c:.3e} against tol h = "
+                            f"{tol * h:.3e}",
                             estimate=math.nan, achieved=math.inf,
                             reason=PEAK_BELOW_ROUNDING)
     left = phi in _LEFT

@@ -43,10 +43,9 @@ class OracleError(SpecboxError, RuntimeError):
 class AccuracyError(SpecboxError, RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance.
 
-    ``reason``, where given, names the cause in a machine-readable word."""
+    ``reason`` names the cause in a machine-readable word."""
 
-    def __init__(self, message: str, estimate: float, achieved: float,
-                 reason: str | None = None):
+    def __init__(self, message: str, estimate: float, achieved: float, reason: str):
         super().__init__(message)
         self.estimate = estimate
         self.achieved = achieved
