@@ -17,10 +17,14 @@ are kept as independent cross-checks.
 The oracle replaces each density piece by Gauss-Legendre nodes (density
 absorbed into the weights), keeps atoms as exact nodes, embeds chi as the
 vector of square-root weights, and solves (H - z) u = psi directly.  The
-assembled matrix is diagonal on every reservoir node, so the oracle
-eliminates those nodes in closed form (the Feshbach reduction onto the
-system): one n x n solve of the Schur complement per z covers every
-requested vector, and back-substitution recovers the reservoir components.
+assembled matrix is diagonal on every reservoir node, and each bond is the
+rank-one chi delta^*, so the oracle eliminates those nodes in closed form
+(the Feshbach reduction onto the system) through two quadrature sums,
+q_l = sum |chi_l|^2 / (x - z) over the left nodes and q_r on the right:
+one n x n solve of the Schur complement per z covers every requested
+vector, and the chi pairs follow from q_l, q_r and the solution's delta
+components.  That is O(m + n^3) time and O(m) memory per z for m reservoir
+nodes.
 """
 
 from __future__ import annotations
@@ -196,9 +200,10 @@ class DiscretizedModel:
     Reservoir blocks are diagonal on the quadrature nodes; the embedded chi
     vectors carry sqrt(weight) entries so that (chi, (H_res - z)^{-1} chi)
     is exactly the quadrature approximation of the reservoir transform.  H
-    couples the reservoir nodes only to the system, through the two bond
-    blocks of ``_bonds``; ``apply`` and the oracle's elimination both read
-    H's entries from them, and neither forms the dense H.
+    couples the reservoir nodes only to the system, through the two rank-one
+    bond blocks of ``_bonds``.  Only ``apply`` reads those blocks; the
+    oracle's elimination needs no more of them than the quadrature sums of
+    |chi|^2 / (x - z), and neither forms the dense H.
     """
 
     def __init__(self, model: BlackBoxModel, nodes_per_piece: int):
@@ -327,33 +332,41 @@ def green_oracle_all(
     z: complex,
     tags: Iterable[str] = TAGS,
 ) -> dict:
-    """All requested pairs from one n x n solve of (H - z) U = B.
+    """All requested pairs from one n x n solve of the Schur complement.
 
-    With d = x_nodes - z on the diagonal reservoir block, the Schur
-    complement S = H_S - z - H[sys, res] diag(1/d) H[res, sys] gives the
-    system components, u_res = (b_res - H[res, sys] u_sys) / d the rest,
-    and every pair is an entry of B^H U.
+    With d = x_nodes - z, the quadrature sums q_l = sum |chi_l|^2 / d and
+    q_r (atoms included) give the Schur complement of H - z onto the system,
+    S = H_S - z - lam^2 q_l delta_l delta_l^* - nu^2 q_r delta_r delta_r^*.
+    A delta's right-hand side is itself, chi_l's is -lam q_l delta_l and
+    chi_r's -nu q_r delta_r; with P = [delta_l delta_r]^* S^{-1} R, a delta
+    pair is P's entry and G(chi_l, psi) = [psi = chi_l] q_l
+    - lam q_l P[delta_l, psi] (the same on the right).
     """
     cp = _coupling(coupling)
     z = complex(z)
     if z.imag == 0.0:
         raise DomainError("oracle requires Im z != 0")
     tags = tuple(dict.fromkeys(tags))
-    res, sys = disc._res_index, disc._sys_slice
-    B = np.stack([disc.vector(t) for t in tags], axis=1)
-    b_r, b_s = B[res], B[sys]
-    a_rs, a_sr = disc._bonds(cp)
-    d = (disc.h0_diag[res] - z)[:, None]
-    h_s = disc.model.system.h_s
-    S = h_s - z * np.eye(h_s.shape[0]) - a_sr @ (a_rs / d)
+    q_l = np.sum(np.abs(disc.chi_l[: disc.m_l]) ** 2 / (disc.nodes_l - z))
+    q_r = np.sum(np.abs(disc.chi_r[disc.dim - disc.m_r :]) ** 2 / (disc.nodes_r - z))
+    system = disc.model.system
+    d_l, d_r, h_s = system.delta_l, system.delta_r, system.h_s
+    S = (h_s - z * np.eye(h_s.shape[0])
+         - cp.lam**2 * q_l * np.outer(d_l, d_l.conj())
+         - cp.nu**2 * q_r * np.outer(d_r, d_r.conj()))
+    rhs = {CHI_L: -cp.lam * q_l * d_l, DELTA_L: d_l, CHI_R: -cp.nu * q_r * d_r, DELTA_R: d_r}
     try:
-        u_s = np.linalg.solve(S, b_s - a_sr @ (b_r / d))
+        u_s = np.linalg.solve(S, np.stack([rhs[t] for t in tags], axis=1))
     except np.linalg.LinAlgError as exc:
         raise OracleError(
             f"direct solve failed at z = {z}: {exc}",
             condition_estimate=float(np.linalg.cond(S)),
         ) from exc
-    u_r = (b_r - a_rs @ u_s) / d
-    pairs = b_r.conj().T @ u_r + b_s.conj().T @ u_s
-    return {(phi, psi): complex(pairs[i, j])
-            for i, phi in enumerate(tags) for j, psi in enumerate(tags)}
+    p_l, p_r = d_l.conj() @ u_s, d_r.conj() @ u_s
+    rows = {CHI_L: -cp.lam * q_l * p_l, DELTA_L: p_l, CHI_R: -cp.nu * q_r * p_r, DELTA_R: p_r}
+    pairs = {(phi, psi): complex(rows[phi][j])
+             for phi in tags for j, psi in enumerate(tags)}
+    for tag, q in ((CHI_L, q_l), (CHI_R, q_r)):
+        if tag in tags:
+            pairs[(tag, tag)] += q
+    return pairs
