@@ -14,8 +14,8 @@ system at every node of every new panel in one batched call.  The integrand
 is even in s, so the duel integrates twice the half line, in a variable
 matched to the pole pair of 1/(1 - s^2 v w) (``_peak_quadrature``).  The
 rank-one classic (a single bond averaged over its strength gives the
-Lebesgue measure, Poisson density pi) runs on the same engine over the
-whole line, compactified by s = tan(theta).
+Lebesgue measure, Poisson density pi) runs on the same map: its integrand
+is a Lorentzian in the bond strength, even about its own centre.
 
 ``verify_abs_continuity`` scans a grid for divergence of the averaged
 transform as eps shrinks, one tag at a time on ``boundary``'s (energy x
@@ -72,18 +72,16 @@ def fixed_bond(phi: str, lam: float, nu: float) -> float:
     return nu if phi in _LEFT else lam
 
 
-def _zero_bond_coupling(phi: str, kappa: float) -> CouplingParams:
-    """Coupling with the averaged bond off: (0, kappa) for left vectors,
-    (kappa, 0) for right vectors (the mirrored family)."""
-    if phi in _LEFT:
-        return CouplingParams(0.0, kappa)
-    return CouplingParams(kappa, 0.0)
+def _bond_coupling(phi: str, s, kappa: float) -> CouplingParams:
+    """Coupling with phi's own bond at s and the other at kappa: (s, kappa)
+    for left vectors, (kappa, s) for right vectors (the mirrored family)."""
+    return CouplingParams(s, kappa) if phi in _LEFT else CouplingParams(kappa, s)
 
 
 def _vw(model: BlackBoxModel, nu: float, phi: str, z):
     """Zero-bond values v = G(phi, phi) and w = G(partner, partner) at z
     (array-capable), read off one solve with those two right-hand sides."""
-    cp = _zero_bond_coupling(phi, nu)
+    cp = _bond_coupling(phi, 0.0, nu)
     basics = G0Basics.at(model, z)
     i, j = _TAG_INDEX[phi], _TAG_INDEX[_PARTNER[phi]]
     X = _solve(basics, cp, [i, j])
@@ -105,24 +103,6 @@ def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
         raise DomainError("partner Green's function vanished exactly; input singular")
     p = np.pi * np.abs(np.sqrt(v / w).real)
     return float(p) if p.ndim == 0 else p
-
-
-def _pole_breakpoints(poles) -> list[float]:
-    """Multiscale breakpoints around near-real poles of the integrand.
-
-    A pole at p = x + i y produces a Lorentzian of width |y| at x; nesting
-    breakpoints at x +/- k|y| over several decades lets the adaptive rule
-    resolve spikes regardless of how narrow they are.  Poles at infinity
-    give no breakpoints."""
-    pts: set[float] = set()
-    for p in poles:
-        x, y = float(np.real(p)), abs(float(np.imag(p)))
-        candidates = [x]
-        scale = max(y, 1e-300)
-        for k in (1.0, 10.0, 100.0, 1e3, 1e4):
-            candidates.extend((x - k * scale, x + k * scale))
-        pts.update(c for c in candidates if math.isfinite(c))
-    return sorted(pts)
 
 
 # Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes in
@@ -187,8 +167,8 @@ def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
     call of ``func``.  The error estimate is QUADPACK's (Piessens et al.,
     1983), and the rule stops once the summed error is at most
     max(epsabs, epsrel |I|) or ``limit`` panels exist.  Returns (value,
-    error estimate).  ``_accepted_quad`` calls it through this module
-    attribute, so a tracer can patch the one name.
+    error estimate).  ``_peak_quadrature``, the one caller, calls it through
+    this module attribute, so a tracer can patch the one name.
     """
     edges = _sorted_distinct(np.concatenate([[a, b], np.asarray(points or [], dtype=float)]))
     lo, hi = edges[:-1], edges[1:]
@@ -217,32 +197,6 @@ def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
         errs = np.concatenate([errs[keep], new_errs])
 
 
-def _accepted_quad(g, a: float, b: float, tol: float, points) -> float:
-    """``quad`` of g over [a, b] at relative tolerance tol; raises
-    AccuracyError where the error estimate exceeds 100 tol times the value."""
-    val, err = quad(g, a, b, epsabs=1e-300, epsrel=tol, limit=800, points=points or None)
-    if err > 100 * tol * max(abs(val), 1e-12):
-        raise AccuracyError(
-            f"quadrature stalled: estimate {val} with error {err}",
-            estimate=val,
-            achieved=err,
-            reason=QUADRATURE_STALLED,
-        )
-    return val
-
-
-def _tan_quadrature(integrand, tol: float, poles=()):
-    """Improper integral over the whole line of s via s = tan(theta).
-
-    ``integrand`` maps an array of bond strengths s to an array of values."""
-    def g(theta):
-        t = np.tan(theta)
-        return integrand(t) * (1.0 + t * t)
-
-    pts = [math.atan(b) for b in _pole_breakpoints(poles)]
-    return _accepted_quad(g, -math.pi / 2, math.pi / 2, tol, pts)
-
-
 #: where ``_peak_quadrature``'s first panels end in tau.  The pole pair's
 #: terms there are 1/cosh(tau) and tanh(tau), analytic but at tau = +-i pi/2,
 #: and the Bernstein ellipse that sets the G7/K15 rate on each of the panels
@@ -263,7 +217,9 @@ def _peak_quadrature(integrand, p: complex, tol: float) -> float:
     factor 2 of the other's, so neither end loses resolution there.  The
     first panels end at the joint, at ``_TAU_BREAKS``, and half a unit above
     tau's lower end when that lies below -1/2: for h << c the partner pole -p
-    sits about log 2 below that end.
+    sits about log 2 below that end.  Raises AccuracyError with ``reason``
+    QUADRATURE_STALLED where the half line's error estimate exceeds 100 tol
+    times its value.
     """
     c, h = abs(p.real), abs(p.imag)
     lo, hi = -math.asinh(c / h), math.asinh(abs(p) / h)
@@ -278,7 +234,11 @@ def _peak_quadrature(integrand, p: complex, tol: float) -> float:
         return integrand(s) * np.where(near, h * np.cosh(tau), joint / (y * y))
 
     pts = [b - lo for b in (*_TAU_BREAKS, min(lo + 0.5, 0.0)) if lo < b < hi] + [span]
-    return 2.0 * _accepted_quad(g, 0.0, span + 1.0, tol, pts)
+    val, err = quad(g, 0.0, span + 1.0, epsabs=1e-300, epsrel=tol, limit=800, points=pts)
+    if err > 100 * tol * max(abs(val), 1e-12):
+        raise AccuracyError(f"quadrature stalled: estimate {val} with error {err}",
+                            estimate=val, achieved=err, reason=QUADRATURE_STALLED)
+    return 2.0 * val
 
 
 def averaged_poisson_quadrature(
@@ -316,13 +276,11 @@ def averaged_poisson_quadrature(
                             f"{tol * h:.3e}",
                             estimate=math.nan, achieved=math.inf,
                             reason=PEAK_BELOW_ROUNDING)
-    left = phi in _LEFT
 
     def integrand(s: np.ndarray) -> np.ndarray:
         nodes = G0Basics(*(np.broadcast_to(getattr(basics, f.name), s.shape)
                            for f in fields(G0Basics)))
-        cp = CouplingParams(s, nu) if left else CouplingParams(nu, s)
-        return np.imag(green_from_basics(nodes, cp, phi, phi))
+        return np.imag(green_from_basics(nodes, _bond_coupling(phi, s, nu), phi, phi))
 
     return _peak_quadrature(integrand, p, tol)
 
@@ -332,16 +290,27 @@ def rank_one_average(measure: SpectralMeasure, E: float, eps: float) -> float:
 
     With g = measure.borel(E + i eps) the perturbed transform is
     g / (1 + s g); its imaginary part integrates to pi exactly, independent
-    of the measure and of (E, eps) — the averaged measure is Lebesgue.
+    of the measure and of (E, eps) — the averaged measure is Lebesgue.  With
+    q = 1/g that imaginary part is the Lorentzian -Im q / ((s + Re q)^2 +
+    (Im q)^2), even about s = -Re q, so ``_peak_quadrature`` integrates it
+    in t = s + Re q around the pole pair +-i |Im q|.  Raises AccuracyError
+    with ``reason`` PEAK_BELOW_ROUNDING where g is 0 or not finite, or where
+    Im q is 0, infinite or NaN (a g made real by underflow): there is no
+    peak to map.
     """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     g = complex(measure.borel(complex(E, eps)))
+    q = 1.0 / g if g != 0 and cmath.isfinite(g) else complex(math.nan)
+    if not 0.0 < abs(q.imag) < math.inf:
+        raise AccuracyError(f"the rank-one pole at E = {E} has no width: g = {g}",
+                            estimate=math.nan, achieved=math.inf,
+                            reason=PEAK_BELOW_ROUNDING)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return (g / (1.0 + s * g)).imag
 
-    return _tan_quadrature(integrand, RANK_ONE_TOL, poles=(-1.0 / g,))
+    return _peak_quadrature(lambda t: integrand(t - q.real), 1j * abs(q.imag), RANK_ONE_TOL)
 
 
 @dataclass

@@ -66,9 +66,9 @@ DELTA_L = "delta_l"
 CHI_R = "chi_r"
 DELTA_R = "delta_r"
 TAGS = (CHI_L, DELTA_L, CHI_R, DELTA_R)
-_SYSTEM_TAGS = (DELTA_L, DELTA_R)
 #: the four system pairs in ``green_pairs`` order: a, b, c and cbar
 _PAIRS = ((DELTA_L, DELTA_L), (DELTA_R, DELTA_R), (DELTA_L, DELTA_R), (DELTA_R, DELTA_L))
+_PAIR_ROW = {pair: k for k, pair in enumerate(_PAIRS)}
 
 #: Sentinel: the product defining the averaging exceptional set vanishes
 #: identically, so "the finite set" degenerates to the whole line.
@@ -139,14 +139,13 @@ class SystemBlock:
         #: Distinct eigenvalues after clustering (the poles of system pairs).
         self.poles = np.array(positions)
         # clustered weights (phi, e_k)(e_k, psi) of the four system pairs, one
-        # np.sum per cluster and not `@ member` below: green must keep adding a
-        # cluster's terms in this order, and a matrix product may reorder them
-        self._weights = {}
-        for phi in _SYSTEM_TAGS:
-            for psi in _SYSTEM_TAGS:
-                w = np.conj(self._coef[phi]) * self._coef[psi]
-                self._weights[phi, psi] = np.array([np.sum(w[list(g)]) for g in self._groups])
-        self._pair_rows = np.stack([self._weights[pair] for pair in _PAIRS])
+        # row per pair in _PAIRS order and one np.sum per cluster, not `@
+        # member` below: green must keep adding a cluster's terms in this
+        # order, and a matrix product may reorder them
+        self._pair_rows = np.array([
+            [np.sum(w[list(g)]) for g in self._groups]
+            for w in (np.conj(self._coef[phi]) * self._coef[psi] for phi, psi in _PAIRS)
+        ])
         # M: the Cauchy-Binet minors |x_i y_j - x_j y_i|^2 of the overlaps x, y
         # of delta_l, delta_r, summed over clusters (see d)
         x, y = self._coef[DELTA_L], self._coef[DELTA_R]
@@ -159,7 +158,7 @@ class SystemBlock:
         #: Cluster-summed minors (the diagonal counts each pair i < j twice).
         self.minors = member.T @ minors @ member
         # shared by every caller
-        for a in (self.poles, self.minors, self._pair_rows, *self._weights.values()):
+        for a in (self.poles, self.minors, self._pair_rows):
             a.setflags(write=False)
 
     def _cluster_eigenvalues(self):
@@ -175,7 +174,7 @@ class SystemBlock:
 
     def pair_weights(self, phi: str, psi: str) -> np.ndarray:
         """Clustered weights (phi, e_k)(e_k, psi), one entry per pole (read-only)."""
-        return self._weights[phi, psi]
+        return self._pair_rows[_PAIR_ROW[phi, psi]]
 
     def _check_poles(self, re: np.ndarray) -> None:
         """Raise PoleError if a real energy in the 1-d array ``re`` hits a pole."""
@@ -192,7 +191,8 @@ class SystemBlock:
 
     def green(self, phi: str, psi: str, z):
         """System-pair Green's function, array-capable in z."""
-        return self._pole_sums(self._weights[phi, psi][None], z)[0]
+        k = _PAIR_ROW[phi, psi]
+        return self._pole_sums(self._pair_rows[k : k + 1], z)[0]
 
     def green_pairs(self, z):
         """The four system pairs (a, b, c, cbar) = G0(delta_l, delta_l),

@@ -20,10 +20,10 @@ vector of square-root weights, and solves (H - z) u = psi directly.  The
 assembled matrix is diagonal on every reservoir node, and each bond is the
 rank-one chi delta^*, so the oracle eliminates those nodes in closed form
 (the Feshbach reduction onto the system) through two quadrature sums,
-q_l = sum |chi_l|^2 / (x - z) over the left nodes and q_r on the right:
-one n x n solve of the Schur complement per z covers every requested
-vector, and the chi pairs follow from q_l, q_r and the solution's delta
-components.  That is O(m + n^3) time and O(m) memory per z for m reservoir
+q_l = sum w_l / (x - z) of the left node weights (|chi_l|^2) and q_r on
+the right: one n x n solve of the Schur complement per z covers every
+requested vector, and the chi pairs follow from q_l, q_r and the
+solution's delta components.  That is O(m + n^3) time and O(m) memory per z for m reservoir
 nodes.
 """
 
@@ -203,7 +203,7 @@ class DiscretizedModel:
     couples the reservoir nodes only to the system, through the two rank-one
     bond blocks of ``_bonds``.  Only ``apply`` reads those blocks; the
     oracle's elimination needs no more of them than the quadrature sums of
-    |chi|^2 / (x - z), and neither forms the dense H.
+    the node weights w / (x - z), and neither forms the dense H.
     """
 
     def __init__(self, model: BlackBoxModel, nodes_per_piece: int):
@@ -334,7 +334,7 @@ def green_oracle_all(
 ) -> dict:
     """All requested pairs from one n x n solve of the Schur complement.
 
-    With d = x_nodes - z, the quadrature sums q_l = sum |chi_l|^2 / d and
+    With d = x_nodes - z, the quadrature sums q_l = sum weights_l / d and
     q_r (atoms included) give the Schur complement of H - z onto the system,
     S = H_S - z - lam^2 q_l delta_l delta_l^* - nu^2 q_r delta_r delta_r^*.
     A delta's right-hand side is itself, chi_l's is -lam q_l delta_l and
@@ -347,8 +347,8 @@ def green_oracle_all(
     if z.imag == 0.0:
         raise DomainError("oracle requires Im z != 0")
     tags = tuple(dict.fromkeys(tags))
-    q_l = np.sum(np.abs(disc.chi_l[: disc.m_l]) ** 2 / (disc.nodes_l - z))
-    q_r = np.sum(np.abs(disc.chi_r[disc.dim - disc.m_r :]) ** 2 / (disc.nodes_r - z))
+    q_l = np.sum(disc.weights_l / (disc.nodes_l - z))
+    q_r = np.sum(disc.weights_r / (disc.nodes_r - z))
     system = disc.model.system
     d_l, d_r, h_s = system.delta_l, system.delta_r, system.h_s
     S = (h_s - z * np.eye(h_s.shape[0])

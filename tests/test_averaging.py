@@ -15,8 +15,7 @@ import pytest
 from specbox.averaging import (
     PEAK_BELOW_ROUNDING,
     QUADRATURE_STALLED,
-    _LEFT,
-    _tan_quadrature,
+    _bond_coupling,
     _vw,
     averaged_poisson_closed,
     averaged_poisson_quadrature,
@@ -99,7 +98,8 @@ class TestQuadrature:
     def test_even_symmetry(self, remark2):
         # the bond enters Im G(phi, phi) only through its square, for each of
         # the four vectors: the integrand is even node by node, and the duel's
-        # twice the half line equals the whole line's integral
+        # twice the half line equals the whole line's integral, which
+        # QUADPACK referees over the whole line at its own breakpoints
         rng = np.random.default_rng(20261020)
         cases = [(remark2, 0.6, CHI_L, 1.5, 1e-2)]
         for _ in range(3):
@@ -110,9 +110,7 @@ class TestQuadrature:
         for model, nu, phi, E, eps in cases:
             integrand = _duel_integrand(model, nu, phi, complex(E, eps))
             np.testing.assert_allclose(integrand(-s), integrand(s), rtol=1e-14, atol=0)
-            v, w, _ = _vw(model, nu, phi, complex(E, eps))
-            p = 1.0 / np.sqrt(complex(v * w))
-            full = _tan_quadrature(integrand, 1e-12, poles=(p, -p))
+            full = _quadpack_duel(model, nu, phi, E, eps, 1e-12)
             half = averaged_poisson_quadrature(model, nu, phi, E, eps, tol=1e-12)
             assert half == pytest.approx(full, abs=1e-12 + 1e-12 * abs(full)), (phi, E, eps)
 
@@ -153,8 +151,7 @@ def _duel_integrand(model, nu, phi, z):
     def integrand(s):
         nodes = G0Basics(*(np.broadcast_to(x, s.shape) for x in (
             basics.l, basics.r, basics.a, basics.b, basics.c, basics.cb)))
-        cp = CouplingParams(s, nu) if phi in _LEFT else CouplingParams(nu, s)
-        return np.imag(green_from_basics(nodes, cp, phi, phi))
+        return np.imag(green_from_basics(nodes, _bond_coupling(phi, s, nu), phi, phi))
 
     return integrand
 
@@ -286,12 +283,58 @@ class TestRankOne:
         )
 
     def test_randomized(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            m = random_measure(rng)
-            E = float(rng.uniform(-6, 6))
-            eps = float(10 ** rng.uniform(-6, 0.5))
+        for m, E, eps in _rank_one_draws():
             assert rank_one_average(m, E, eps) == pytest.approx(np.pi, abs=1e-8)
+
+    def test_nodes_per_average(self, monkeypatch):
+        # in t = s + Re q the Lorentzian is 1/cosh on the sinh piece and
+        # 1/(1 + y^2) on the tail: the first two panels, 30 nodes, meet
+        # RANK_ONE_TOL whatever the pole's width
+        from specbox import averaging
+
+        quad = averaging.quad
+        nodes = []
+
+        def counting_quad(func, *args, **kwargs):
+            def counted(x):
+                nodes[-1] += x.size
+                return func(x)
+
+            return quad(counted, *args, **kwargs)
+
+        monkeypatch.setattr(averaging, "quad", counting_quad)
+        for m, E, eps in _rank_one_draws():
+            nodes.append(0)
+            rank_one_average(m, E, eps)
+        assert len(nodes) == 50 and max(nodes) <= 30, nodes
+
+    def test_pole_without_width_raises(self):
+        # at E = 1e200, eps = 1e-300 the atom's g = -1 / (E + i eps) has its
+        # imaginary part underflow to 0: g is real and its pole has no width
+        m = SpectralMeasure(atoms=[(0.0, 1.0)])
+        with pytest.raises(AccuracyError) as info:
+            rank_one_average(m, 1e200, 1e-300)
+        assert info.value.reason == PEAK_BELOW_ROUNDING
+
+    @pytest.mark.parametrize("g", [0.0, math.inf, complex(math.inf, 1.0), math.nan,
+                                   complex(1.0, math.nan)])
+    def test_degenerate_transform_raises(self, g):
+        class Fixed:
+            def borel(self, z):
+                return g
+
+        with pytest.raises(AccuracyError) as info:
+            rank_one_average(Fixed(), 0.5, 1e-2)
+        assert info.value.reason == PEAK_BELOW_ROUNDING
+
+
+def _rank_one_draws():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        m = random_measure(rng)
+        E = float(rng.uniform(-6, 6))
+        eps = float(10 ** rng.uniform(-6, 0.5))
+        yield m, E, eps
 
 
 class TestQuadHook:

@@ -260,7 +260,7 @@ def test_one_column_solves_match_the_four_column_solve(name):
         for phi in TAGS:
             kappa = float(rng.uniform(-2.0, 2.0))
             v, w, _ = averaging._vw(model, kappa, phi, z)
-            full = _solve_all(basics, averaging._zero_bond_coupling(phi, kappa))
+            full = _solve_all(basics, averaging._bond_coupling(phi, 0.0, kappa))
             i, j = TAGS.index(phi), TAGS.index(averaging._PARTNER[phi])
             assert np.array_equal(v, full[..., i, i]) and np.array_equal(w, full[..., j, j])
 

@@ -388,7 +388,7 @@ class TestExitCodes:
         # below the 4x4 integrand's rounding at the peak, and at 1e300 v w
         # underflows: such rows are null, never a value that misses the peak.
         # A row the rule answers agrees within its own acceptance of 100
-        # quad_tol (``_accepted_quad`` raises beyond it)
+        # quad_tol (``_peak_quadrature`` raises beyond it)
         doc = copy.deepcopy(SAMPLE)
         doc["grid"] = {"list": [*np.logspace(3.0, 8.0, 11).tolist(), 1e300]}
         path = tmp_path / "far.json"
