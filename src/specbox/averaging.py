@@ -18,9 +18,13 @@ Lebesgue measure, Poisson density pi) runs on the same map: its integrand
 is a Lorentzian in the bond strength, even about its own centre.
 
 ``verify_abs_continuity`` scans a grid for divergence of the averaged
-transform as eps shrinks, one tag at a time on ``boundary``'s (energy x
-eps) lattice path, ``lattice_records``, which owns the blocks and keeps a
-numerical failure with its own energy.  The ladder gets i times the
+transform as eps shrinks, all four tags in one pass of ``boundary``'s
+(energy x eps) lattice path, ``lattice_records``, which owns the blocks and
+keeps a numerical failure with its own energy.  Each block takes the
+zero-bond values from one ``G0Basics.at`` and one two-column solve per bond
+side (``_closed_tags``): chi and delta of a side are each other's partner,
+so one solve gives both vectors' (v, w).  A vanished partner makes only its
+own vector's rows UNDETERMINED.  The ladder gets i times the
 transform, which is Im of the averaged measure's Cauchy transform, so the
 record's ``value.imag`` is the limit and its ``pole_weight`` (the one
 atom-weight rule of ``boundary``) is the atom indicator.  Left vectors are
@@ -52,7 +56,7 @@ __all__ = [
     "AveragingReport",
 ]
 
-_PARTNER = {CHI_L: DELTA_L, DELTA_L: CHI_L, CHI_R: DELTA_R, DELTA_R: CHI_R}
+_VANISHED = "partner Green's function vanished exactly; input singular"
 _LEFT = (CHI_L, DELTA_L)
 
 #: grid points closer than this to the exceptional set are excluded
@@ -78,14 +82,48 @@ def _bond_coupling(phi: str, s, kappa: float) -> CouplingParams:
     return CouplingParams(s, kappa) if phi in _LEFT else CouplingParams(kappa, s)
 
 
+def _side_values(basics: G0Basics, phi: str, kappa: float):
+    """G(chi, chi) and G(delta, delta) on phi's side, with that side's bond
+    at 0 and the other at kappa: one solve with the side's two right-hand
+    sides.  Each of the two vectors is the other's partner, so the pair
+    serves both: (v, w) for chi, and swapped for delta."""
+    chi, delta = (CHI_L, DELTA_L) if phi in _LEFT else (CHI_R, DELTA_R)
+    i, j = _TAG_INDEX[chi], _TAG_INDEX[delta]
+    X = _solve(basics, _bond_coupling(phi, 0.0, kappa), [i, j])
+    return X[..., i, 0], X[..., j, 1]
+
+
 def _vw(model: BlackBoxModel, nu: float, phi: str, z):
     """Zero-bond values v = G(phi, phi) and w = G(partner, partner) at z
-    (array-capable), read off one solve with those two right-hand sides."""
-    cp = _bond_coupling(phi, 0.0, nu)
+    (array-capable), read off the solve of phi's side."""
     basics = G0Basics.at(model, z)
-    i, j = _TAG_INDEX[phi], _TAG_INDEX[_PARTNER[phi]]
-    X = _solve(basics, cp, [i, j])
-    return X[..., i, 0], X[..., j, 1], basics
+    g_chi, g_delta = _side_values(basics, phi, nu)
+    return (g_chi, g_delta, basics) if phi in (CHI_L, CHI_R) else (g_delta, g_chi, basics)
+
+
+def _poisson(v, w):
+    """pi |Re sqrt(v / w)|: the closed averaged transform of a vector with
+    zero-bond value v whose partner's is w; not finite where w is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.pi * np.abs(np.sqrt(v / w).real)
+
+
+def _closed_tags(model: BlackBoxModel, lam: float, nu: float, z, *, strict: bool = True):
+    """The closed averaged transform of every tag at z, stacked on a last
+    axis in TAGS order: one ``G0Basics.at`` and one ``_side_values`` solve
+    per bond side, the other bond fixed by ``fixed_bond``.  With ``strict``
+    a vanished partner raises DomainError, as in ``averaged_poisson_closed``;
+    otherwise (the scan's lattice) it leaves only its own vector's values
+    not finite.
+    """
+    basics = G0Basics.at(model, z)
+    columns = []
+    for chi in (CHI_L, CHI_R):
+        g_chi, g_delta = _side_values(basics, chi, fixed_bond(chi, lam, nu))
+        if strict and ((g_chi == 0).any() or (g_delta == 0).any()):
+            raise DomainError(_VANISHED)
+        columns += [_poisson(g_chi, g_delta), _poisson(g_delta, g_chi)]
+    return np.stack(columns, axis=-1)
 
 
 def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
@@ -100,8 +138,8 @@ def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
         raise DomainError(f"eps must be > 0, got {eps}")
     v, w, _ = _vw(model, float(nu), phi, E + 1j * eps)
     if (w == 0).any():
-        raise DomainError("partner Green's function vanished exactly; input singular")
-    p = np.pi * np.abs(np.sqrt(v / w).real)
+        raise DomainError(_VANISHED)
+    p = _poisson(v, w)
     return float(p) if p.ndim == 0 else p
 
 
@@ -356,9 +394,10 @@ def verify_abs_continuity(
     Left vectors are averaged with the right bond fixed at ``nu``, right
     vectors with the left bond fixed at ``lam`` (default: ``nu``).  Grid
     points within N_EXCLUSION of the finite exceptional set are skipped
-    (marked EXCLUDED_N) and never evaluated.  Each tag makes one
-    ``lattice_records`` call over the remaining grid, so a numerical
-    failure leaves only its own energy UNDETERMINED.  In the degenerate
+    (marked EXCLUDED_N) and never evaluated.  One ``lattice_records`` call
+    over the remaining grid evaluates all four tags, so a numerical failure
+    leaves only its own energy UNDETERMINED, and a vanished partner only
+    its own vector's rows there.  In the degenerate
     case the scan still runs and any divergent points are reported with
     their atom indicators (the record's ``pole_weight``: the Richardson
     limit of eps times the transform), but the verdict is VACUOUS.
@@ -376,15 +415,11 @@ def verify_abs_continuity(
             kept.append(E)
 
     # the transform is Im of a Cauchy transform: the ladder gets i times it
-    per_tag = [
-        lattice_records(
-            lambda E, eps, phi=phi, kappa=fixed_bond(phi, fixed_lam, nu):
-                1j * averaged_poisson_closed(model, kappa, phi, E, eps),
-            kept, [()], ladder, tol=tol)
-        for phi in TAGS
-    ]
-    for row in zip(*per_tag):
-        for phi, (rec,) in zip(TAGS, row):
+    records = lattice_records(
+        lambda E, eps: 1j * _closed_tags(model, fixed_lam, nu, E + 1j * eps, strict=False),
+        kept, [(k,) for k in range(len(TAGS))], ladder, tol=tol)
+    for row in records:
+        for phi, rec in zip(TAGS, row):
             report.points.append({
                 "E": rec.E,
                 "phi": phi,

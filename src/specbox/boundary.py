@@ -62,7 +62,6 @@ from .blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel
 # defined in config, which every command runs first; still importable from here
 from .config import MAX_RUNGS, CouplingParams, EpsilonLadder, Tolerances
 from .errors import PointMassPresentError, SpecboxError, UndeterminedLimitError
-from .measures import _piece_borel
 from .resolvent import _coupling, green, green_all
 
 __all__ = [
@@ -628,8 +627,8 @@ class _Feshbach:
         self.h = np.block([[system.h_s, bonds.T], [bonds.conj(), np.diag([x for x, _ in atoms])]])
         self.delta_l, self.delta_r = (np.concatenate([v, np.zeros(len(atoms))])
                                       for _, _, v in sides)
-        #: (coupling squared, density pieces, projector) per side
-        self.sides = [(g2, m.pieces, np.outer(v, v.conj()))
+        #: (coupling squared, reservoir measure, projector) per side
+        self.sides = [(g2, m, np.outer(v, v.conj()))
                       for (g2, m, _), v in zip(sides, (self.delta_l, self.delta_r))]
 
     def eigh(self, E: np.ndarray):
@@ -640,9 +639,10 @@ class _Feshbach:
         z = E + 1j * _COMPLEX_STEP
         K = self.h - E[:, None, None] * np.eye(self.h.shape[0])
         slopes = []
-        for g2, pieces, proj in self.sides:
-            t = sum((_piece_borel(p, z) for p in pieces), np.zeros_like(z)) if g2 != 0.0 \
-                else np.zeros_like(z)
+        for g2, measure, proj in self.sides:
+            t = np.zeros_like(z)
+            if g2 != 0.0:
+                measure._add_density(z, t)  # the density alone: K keeps the atoms
             K = K - (g2 * t.real)[:, None, None] * proj
             slopes.append(t.imag / _COMPLEX_STEP)
         mu, vectors = np.linalg.eigh(K)
@@ -658,8 +658,8 @@ def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndar
     reservoirs' total masses, bounds the norm of the coupled operator.  A
     band edge is replaced by the double next to it inside the gap.  The
     transforms are finite there, also at +-5e-324 next to an edge at 0,
-    where ``_piece_borel`` takes the logarithm of the quotient as a
-    difference of logarithms.
+    where ``SpectralMeasure._add_density`` takes the logarithm of the
+    quotient as a difference of logarithms.
     """
     measures = (model.res_l, model.res_r)
     system = model.system

@@ -242,13 +242,13 @@ def average(cfg):
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
     kappas = {phi: averaging.fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
               for phi in blackbox.TAGS}
-    # the closed column, one array call per phi over the grid
-    closed_by_tag = {phi: averaging.averaged_poisson_closed(model, kappa, phi, grid, eps).tolist()
-                     for phi, kappa in kappas.items()}
+    # the closed column of every phi over the grid: one evaluation of the
+    # zero-bond values and one solve per bond side
+    closed_rows = averaging._closed_tags(model, cfg.coupling.lam, cfg.coupling.nu,
+                                         grid + 1j * eps).tolist()
     entries = []
     for k, E in enumerate(grid):
-        for phi, kappa in kappas.items():
-            closed = closed_by_tag[phi][k]
+        for (phi, kappa), closed in zip(kappas.items(), closed_rows[k]):
             reason = None
             try:
                 quadr = averaging.averaged_poisson_quadrature(

@@ -21,8 +21,11 @@ when |z| is much larger than the support.  The 48 moments of a piece are one
 array expression, built once at construction.  On a wide piece ([0, 1e7],
 say) x^m overflows before m = 48; such a piece keeps mu_m / s^{m+1} for a
 power of two s near its radius and sums the same series in s/z, so its
-transform stays finite.  The Poisson transform at E + i eps is the
-imaginary part of F there.
+transform stays finite.  The measure stacks its pieces into read-only
+arrays once; a call runs the recurrence of every piece at every point as one
+(pieces x points) array expression, and the moment series per piece on its
+own far points.  The Poisson transform at E + i eps is the imaginary part of
+F there.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ _POS_SAMPLES = 64
 # the piece's outer radius (series ratio then <= 1/3).
 _FAR_FACTOR = 3.0
 _FAR_TERMS = 48
+_TINY = np.finfo(float).tiny
 
 
 def _chebyshev_points(a: float, b: float, n: int) -> np.ndarray:
@@ -167,6 +171,26 @@ class SpectralMeasure:
         self.total_mass: float = float(mass)
         self._atom_x = np.array([x for x, _ in self.atoms])
         self._atom_w = np.array([w for _, w in self.atoms])
+        # the pieces stacked for ``_add_density``, one row each: the ends, the
+        # coefficients padded with zeros to the top degree (``_live`` marks the
+        # real ones), the constants (b^n - a^n)/n of the recurrence up to the
+        # piece's degree, and the far-field cut
+        count = len(self.pieces)
+        top = max((len(p.coef) for p in self.pieces), default=1)
+        self._a = np.array([p.a for p in self.pieces]).reshape(count, 1)
+        self._b = np.array([p.b for p in self.pieces]).reshape(count, 1)
+        self._coef = np.zeros((count, top))
+        for row, p in zip(self._coef, self.pieces):
+            row[:len(p.coef)] = p.coef
+        self._live = np.arange(top) < np.array([len(p.coef) for p in self.pieces]).reshape(count, 1)
+        self._cst = np.zeros((count, top - 1))
+        for row, p in zip(self._cst, self.pieces):
+            row[:len(p.coef) - 1] = [_power_difference(p, n) for n in range(1, len(p.coef))]
+        self._cut = np.array([_FAR_FACTOR * max(p.radius, 1.0) for p in self.pieces]
+                             ).reshape(count, 1)
+        for arr in (self._atom_x, self._atom_w, self._a, self._b, self._coef, self._live,
+                    self._cst, self._cut):
+            arr.flags.writeable = False
 
     def __repr__(self) -> str:
         return (
@@ -184,7 +208,7 @@ class SpectralMeasure:
         """
         z_arr = np.asarray(z, dtype=complex)
         scalar = z_arr.ndim == 0
-        z_flat = np.atleast_1d(z_arr)
+        z_flat = z_arr.reshape(-1)
 
         on_axis = z_flat.imag == 0.0
         if on_axis.any():
@@ -203,45 +227,54 @@ class SpectralMeasure:
             out += np.sum(
                 self._atom_w / (self._atom_x - z_flat[..., None]), axis=-1
             )
-        for p in self.pieces:
-            out += _piece_borel(p, z_flat)
+        self._add_density(z_flat, out)
         out = out.reshape(z_arr.shape)
         return complex(out) if scalar else out
 
+    def _add_density(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Add the Cauchy transform of each density piece at the 1-D complex
+        z into ``out``, piece by piece in order.
 
-def _piece_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
-    """Closed-form int_a^b p(x)/(x-z) dx for an array of z off [a, b]: the
-    recurrence near the piece, the moment series far from it, and the masks
-    that split z only where it holds both kinds of point."""
-    far = np.abs(z) > _FAR_FACTOR * max(p.radius, 1.0)
-    if not far.any():
-        return _near_borel(p, z)
-    if far.all():
-        return _far_borel(p, z)
-    out = np.empty_like(z)
-    out[~far] = _near_borel(p, z[~far])
-    out[far] = _far_borel(p, z[far])
-    return out
+        The recurrence I_n from I_0 runs for every piece at every z as one
+        (pieces x z) array expression; a piece's term beyond its own degree
+        is not added.  Where (b - z) / (a - z) over- or underflows (by an
+        edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z).
+        At a piece's far points the moment series replaces the recurrence,
+        evaluated on the same points as a piece evaluated alone would.
+        """
+        if not self.pieces:
+            return
+        zz = z[None, :]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            ratio = (self._b - zz) / (self._a - zz)  # complex overflow can read nan
+            exact = np.isfinite(ratio) & (np.abs(ratio) >= _TINY)
+            term = np.log(np.where(exact, ratio, 1.0))  # I_0
+            if not exact.all():
+                rows, cols = np.nonzero(~exact)
+                zx = z[cols]
+                term[rows, cols] = np.log(self._b[rows, 0] - zx) - np.log(self._a[rows, 0] - zx)
+            acc = self._coef[:, :1] * term
+            for n in range(1, self._coef.shape[1]):
+                term = self._cst[:, n - 1:n] + zz * term  # I_n from I_{n-1}
+                np.add(acc, self._coef[:, n:n + 1] * term, out=acc, where=self._live[:, n:n + 1])
+        far = np.abs(z) > self._cut
+        if far.any():
+            for p, row, f in zip(self.pieces, acc, far):
+                if f.all():
+                    row[:] = _far_borel(p, z)
+                elif f.any():
+                    row[f] = _far_borel(p, z[f])
+        for row in acc:
+            out += row
 
 
-def _near_borel(p: _Piece, z: np.ndarray) -> np.ndarray:
-    """The recurrence I_n from I_0.  A real array stays in real arithmetic,
-    since off [a, b] the logarithm's argument is positive.  Where
-    (b - z) / (a - z) over- or underflows (by an edge at 0: z = -5e-324 and
-    [0, 1]), I_0 is log(b - z) - log(a - z), of the moduli for a real array."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ratio = (p.b - z) / (p.a - z)  # complex overflow can read nan
-        exact = np.isfinite(ratio) & (np.abs(ratio) >= np.finfo(float).tiny)
-    term = np.log(np.where(exact, ratio, 1.0))  # I_0
-    if not exact.all():
-        zx = z[~exact]
-        log = np.log if np.iscomplexobj(zx) else lambda x: np.log(np.abs(x))
-        term[~exact] = log(p.b - zx) - log(p.a - zx)
-    acc = p.coef[0] * term
-    for n in range(1, len(p.coef)):
-        term = (p.b ** n - p.a ** n) / n + z * term  # I_n from I_{n-1}
-        acc += p.coef[n] * term
-    return acc
+def _power_difference(p: _Piece, n: int) -> float:
+    """(b^n - a^n)/n in Python floats; inf where a power overflows, so that
+    the recurrence, and the transform, is not finite there."""
+    try:
+        return (p.b ** n - p.a ** n) / n
+    except OverflowError:
+        return math.inf
 
 
 def _far_borel(p: _Piece, z: np.ndarray) -> np.ndarray:

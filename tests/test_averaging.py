@@ -6,6 +6,7 @@ QUADPACK on the scalar integrand as a third referee.
 """
 
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -379,48 +380,48 @@ class TestVerifyAbsContinuity:
         assert atoms_at_zero, "expected a divergent averaged ladder at E = 0"
         assert all(a["indicator"] > 0 for a in atoms_at_zero)
 
-    def test_one_lattice_call_per_tag(self, remark2, t2_model, monkeypatch):
-        from specbox import averaging, boundary
+    def test_one_g0_evaluation_per_block(self, remark2, t2_model, monkeypatch):
+        from specbox import boundary
 
         calls = []
-        closed = averaging.averaged_poisson_closed
+        at = G0Basics.at.__func__
 
-        def counted(model, nu, phi, E, eps):
-            calls.append((np.broadcast_shapes(np.shape(E), np.shape(eps)),
-                          np.ravel(E).tolist()))
-            return closed(model, nu, phi, E, eps)
+        def counted(cls, model, z):
+            calls.append((np.shape(z), np.real(z)[:, 0].tolist()))
+            return at(cls, model, z)
 
-        monkeypatch.setattr(averaging, "averaged_poisson_closed", counted)
+        monkeypatch.setattr(G0Basics, "at", classmethod(counted))
         rungs = EpsilonLadder().epsilons().size
         verify_abs_continuity(remark2, 1.0, [0.0, 1.5])
-        assert calls == [((2, rungs), [0.0, 1.5])] * 4
+        assert calls == [((2, rungs), [0.0, 1.5])]
 
         # an excluded energy is never evaluated
         calls.clear()
         target = t2_model.exceptional_sets.n_points[0]
         verify_abs_continuity(t2_model, 1.0, [target, target + 0.5])
-        assert calls == [((1, rungs), [target + 0.5])] * 4
+        assert calls == [((1, rungs), [target + 0.5])]
 
         # a long grid is cut into blocks of at most LATTICE_POINTS points
         calls.clear()
         monkeypatch.setattr(boundary, "LATTICE_POINTS", 2 * rungs)
         verify_abs_continuity(remark2, 1.0, [0.0, 0.5, 1.5])
-        assert [shape for shape, _ in calls] == [(2, rungs)] * 4 + [(1, rungs)] * 4
+        assert [shape for shape, _ in calls] == [(2, rungs), (1, rungs)]
 
     def test_failure_stays_local(self, t2_model, monkeypatch):
-        from specbox import averaging, boundary
+        from specbox import boundary
 
         grid = [-2.5, -1.5, 0.3, 1.5, 2.5]
         target = 0.3
         clean = verify_abs_continuity(t2_model, 1.0, grid).to_dict()
-        closed = averaging.averaged_poisson_closed
+        at = G0Basics.at.__func__
 
-        def failing(model, nu, phi, E, eps):
-            if target in np.ravel(E):
+        # the zero-bond values of every tag come from this one evaluation
+        def failing(cls, model, z):
+            if target in np.real(z):
                 raise DomainError("injected failure")
-            return closed(model, nu, phi, E, eps)
+            return at(cls, model, z)
 
-        monkeypatch.setattr(averaging, "averaged_poisson_closed", failing)
+        monkeypatch.setattr(G0Basics, "at", classmethod(failing))
         # with 2 energies a block, the failing energy sits in the second block
         for points in (boundary.LATTICE_POINTS, 2 * EpsilonLadder().epsilons().size):
             monkeypatch.setattr(boundary, "LATTICE_POINTS", points)
@@ -433,6 +434,21 @@ class TestVerifyAbsContinuity:
                     assert got == want
             assert report["excluded"] == clean["excluded"]
             assert report["atoms"] == clean["atoms"]
+
+    def test_vanished_partner_leaves_only_its_own_rows(self, tmp_path):
+        # with |delta_l| = 1e-10, G(delta_l, delta_l) underflows to 0 at
+        # E = 1e306: chi_l's partner vanishes there, and no other vector's
+        doc = json.loads(SAMPLE_PATH.read_text())
+        doc["model"]["system"]["delta_l"] = [[1e-10, 0.0], [0.0, 0.0]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        model = build_run_config(load_config(str(path))).model
+        grid = [1.5, 1e306]
+        report = verify_abs_continuity(model, 1.0, grid, lam=0.7).to_dict()
+        assert report == _per_energy_scan(model, 1.0, grid, lam=0.7)
+        far = {p["phi"]: p["status"] for p in report["points"] if p["E"] == 1e306}
+        assert far == {CHI_L: "UNDETERMINED", DELTA_L: "ZERO",
+                       CHI_R: "FINITE_NONZERO", DELTA_R: "FINITE_NONZERO"}
 
     @pytest.mark.parametrize("case", ["remark2", "t2", "random0", "random1", "random2",
                                       "empty", "all_excluded"])

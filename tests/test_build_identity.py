@@ -8,8 +8,9 @@ dense outer-product assembly of the discretized operator
 must equal theirs exactly (``np.array_equal``).  The kernels are held to the
 same rule: the four system pairs in one call against one ``SystemBlock.green``
 call each, the one-column solves against the four-column one, and the Cauchy
-transform of a piece against its per-piece formula with both masks
-(``ref_piece_borel``).
+transform, which evaluates all pieces of a measure in one array expression,
+against the atoms plus each piece's own formula with both masks
+(``ref_piece_borel``), summed in piece order (``ref_borel``).
 """
 
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from specbox import averaging, measures
-from specbox.blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
+from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
 from specbox.config import CouplingParams, build_run_config, load_config
 from specbox.errors import PoleError
 from specbox.resolvent import G0Basics, _solve_all, discretize, green_from_basics
@@ -27,6 +28,8 @@ from conftest import random_model, random_reservoir, ref_assemble
 
 SAMPLE_PATH = Path(__file__).resolve().parents[1] / "sample-config.json"
 PAIRS = [(phi, psi) for phi in (DELTA_L, DELTA_R) for psi in (DELTA_L, DELTA_R)]
+#: each vector's partner: chi and delta of one bond side
+PARTNERS = {CHI_L: DELTA_L, DELTA_L: CHI_L, CHI_R: DELTA_R, DELTA_R: CHI_R}
 #: the pairs in ``green_pairs`` order: a, b, c and cbar
 PAIR_ORDER = [(DELTA_L, DELTA_L), (DELTA_R, DELTA_R), (DELTA_L, DELTA_R), (DELTA_R, DELTA_L)]
 
@@ -72,6 +75,26 @@ def ref_piece_borel(p, z):
             power *= inv
         out[far] = acc
     return out
+
+
+def ref_borel(measure, z):
+    """``SpectralMeasure.borel`` as the atoms' sum plus one ``ref_piece_borel``
+    per piece, added into zeros in piece order."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    out = np.zeros_like(flat)
+    if measure.atoms:
+        x, w = np.array(measure.atoms).T
+        out += np.sum(w / (x - flat[..., None]), axis=-1)
+    for p in measure.pieces:
+        out += ref_piece_borel(p, flat)
+    out = out.reshape(z.shape)
+    return complex(out) if z.ndim == 0 else out
+
+
+def _bits(x):
+    """The float view of a complex scalar or array: signed zeros count."""
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(float)
 
 
 # -- the models --------------------------------------------------------------
@@ -137,6 +160,12 @@ def test_shared_arrays_are_read_only():
         assert not system.pair_weights(phi, psi).flags.writeable
     assert not system.poles.flags.writeable
     assert not system.minors.flags.writeable
+    # the measures' stacked atoms and pieces, which every transform reads
+    for name in ("sample", "random0", "random1"):
+        for measure in (MODELS[name].res_l, MODELS[name].res_r):
+            for arr in (measure._atom_x, measure._atom_w, measure._a, measure._b,
+                        measure._coef, measure._live, measure._cst, measure._cut):
+                assert not arr.flags.writeable
 
 
 def test_assemble_matches_reference():
@@ -257,11 +286,11 @@ def test_one_column_solves_match_the_four_column_solve(name):
                 for j, psi in enumerate(TAGS):
                     _assert_same(np.asarray(green_from_basics(at, cp, phi, psi)),
                                  np.asarray(full[..., i, j]))
-        for phi in TAGS:
+        for phi, partner in PARTNERS.items():
             kappa = float(rng.uniform(-2.0, 2.0))
             v, w, _ = averaging._vw(model, kappa, phi, z)
             full = _solve_all(basics, averaging._bond_coupling(phi, 0.0, kappa))
-            i, j = TAGS.index(phi), TAGS.index(averaging._PARTNER[phi])
+            i, j = TAGS.index(phi), TAGS.index(partner)
             assert np.array_equal(v, full[..., i, i]) and np.array_equal(w, full[..., j, j])
 
 
@@ -271,7 +300,8 @@ def _piece_cases():
               ((-1e-3, 2e-3), [1.0, 3.0]), ((0.0, 1.0), [1.0, -1.0, 0.5]),
               ((-3.0, 0.0), [2.0]), ((0.0, 1e7), [1.0]), ((-1e7, 1e7), [1.0, 1e-7, 1e-14])]
     for (a, b), coef in pieces:
-        (piece,) = measures.SpectralMeasure(pieces=[([a, b], coef)]).pieces
+        measure = measures.SpectralMeasure(pieces=[([a, b], coef)])
+        (piece,) = measure.pieces
         cut = measures._FAR_FACTOR * max(piece.radius, 1.0)
         near = cut * rng.uniform(0.0, 0.95, 40) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
         far = cut * 10.0 ** rng.uniform(0.01, 3, 40) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
@@ -282,24 +312,88 @@ def _piece_cases():
         real = np.concatenate([a - 10.0 ** rng.uniform(-6, 1, 6) * max(1.0, b - a),
                                b + 10.0 ** rng.uniform(-6, 1, 6) * max(1.0, b - a),
                                [-2 * cut, 2 * cut]])
-        yield piece, (near, far, mixed, mixed.reshape(5, 8), real, real[:12], real[12:],
-                      near[:1], far[:1])
+        yield measure, (near, far, mixed, mixed.reshape(5, 8), real, real[:12], real[12:],
+                        near[:1], far[:1])
     # the edge at 0: the quotient over- or underflows next to it
     for (a, b) in ((0.0, 1.0), (-1.0, 0.0)):
-        (piece,) = measures.SpectralMeasure(pieces=[([a, b], [1.0, 0.5])]).pieces
+        measure = measures.SpectralMeasure(pieces=[([a, b], [1.0, 0.5])])
         tiny = 5e-324
         side = -tiny if a == 0.0 else tiny
-        yield piece, (np.array([side]), np.array([side + 0j]), np.array([side, 0.5j, 4.0]),
-                      np.array([side, 0.5j, 40.0]))
+        yield measure, (np.array([side]), np.array([side + 0j]), np.array([side, 0.5j, 4.0]),
+                        np.array([side, 0.5j, 40.0]))
 
 
 def test_piece_borel_matches_the_masked_formula():
+    # a real z is taken as complex, as ``borel`` takes it
     count = 0
-    for piece, arrays in _piece_cases():
+    for measure, arrays in _piece_cases():
         for z in arrays:
             with np.errstate(all="ignore"):
-                got, want = measures._piece_borel(piece, z), ref_piece_borel(piece, z)
+                got, want = measure.borel(z), ref_borel(measure, z)
             assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want), (piece, z)
+            assert np.array_equal(_bits(got), _bits(want)), (measure.pieces, z)
             count += 1
     assert count == 7 * 9 + 2 * 4
+
+
+def _mixed_measures():
+    """Measures of two to four pieces of degrees 0 to 3, in every order,
+    some with atoms, some with zero coefficients, some with an edge at 0, and
+    one with a wide piece."""
+    rng = np.random.default_rng([20261018, 18])
+    for k in range(40):
+        count = 2 + k % 3
+        edges = np.sort(rng.uniform(-6.0, 6.0, 2 * count))
+        if k % 4 == 0:
+            edges -= edges[2 * (k % count)]  # an edge at 0
+        degrees = rng.permutation(4)[:count] if k % 2 else rng.integers(0, 4, count)
+        pieces = []
+        for (a, b), deg in zip(edges.reshape(count, 2), degrees):
+            coef = rng.normal(size=deg + 1) * (rng.uniform(size=deg + 1) > 0.3)
+            # a positive density on [a, b]
+            coef[0] = 0.5 + np.sum(np.abs(coef[1:]) * max(abs(a), abs(b)) ** np.arange(1, deg + 1))
+            coef = [float(c) for c in coef]
+            pieces.append(([float(a), float(b)], coef))
+        atoms = [(float(x), 0.3) for x in rng.uniform(-8.0, 8.0, k % 3)]
+        yield measures.SpectralMeasure(atoms=atoms, pieces=pieces)
+    # a wide piece of degree 0 next to one of degree 3: the wide piece's
+    # recurrence would overflow beyond its own degree
+    yield measures.SpectralMeasure(pieces=[([-2.0, -1.0], [1.0, 0.0, 0.5, 0.0]),
+                                           ([10.0, 1e300], [1.0])])
+
+
+def test_borel_matches_the_pieces_summed_in_order():
+    count = mixed = 0
+    for measure in _mixed_measures():
+        rng = np.random.default_rng([20261018, 19, count])
+        mixed += len({len(p.coef) for p in measure.pieces}) > 1
+        radius = max(abs(x) for p in measure.pieces for x in (p.a, p.b))
+        cut = measures._FAR_FACTOR * max(radius, 1.0)
+        mids = np.array([0.5 * (p.a + p.b) for p in measure.pieces])
+        # real points off the support: between the pieces and beyond them
+        ends = [(p.a, p.b) for p in measure.pieces]
+        gaps = np.array([0.5 * (b0 + a1) for (_, b0), (a1, _) in zip(ends, ends[1:]) if b0 < a1]
+                        + [ends[0][0] - 0.3, ends[-1][1] + 0.7, ends[-1][1] + 2 * cut])
+        gaps = gaps[[np.isfinite(x) and all(x != x0 for x0, _ in measure.atoms)
+                     and not any(a <= x <= b for a, b in ends) for x in gaps]]
+        around = cut * 10.0 ** rng.uniform(-2.0, 1.0, (4, 27)) \
+            * np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 27)))
+        cases = [
+            complex(mids[0], 1e-3), complex(3 * cut, 1.0), 1j * 1e-12,
+            mids + 1e-9j, mids - 1e-2j, mids * (1 + 1e-15) + 0.5j,
+            around, around[0], around[:, :1],
+            mids[:, None] + 1j * np.logspace(-1, -9, 27),  # (energies, rungs)
+            np.concatenate([mids + 1e-6j, [5 * cut + 0j, -7 * cut + 0j]]),
+            gaps, gaps.astype(complex), gaps[::2], float(gaps[-1]),
+        ]
+        if any(p.a == 0.0 or p.b == 0.0 for p in measure.pieces):
+            side = 5e-324 if any(p.b == 0.0 for p in measure.pieces) else -5e-324
+            if not any(p.a <= side <= p.b for p in measure.pieces):
+                cases += [complex(side), np.array([side, side + 1j, 40 * cut])]
+        for z in cases:
+            with np.errstate(all="ignore"):
+                got, want = measure.borel(z), ref_borel(measure, z)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(_bits(got), _bits(want)), (measure.pieces, z)
+        count += 1
+    assert count == 41 and mixed >= 30
