@@ -104,8 +104,7 @@ def _vw(model: BlackBoxModel, nu: float, phi: str, z):
 def _poisson(v, w):
     """pi |Re sqrt(v / w)|: the closed averaged transform of a vector with
     zero-bond value v whose partner's is w; not finite where w is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.pi * np.abs(np.sqrt(v / w).real)
+    return np.pi * np.abs(np.sqrt(v / w).real)
 
 
 def _closed_tags(model: BlackBoxModel, lam: float, nu: float, z, *, strict: bool = True):
@@ -122,7 +121,8 @@ def _closed_tags(model: BlackBoxModel, lam: float, nu: float, z, *, strict: bool
         g_chi, g_delta = _side_values(basics, chi, fixed_bond(chi, lam, nu))
         if strict and ((g_chi == 0).any() or (g_delta == 0).any()):
             raise DomainError(_VANISHED)
-        columns += [_poisson(g_chi, g_delta), _poisson(g_delta, g_chi)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a vanished partner
+            columns += [_poisson(g_chi, g_delta), _poisson(g_delta, g_chi)]
     return np.stack(columns, axis=-1)
 
 
