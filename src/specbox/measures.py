@@ -191,6 +191,10 @@ class SpectralMeasure:
         for arr in (self._atom_x, self._atom_w, self._a, self._b, self._coef, self._live,
                     self._cst, self._cut):
             arr.flags.writeable = False
+        # the recurrence's steps n >= 1 as column views, sliced once: the
+        # constant, the coefficient, and which pieces have a term n
+        self._steps = [(self._cst[:, n - 1:n], self._coef[:, n:n + 1], self._live[:, n:n + 1])
+                       for n in range(1, top)]
 
     def __repr__(self) -> str:
         return (
@@ -254,9 +258,9 @@ class SpectralMeasure:
                 zx = z[cols]
                 term[rows, cols] = np.log(self._b[rows, 0] - zx) - np.log(self._a[rows, 0] - zx)
             acc = self._coef[:, :1] * term
-            for n in range(1, self._coef.shape[1]):
-                term = self._cst[:, n - 1:n] + zz * term  # I_n from I_{n-1}
-                np.add(acc, self._coef[:, n:n + 1] * term, out=acc, where=self._live[:, n:n + 1])
+            for cst, coef, live in self._steps:
+                term = cst + zz * term  # I_n from I_{n-1}
+                np.add(acc, coef * term, out=acc, where=live)
         far = np.abs(z) > self._cut
         if far.any():
             for p, row, f in zip(self.pieces, acc, far):
@@ -264,8 +268,8 @@ class SpectralMeasure:
                     row[:] = _far_borel(p, z)
                 elif f.any():
                     row[f] = _far_borel(p, z[f])
-        for row in acc:
-            out += row
+        for k in range(len(acc)):  # indexing: iterating an array costs more
+            out += acc[k]
 
 
 def _power_difference(p: _Piece, n: int) -> float:
