@@ -243,8 +243,10 @@ class SpectralMeasure:
         (pieces x z) array expression; a piece's term beyond its own degree
         is not added.  Where (b - z) / (a - z) over- or underflows (by an
         edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z).
-        At a piece's far points the moment series replaces the recurrence,
-        evaluated on the same points as a piece evaluated alone would.
+        At a piece's far points the moment series replaces the recurrence;
+        it runs on that piece's far points alone, or on all of z where every
+        point is far, since its in-place products round some elements
+        differently on arrays of another length.
         """
         if not self.pieces:
             return
