@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -113,7 +113,8 @@ def _closed_tags(model: BlackBoxModel, lam: float, nu: float, z, *, strict: bool
     per bond side, the other bond fixed by ``fixed_bond``.  With ``strict``
     a vanished partner raises DomainError, as in ``averaged_poisson_closed``;
     otherwise (the scan's lattice) it leaves only its own vector's values
-    not finite.
+    not finite, as it does a quotient v / w that overflows at the bottom of
+    the double range.
     """
     basics = G0Basics.at(model, z)
     columns = []
@@ -121,7 +122,8 @@ def _closed_tags(model: BlackBoxModel, lam: float, nu: float, z, *, strict: bool
         g_chi, g_delta = _side_values(basics, chi, fixed_bond(chi, lam, nu))
         if strict and ((g_chi == 0).any() or (g_delta == 0).any()):
             raise DomainError(_VANISHED)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a vanished partner
+        # a vanished partner; off ``strict``, also an overflowing quotient
+        with np.errstate(divide="ignore", invalid="ignore", over=None if strict else "ignore"):
             columns += [_poisson(g_chi, g_delta), _poisson(g_delta, g_chi)]
     return np.stack(columns, axis=-1)
 
@@ -316,9 +318,7 @@ def averaged_poisson_quadrature(
                             reason=PEAK_BELOW_ROUNDING)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        nodes = G0Basics(*(np.broadcast_to(getattr(basics, f.name), s.shape)
-                           for f in fields(G0Basics)))
-        return np.imag(green_from_basics(nodes, _bond_coupling(phi, s, nu), phi, phi))
+        return np.imag(green_from_basics(basics, _bond_coupling(phi, s, nu), phi, phi))
 
     return _peak_quadrature(integrand, p, tol)
 
@@ -414,10 +414,14 @@ def verify_abs_continuity(
         else:
             kept.append(E)
 
-    # the transform is Im of a Cauchy transform: the ladder gets i times it
-    records = lattice_records(
-        lambda E, eps: 1j * _closed_tags(model, fixed_lam, nu, E + 1j * eps, strict=False),
-        kept, [(k,) for k in range(len(TAGS))], ladder, tol=tol)
+    def transform(E, eps):
+        # Im of a Cauchy transform: the ladder gets i times it; i times a
+        # value that is not finite reads nan in its real part, silently
+        values = _closed_tags(model, fixed_lam, nu, E + 1j * eps, strict=False)
+        with np.errstate(invalid="ignore"):
+            return 1j * values
+
+    records = lattice_records(transform, kept, [(k,) for k in range(len(TAGS))], ladder, tol=tol)
     for row in records:
         for phi, rec in zip(TAGS, row):
             report.points.append({

@@ -9,8 +9,9 @@ system matrix,
     G0(phi, psi, z) = sum_k (phi, e_k)(e_k, psi) / (E_k - z).
 
 ``SystemBlock.green`` evaluates one system pair, ``SystemBlock.green_pairs``
-all four in one array expression, and ``SpectralMeasure.borel`` the
-reservoir ones; ``resolvent.G0Basics`` holds the six that do not vanish.
+all four in one array expression, and ``BlackBoxModel.reservoir_pieces``
+the two reservoir ones in one pass of the measures' transform kernel;
+``resolvent.G0Basics`` holds the six that do not vanish.
 
 The finite exceptional sets are eigenvalues of H_S compressed to the
 complements of the coupling vectors, never roots of polynomial
@@ -46,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidModelError, PoleError
-from .measures import SpectralMeasure
+from .measures import PieceTable, SpectralMeasure
 
 __all__ = [
     "CHI_L",
@@ -301,6 +302,9 @@ class BlackBoxModel:
         self.system = system
         self.res_l = res_l
         self.res_r = res_r
+        #: both reservoirs' atoms and pieces, left then right, so that one
+        #: kernel pass gives l and r (``resolvent.G0Basics.at``)
+        self.reservoir_pieces = PieceTable((res_l, res_r))
         norms = np.linalg.norm(system.delta_l) * np.linalg.norm(system.delta_r)
         weights = system.pair_weights(DELTA_L, DELTA_R)
         self._vanish_numerator_max = float(np.max(np.abs(weights)) / norms)

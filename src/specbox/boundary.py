@@ -627,9 +627,10 @@ class _Feshbach:
         self.h = np.block([[system.h_s, bonds.T], [bonds.conj(), np.diag([x for x, _ in atoms])]])
         self.delta_l, self.delta_r = (np.concatenate([v, np.zeros(len(atoms))])
                                       for _, _, v in sides)
-        #: (coupling squared, reservoir measure, projector) per side
-        self.sides = [(g2, m, np.outer(v, v.conj()))
-                      for (g2, m, _), v in zip(sides, (self.delta_l, self.delta_r))]
+        #: (coupling squared, projector) per side
+        self.sides = [(g2, np.outer(v, v.conj()))
+                      for (g2, _, _), v in zip(sides, (self.delta_l, self.delta_r))]
+        self.reservoirs = model.reservoir_pieces
 
     def eigh(self, E: np.ndarray):
         """The eigenvalues (ascending) and eigenvectors of K at each E, with
@@ -639,10 +640,11 @@ class _Feshbach:
         z = E + 1j * _COMPLEX_STEP
         K = self.h - E[:, None, None] * np.eye(self.h.shape[0])
         slopes = []
-        for g2, measure, proj in self.sides:
-            t = np.zeros_like(z)
-            if g2 != 0.0:
-                measure._add_density(z, t)  # the density alone: K keeps the atoms
+        # the densities alone, both sides in one pass: K keeps the atoms
+        densities = self.reservoirs.sums(z, atoms=False)
+        for (g2, proj), t in zip(self.sides, densities):
+            if g2 == 0.0:
+                t = np.zeros_like(z)
             K = K - (g2 * t.real)[:, None, None] * proj
             slopes.append(t.imag / _COMPLEX_STEP)
         mu, vectors = np.linalg.eigh(K)
@@ -658,8 +660,8 @@ def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndar
     reservoirs' total masses, bounds the norm of the coupled operator.  A
     band edge is replaced by the double next to it inside the gap.  The
     transforms are finite there, also at +-5e-324 next to an edge at 0,
-    where ``SpectralMeasure._add_density`` takes the logarithm of the
-    quotient as a difference of logarithms.
+    where ``measures.PieceTable.rows`` takes the logarithm of the quotient
+    as a difference of logarithms.
     """
     measures = (model.res_l, model.res_r)
     system = model.system

@@ -59,12 +59,16 @@ class CouplingParams:
 
     def __post_init__(self):
         # D(z) needs lam**2 and nu**2, so the squares must be finite as well;
-        # an overflowing square is the error here, not a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = all(np.isfinite(np.square(np.asarray(x, dtype=float))).all()
-                         for x in (self.lam, self.nu))
-        if not finite:
+        # an overflowing square is the error here, not a numpy warning.  A
+        # Python float squares without numpy (an overflow reads inf)
+        if not all(math.isfinite(x * x) if type(x) is float else _finite_square(x)
+                   for x in (self.lam, self.nu)):
             raise DomainError("coupling parameters must be finite with finite squares")
+
+
+def _finite_square(x) -> bool:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.square(np.asarray(x, dtype=float))).all())
 
 
 @dataclass(frozen=True)

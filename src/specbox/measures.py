@@ -21,11 +21,21 @@ when |z| is much larger than the support.  The 48 moments of a piece are one
 array expression, built once at construction.  On a wide piece ([0, 1e7],
 say) x^m overflows before m = 48; such a piece keeps mu_m / s^{m+1} for a
 power of two s near its radius and sums the same series in s/z, so its
-transform stays finite.  The measure stacks its pieces into read-only
-arrays once; a call runs the recurrence of every piece at every point as one
-(pieces x points) array expression, and the moment series per piece on its
-own far points.  The Poisson transform at E + i eps is the imaginary part of
-F there.
+transform stays finite.  A piece whose recurrence constant (b^n - a^n)/n
+overflows a double is rejected at construction: its transform could not be
+finite near it.
+
+``PieceTable`` stacks the pieces of one or more measures into read-only
+arrays once, each row tagged with the measure that owns it.  Its kernel
+(``PieceTable.rows``) runs the recurrence of every piece at every point as
+one (pieces x points) array expression, and the moment series per piece on
+its own far points; ``PieceTable.sums`` then gives each measure its atoms'
+sum and its own rows added in piece order.  ``SpectralMeasure.borel`` runs
+the kernel on the measure's own table, ``resolvent.G0Basics.at`` on the
+model's table of both reservoirs (``BlackBoxModel.reservoir_pieces``), and
+the gap counts of ``boundary`` on the same table without the atoms; a
+measure's value has the same bits in each.  The Poisson transform at
+E + i eps is the imaginary part of F there.
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ class _Piece:
     a: float
     b: float
     coef: tuple[float, ...]          # density p(x) = sum coef[k] x^k
+    # the recurrence's constants (b^n - a^n)/n for n = 1..degree
+    steps: tuple[float, ...] = field(repr=False, default=())
     # mu_m / scale^(m+1) for the far-field series; scale is 1 unless a
     # moment overflows (see _validate_piece)
     moments: tuple[float, ...] = field(repr=False, default=())
@@ -110,6 +122,19 @@ def _validate_piece(a: float, b: float, coef: Sequence[float]) -> _Piece:
         raise InvalidModelError(
             f"density negative on [{a}, {b}]: p({worst:.6g}) = {np.min(vals):.3e}"
         )
+    # the recurrence's constants in Python floats; where one is not finite,
+    # neither is the transform near the piece
+    fa, fb, steps = float(a), float(b), []
+    for n in range(1, len(coef)):
+        try:
+            steps.append((fb ** n - fa ** n) / n)
+        except OverflowError:
+            steps.append(math.inf)
+        if not math.isfinite(steps[-1]):
+            raise InvalidModelError(
+                f"piece [{fa}, {fb}] of degree {len(coef) - 1}: the recurrence constant "
+                f"(b^{n} - a^{n})/{n} overflows a double"
+            )
     scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _piece_moments(a, b, coef, _FAR_TERMS)
@@ -121,7 +146,7 @@ def _validate_piece(a: float, b: float, coef: Sequence[float]) -> _Piece:
             scale = math.ldexp(1.0, e)
             moments = _piece_moments(a / scale, b / scale,
                                      np.ldexp(coef, e * np.arange(len(coef))), _FAR_TERMS)
-    return _Piece(float(a), float(b), tuple(coef), tuple(moments), scale)
+    return _Piece(fa, fb, tuple(coef), tuple(steps), tuple(moments), scale)
 
 
 class SpectralMeasure:
@@ -171,30 +196,9 @@ class SpectralMeasure:
         self.total_mass: float = float(mass)
         self._atom_x = np.array([x for x, _ in self.atoms])
         self._atom_w = np.array([w for _, w in self.atoms])
-        # the pieces stacked for ``_add_density``, one row each: the ends, the
-        # coefficients padded with zeros to the top degree (``_live`` marks the
-        # real ones), the constants (b^n - a^n)/n of the recurrence up to the
-        # piece's degree, and the far-field cut
-        count = len(self.pieces)
-        top = max((len(p.coef) for p in self.pieces), default=1)
-        self._a = np.array([p.a for p in self.pieces]).reshape(count, 1)
-        self._b = np.array([p.b for p in self.pieces]).reshape(count, 1)
-        self._coef = np.zeros((count, top))
-        for row, p in zip(self._coef, self.pieces):
-            row[:len(p.coef)] = p.coef
-        self._live = np.arange(top) < np.array([len(p.coef) for p in self.pieces]).reshape(count, 1)
-        self._cst = np.zeros((count, top - 1))
-        for row, p in zip(self._cst, self.pieces):
-            row[:len(p.coef) - 1] = [_power_difference(p, n) for n in range(1, len(p.coef))]
-        self._cut = np.array([_FAR_FACTOR * max(p.radius, 1.0) for p in self.pieces]
-                             ).reshape(count, 1)
-        for arr in (self._atom_x, self._atom_w, self._a, self._b, self._coef, self._live,
-                    self._cst, self._cut):
+        for arr in (self._atom_x, self._atom_w):
             arr.flags.writeable = False
-        # the recurrence's steps n >= 1 as column views, sliced once: the
-        # constant, the coefficient, and which pieces have a term n
-        self._steps = [(self._cst[:, n - 1:n], self._coef[:, n:n + 1], self._live[:, n:n + 1])
-                       for n in range(1, top)]
+        self._table = PieceTable((self,))
 
     def __repr__(self) -> str:
         return (
@@ -210,34 +214,90 @@ class SpectralMeasure:
         Real z is accepted only outside the closed support (no principal
         values arise there); otherwise raises DomainError.
         """
-        z_arr = np.asarray(z, dtype=complex)
-        scalar = z_arr.ndim == 0
-        z_flat = z_arr.reshape(-1)
+        (out,) = self._table.borel(z)
+        return out
 
+
+class PieceTable:
+    """The atoms and density pieces of one or more measures, stacked for one
+    pass of the transform kernel over all of them.
+
+    One row per piece, measure by measure and in piece order within each:
+    the ends, the coefficients padded with zeros to the common top degree
+    (``_live`` marks the real ones), the constants (b^n - a^n)/n of the
+    recurrence padded alike, the far-field cut, and in ``_owner`` the index
+    of the measure that owns the row.  The arrays are read-only: every
+    caller shares them.
+    """
+
+    def __init__(self, measures: Sequence[SpectralMeasure]):
+        #: per measure: its atoms, their positions and weights, its pieces
+        self._measures = tuple((m.atoms, m._atom_x, m._atom_w, m.pieces) for m in measures)
+        self.pieces = tuple(p for m in measures for p in m.pieces)
+        self._owner = tuple(k for k, m in enumerate(measures) for _ in m.pieces)
+        count = len(self.pieces)
+        top = max((len(p.coef) for p in self.pieces), default=1)
+        self._a = np.array([p.a for p in self.pieces]).reshape(count, 1)
+        self._b = np.array([p.b for p in self.pieces]).reshape(count, 1)
+        self._coef = np.zeros((count, top))
+        self._cst = np.zeros((count, top - 1))
+        for coef, cst, p in zip(self._coef, self._cst, self.pieces):
+            coef[:len(p.coef)] = p.coef
+            cst[:len(p.steps)] = p.steps
+        self._live = np.arange(top) < np.array([len(p.coef) for p in self.pieces]).reshape(count, 1)
+        self._cut = np.array([_FAR_FACTOR * max(p.radius, 1.0) for p in self.pieces]
+                             ).reshape(count, 1)
+        for arr in (self._a, self._b, self._coef, self._live, self._cst, self._cut):
+            arr.flags.writeable = False
+        # the recurrence's steps n >= 1 as column views, sliced once: the
+        # constant, the coefficient, and which rows have a term n
+        self._steps = [(self._cst[:, n - 1:n], self._coef[:, n:n + 1], self._live[:, n:n + 1])
+                       for n in range(1, top)]
+
+    def borel(self, z) -> tuple:
+        """The Cauchy transform of each measure at z, in measure order: a
+        complex each for scalar z, else an array each of z's shape.
+
+        Real z is accepted only outside every measure's closed support;
+        otherwise raises DomainError, for the first measure that z hits.
+        """
+        z_arr = np.asarray(z, dtype=complex)
+        z_flat = z_arr.reshape(-1)
         on_axis = z_flat.imag == 0.0
         if on_axis.any():
-            x_real = z_flat.real[on_axis]
-            for x0, _ in self.atoms:
-                if (x_real == x0).any():
+            self._check_real(z_flat.real[on_axis])
+        outs = self.sums(z_flat)
+        if z_arr.ndim == 0:
+            return tuple(complex(out[0]) for out in outs)
+        return tuple(out.reshape(z_arr.shape) for out in outs)
+
+    def _check_real(self, x: np.ndarray) -> None:
+        for atoms, _, _, pieces in self._measures:
+            for x0, _ in atoms:
+                if (x == x0).any():
                     raise DomainError(f"z = {x0} sits exactly on an atom")
-            for p in self.pieces:
-                if ((x_real >= p.a) & (x_real <= p.b)).any():
-                    raise DomainError(
-                        f"real z inside density piece [{p.a}, {p.b}]"
-                    )
+            for p in pieces:
+                if ((x >= p.a) & (x <= p.b)).any():
+                    raise DomainError(f"real z inside density piece [{p.a}, {p.b}]")
 
-        out = np.zeros_like(z_flat)
-        if self._atom_x.size:
-            out += np.sum(
-                self._atom_w / (self._atom_x - z_flat[..., None]), axis=-1
-            )
-        self._add_density(z_flat, out)
-        out = out.reshape(z_arr.shape)
-        return complex(out) if scalar else out
+    def sums(self, z: np.ndarray, atoms: bool = True) -> list:
+        """Each measure's transform at the 1-D complex z: into zeros, its
+        atoms' sum (left out where ``atoms`` is false), then its own rows of
+        ``rows`` in piece order."""
+        outs = [np.zeros_like(z) for _ in self._measures]
+        if atoms:
+            for out, (_, x, w, _) in zip(outs, self._measures):
+                if x.size:
+                    out += np.sum(w / (x - z[..., None]), axis=-1)
+        if self.pieces:
+            acc = self.rows(z)
+            for k, owner in enumerate(self._owner):  # indexing: iterating an array costs more
+                outs[owner] += acc[k]
+        return outs
 
-    def _add_density(self, z: np.ndarray, out: np.ndarray) -> None:
-        """Add the Cauchy transform of each density piece at the 1-D complex
-        z into ``out``, piece by piece in order.
+    def rows(self, z: np.ndarray) -> np.ndarray:
+        """The Cauchy transform of each piece at the 1-D complex z, one row
+        per piece.
 
         The recurrence I_n from I_0 runs for every piece at every z as one
         (pieces x z) array expression; a piece's term beyond its own degree
@@ -248,8 +308,6 @@ class SpectralMeasure:
         point is far, since its in-place products round some elements
         differently on arrays of another length.
         """
-        if not self.pieces:
-            return
         zz = z[None, :]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             ratio = (self._b - zz) / (self._a - zz)  # complex overflow can read nan
@@ -270,17 +328,7 @@ class SpectralMeasure:
                     row[:] = _far_borel(p, z)
                 elif f.any():
                     row[f] = _far_borel(p, z[f])
-        for k in range(len(acc)):  # indexing: iterating an array costs more
-            out += acc[k]
-
-
-def _power_difference(p: _Piece, n: int) -> float:
-    """(b^n - a^n)/n in Python floats; inf where a power overflows, so that
-    the recurrence, and the transform, is not finite there."""
-    try:
-        return (p.b ** n - p.a ** n) / n
-    except OverflowError:
-        return math.inf
+        return acc
 
 
 def _far_borel(p: _Piece, z: np.ndarray) -> np.ndarray:

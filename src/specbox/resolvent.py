@@ -76,7 +76,7 @@ class G0Basics:
 
     @classmethod
     def at(cls, model: BlackBoxModel, z) -> "G0Basics":
-        l, r = model.res_l.borel(z), model.res_r.borel(z)
+        l, r = model.reservoir_pieces.borel(z)
         return cls(l, r, *model.system.green_pairs(z))
 
     def det_D(self, coupling: CouplingParams):
@@ -84,40 +84,40 @@ class G0Basics:
         return (1 - nu2 * self.r * self.b) * (1 - lam2 * self.l * self.a) \
             - nu2 * lam2 * self.r * self.l * self.c * self.cb
 
+    def _shape(self, *more) -> tuple:
+        """The leading shape of the six values broadcast with ``more``,
+        found without a broadcast copy."""
+        return np.broadcast(self.l, self.r, self.a, self.b, self.c, self.cb, *more).shape
+
     def system_matrix(self, coupling: CouplingParams) -> np.ndarray:
         """A with rows indexed by the second-argument equation, columns by the
-        unknown pair partner, in tag order (chi_l, delta_l, chi_r, delta_r)."""
+        unknown pair partner, in tag order (chi_l, delta_l, chi_r, delta_r),
+        over the shape of the values broadcast with the bond strengths."""
         lam, nu = coupling.lam, coupling.nu
-        l, r, a, b, c, cb = np.broadcast_arrays(
-            self.l, self.r, self.a, self.b, self.c, self.cb
-        )
-        shape = l.shape
-        A = np.zeros(shape + (4, 4), dtype=complex)
-        one = np.ones(shape, dtype=complex)
-        A[..., 0, 0] = one
-        A[..., 0, 1] = lam * l
-        A[..., 1, 0] = lam * a
-        A[..., 1, 1] = one
-        A[..., 1, 2] = nu * cb
-        A[..., 2, 2] = one
-        A[..., 2, 3] = nu * r
-        A[..., 3, 0] = lam * c
-        A[..., 3, 2] = nu * b
-        A[..., 3, 3] = one
+        A = np.zeros(self._shape(lam, nu) + (4, 4), dtype=complex)
+        A[..., 0, 0] = 1.0
+        A[..., 0, 1] = lam * self.l
+        A[..., 1, 0] = lam * self.a
+        A[..., 1, 1] = 1.0
+        A[..., 1, 2] = nu * self.cb
+        A[..., 2, 2] = 1.0
+        A[..., 2, 3] = nu * self.r
+        A[..., 3, 0] = lam * self.c
+        A[..., 3, 2] = nu * self.b
+        A[..., 3, 3] = 1.0
         return A
 
     def rhs_matrix(self) -> np.ndarray:
-        """B[..., row psi, col phi] = G0(phi, psi)."""
-        l, r, a, b, c, cb = np.broadcast_arrays(
-            self.l, self.r, self.a, self.b, self.c, self.cb
-        )
-        B = np.zeros(l.shape + (4, 4), dtype=complex)
-        B[..., 0, 0] = l          # phi = chi_l, psi = chi_l
-        B[..., 1, 1] = a          # phi = delta_l, psi = delta_l
-        B[..., 3, 1] = c          # phi = delta_l, psi = delta_r
-        B[..., 2, 2] = r          # phi = chi_r,  psi = chi_r
-        B[..., 1, 3] = cb         # phi = delta_r, psi = delta_l
-        B[..., 3, 3] = b          # phi = delta_r, psi = delta_r
+        """B[..., row psi, col phi] = G0(phi, psi), over the values' shape;
+        ``np.linalg.solve`` broadcasts it against a system matrix of bond
+        strengths."""
+        B = np.zeros(self._shape() + (4, 4), dtype=complex)
+        B[..., 0, 0] = self.l     # phi = chi_l, psi = chi_l
+        B[..., 1, 1] = self.a     # phi = delta_l, psi = delta_l
+        B[..., 3, 1] = self.c     # phi = delta_l, psi = delta_r
+        B[..., 2, 2] = self.r     # phi = chi_r,  psi = chi_r
+        B[..., 1, 3] = self.cb    # phi = delta_r, psi = delta_l
+        B[..., 3, 3] = self.b     # phi = delta_r, psi = delta_r
         return B
 
 

@@ -8,6 +8,7 @@ QUADPACK on the scalar integrand as a third referee.
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,20 @@ class TestVerifyAbsContinuity:
                     assert got == want
             assert report["excluded"] == clean["excluded"]
             assert report["atoms"] == clean["atoms"]
+
+    def test_bottom_of_range_ladder_warns_nothing(self):
+        # at eps = 1e-300 the quotient v / w of the remark2 model overflows
+        # (w is about 5e304), and i times the inf it leaves reads nan: both
+        # are the scan's data, not numpy warnings on stderr
+        from specbox import certify
+
+        ladder = EpsilonLadder(eps_max=0.1, eps_min=1e-305, ratio=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_abs_continuity(certify.remark2_model(), 1.0, [0.0, 0.5], ladder)
+        assert report.verdict == "VACUOUS"
+        assert [p["status"] for p in report.points] == [
+            "ZERO", "UNDETERMINED", "ZERO", "UNDETERMINED", "ZERO", "ZERO", "ZERO", "ZERO"]
 
     def test_vanished_partner_leaves_only_its_own_rows(self, tmp_path):
         # with |delta_l| = 1e-10, G(delta_l, delta_l) underflows to 0 at

@@ -13,15 +13,16 @@ against the atoms plus each piece's own formula with both masks
 (``ref_piece_borel``), summed in piece order (``ref_borel``).
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specbox import averaging, measures
+from specbox import averaging, measures, resolvent
 from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
 from specbox.config import CouplingParams, build_run_config, load_config
-from specbox.errors import PoleError
+from specbox.errors import DomainError, PoleError
 from specbox.resolvent import G0Basics, _solve_all, discretize, green_from_basics
 
 from conftest import random_model, random_reservoir, ref_assemble
@@ -94,7 +95,7 @@ def ref_borel(measure, z):
 
 def _bits(x):
     """The float view of a complex scalar or array: signed zeros count."""
-    return np.atleast_1d(np.asarray(x, dtype=complex)).view(float)
+    return np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=complex))).view(float)
 
 
 # -- the models --------------------------------------------------------------
@@ -160,11 +161,15 @@ def test_shared_arrays_are_read_only():
         assert not system.pair_weights(phi, psi).flags.writeable
     assert not system.poles.flags.writeable
     assert not system.minors.flags.writeable
-    # the measures' stacked atoms and pieces, which every transform reads
+    # the measures' atoms and stacked pieces, and the model's table of both
+    # reservoirs, which every transform reads
     for name in ("sample", "random0", "random1"):
-        for measure in (MODELS[name].res_l, MODELS[name].res_r):
-            for arr in (measure._atom_x, measure._atom_w, measure._a, measure._b,
-                        measure._coef, measure._live, measure._cst, measure._cut):
+        model = MODELS[name]
+        for measure in (model.res_l, model.res_r):
+            assert not measure._atom_x.flags.writeable
+            assert not measure._atom_w.flags.writeable
+        for table in (model.res_l._table, model.res_r._table, model.reservoir_pieces):
+            for arr in (table._a, table._b, table._coef, table._live, table._cst, table._cut):
                 assert not arr.flags.writeable
 
 
@@ -397,3 +402,231 @@ def test_borel_matches_the_pieces_summed_in_order():
             assert np.array_equal(_bits(got), _bits(want)), (measure.pieces, z)
         count += 1
     assert count == 41 and mixed >= 30
+
+
+# -- both reservoirs from one kernel pass -----------------------------------------
+
+def _reservoir(rng, count, edge_at_zero=None, clear=False):
+    """A measure of ``count`` pieces of degrees 0 to 3 (some coefficients 0)
+    on [-6, 6], with 0 to 2 atoms beyond it; an atom alone where count is 0.
+    ``edge_at_zero`` (+1 or -1) makes [0, 1.5] or [-1.5, 0] the first piece,
+    and ``clear`` keeps the pieces off [-2, 2]."""
+    edges = np.sort(rng.uniform(2.0 if clear else -6.0, 6.0, 2 * count))
+    if clear and rng.uniform() < 0.5:
+        edges = -edges[::-1]
+    edges = edges.reshape(count, 2)
+    if edge_at_zero is not None:
+        edges[0] = [0.0, 1.5] if edge_at_zero > 0 else [-1.5, 0.0]
+        edges = np.array([edges[0]] + [e for e in edges[1:] if e[0] > 1.5 or e[1] < -1.5])
+    pieces = []
+    for a, b in edges:
+        deg = int(rng.integers(0, 4))
+        coef = rng.normal(size=deg + 1) * (rng.uniform(size=deg + 1) > 0.3)
+        coef[0] = 0.5 + np.sum(np.abs(coef[1:]) * max(abs(a), abs(b)) ** np.arange(1, deg + 1))
+        pieces.append(([float(a), float(b)], [float(c) for c in coef]))
+    atoms = [(float(x), float(w)) for x, w in zip(rng.choice([-1.0, 1.0], 2) * rng.uniform(6.5, 9.0, 2),
+                                                  rng.uniform(0.1, 1.0, 2))]
+    atoms = atoms[:max(int(rng.integers(0, 3)), count == 0)]
+    return measures.SpectralMeasure(atoms=atoms, pieces=pieces)
+
+
+def _two_sided_models():
+    """Models with 0 to 3 pieces a side, every pair of counts; with pieces
+    on both sides, also one with a left edge at 0 from above and one from
+    below, the right pieces then clear of it."""
+    k = 0
+    for left in range(4):
+        for right in range(4):
+            for edge in (None, 1, -1):
+                if edge is not None and not (left and right):
+                    continue
+                rng = np.random.default_rng([20261021, 1, k])
+                res_l = _reservoir(rng, left, edge)
+                res_r = _reservoir(rng, right, clear=edge is not None)
+                system = random_model(rng).system
+                yield f"{left}{right}{edge or ''}", BlackBoxModel(system, res_l, res_r)
+                k += 1
+
+
+TWO_SIDED = dict(_two_sided_models())
+
+
+def _z_cases(model, rng):
+    pieces = [p for m in (model.res_l, model.res_r) for p in m.pieces]
+    atoms = [x for m in (model.res_l, model.res_r) for x, _ in m.atoms]
+    radius = max([abs(x) for p in pieces for x in (p.a, p.b)] + [abs(x) for x in atoms])
+    cut = measures._FAR_FACTOR * max(radius, 1.0)
+    # near and far points of every piece, mixed
+    mixed = cut * 10.0 ** rng.uniform(-2.0, 1.0, 30) * np.exp(1j * rng.uniform(0, 2 * np.pi, 30))
+    mids = np.array([0.5 * (p.a + p.b) for p in pieces] or [0.0])
+    # real points outside both supports and off the poles of H_S
+    ends = sorted((p.a, p.b) for p in pieces)
+    real = [0.5 * (b0 + a1) for (_, b0), (a1, _) in zip(ends, ends[1:]) if b0 < a1]
+    real += [-1.3 * cut, 2.1 * cut, 40.0 * cut]
+    real = np.array([x for x in real if not any(a <= x <= b for a, b in ends)
+                     and x not in atoms
+                     and np.min(np.abs(model.system.poles - x)) > 1e-6 * max(1.0, abs(x))])
+    cases = [complex(mids[0], 1e-3), complex(2 * cut, -1.0), 1e-12j, mixed, mixed[:1],
+             mixed.reshape(5, 6), mids[:, None] + 1j * np.logspace(-1, -9, 27),
+             real, real.astype(complex), float(real[-1])]
+    zero_edges = [x for a, b in ends for x in (a, b) if x == 0.0]
+    if zero_edges:
+        side = 5e-324 if any(b == 0.0 for _, b in ends) else -5e-324
+        if not any(a <= side <= b for a, b in ends):
+            cases += [complex(side), np.array([side, side + 1j, 40 * cut])]
+    return cases
+
+
+@pytest.mark.parametrize("name", list(TWO_SIDED))
+def test_one_pass_gives_each_reservoirs_own_transform(name):
+    model = TWO_SIDED[name]
+    rng = np.random.default_rng([20261021, 2, len(name), sum(map(ord, name))])
+    for z in _z_cases(model, rng):
+        basics = G0Basics.at(model, z)
+        for got, measure in ((basics.l, model.res_l), (basics.r, model.res_r)):
+            want = measure.borel(z)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(_bits(got), _bits(want)), (name, z)
+            assert np.array_equal(_bits(got), _bits(ref_borel(measure, z))), (name, z)
+
+
+def test_the_two_sided_models_cover_the_cases():
+    counts = {(len(m.res_l.pieces), len(m.res_r.pieces)) for m in TWO_SIDED.values()}
+    assert counts == {(i, j) for i in range(4) for j in range(4)}
+    degrees = {len(p.coef) - 1 for m in TWO_SIDED.values()
+               for p in m.res_l.pieces + m.res_r.pieces}
+    assert degrees == {0, 1, 2, 3}
+    assert any(m.res_l.atoms or m.res_r.atoms for m in TWO_SIDED.values())
+    assert any(not (m.res_l.atoms or m.res_r.atoms) for m in TWO_SIDED.values())
+    # the real z next to an edge at 0 (+-5e-324) lies outside both supports
+    edge_cases = [name for name, m in TWO_SIDED.items()
+                  if any(np.ndim(z) == 0 and abs(z) == 5e-324
+                         for z in _z_cases(m, np.random.default_rng(0)))]
+    assert len(edge_cases) == 18
+
+
+def test_one_pass_raises_each_reservoirs_domain_error():
+    model = TWO_SIDED["221"]
+    (la, lb), (ra, rb) = ((p.a, p.b) for p in (model.res_l.pieces[0], model.res_r.pieces[0]))
+    inside_l, inside_r = 0.5 * (la + lb), 0.5 * (ra + rb)
+    for z, measure in ((inside_l, model.res_l), (np.array([1j, inside_r]), model.res_r),
+                       # both hit: the left reservoir is checked first
+                       (np.array([inside_r, inside_l]), model.res_l)):
+        with pytest.raises(DomainError) as one:
+            measure.borel(z)
+        with pytest.raises(DomainError) as both:
+            G0Basics.at(model, z)
+        assert str(both.value) == str(one.value)
+    assert str(both.value) == f"real z inside density piece [{la}, {lb}]"
+    for measure in (model.res_l, model.res_r):
+        for x0, _ in measure.atoms:
+            with pytest.raises(DomainError, match="sits exactly on an atom"):
+                G0Basics.at(model, np.array([1j, x0]))
+
+
+def test_g0basics_makes_one_kernel_pass_and_no_borel_call(monkeypatch):
+    # a later change must not fall back to one transform per reservoir
+    model = MODELS["sample"]
+    assert model.res_l.pieces and model.res_r.pieces
+    borel_calls, passes = [], []
+    borel, rows = measures.SpectralMeasure.borel, measures.PieceTable.rows
+    monkeypatch.setattr(measures.SpectralMeasure, "borel",
+                        lambda self, z: borel_calls.append(z) or borel(self, z))
+    monkeypatch.setattr(measures.PieceTable, "rows",
+                        lambda self, z: passes.append(z.size) or rows(self, z))
+    G0Basics.at(model, np.array([0.3 + 0.1j, 5.0, 2.5 - 1j]))
+    assert borel_calls == [] and passes == [3]
+    G0Basics.at(model, 1j)
+    assert borel_calls == [] and passes == [3, 1]
+
+
+# -- the 4x4 system without broadcast copies ----------------------------------------
+
+def ref_system_matrix(basics, cp):
+    """The system matrix as it was assembled before: every value broadcast
+    to the shape of the values and the bond strengths, and a ones array on
+    the diagonal."""
+    lam, nu = cp.lam, cp.nu
+    l, r, a, b, c, cb, _, _ = np.broadcast_arrays(
+        basics.l, basics.r, basics.a, basics.b, basics.c, basics.cb, lam, nu)
+    A = np.zeros(l.shape + (4, 4), dtype=complex)
+    one = np.ones(l.shape, dtype=complex)
+    A[..., 0, 0] = one
+    A[..., 0, 1] = lam * l
+    A[..., 1, 0] = lam * a
+    A[..., 1, 1] = one
+    A[..., 1, 2] = nu * cb
+    A[..., 2, 2] = one
+    A[..., 2, 3] = nu * r
+    A[..., 3, 0] = lam * c
+    A[..., 3, 2] = nu * b
+    A[..., 3, 3] = one
+    return A
+
+
+def ref_solve(basics, cp, column):
+    """One column of the 4x4 solve with the values broadcast to the bond
+    strengths' shape first, as the duel's integrand built its nodes."""
+    shape = np.broadcast_shapes(np.shape(cp.lam), np.shape(cp.nu), np.shape(basics.l))
+    nodes = G0Basics(*(np.broadcast_to(getattr(basics, f), shape)
+                       for f in ("l", "r", "a", "b", "c", "cb")))
+    l, r, a, b, c, cb = (getattr(nodes, f) for f in ("l", "r", "a", "b", "c", "cb"))
+    B = np.zeros(shape + (4, 4), dtype=complex)
+    B[..., 0, 0], B[..., 1, 1], B[..., 3, 1] = l, a, c
+    B[..., 2, 2], B[..., 1, 3], B[..., 3, 3] = r, cb, b
+    return np.linalg.solve(ref_system_matrix(nodes, cp), B[..., :, [column]])
+
+
+@pytest.mark.parametrize("name", ["sample"] + [f"random{k}" for k in range(12)])
+def test_copy_free_solve_matches_the_broadcast_basics(name):
+    model = MODELS[name]
+    rng = np.random.default_rng([20261021, 3, len(name), sum(map(ord, name))])
+    for z in (complex(_points(rng, ())), _points(rng, (1,))):
+        basics = G0Basics.at(model, z)
+        s = np.tan(rng.uniform(-1.5, 1.5, (31,)))
+        kappa = float(rng.uniform(-2.0, 2.0))
+        for cp in (CouplingParams(s, kappa), CouplingParams(kappa, s), CouplingParams(s, s[::-1]),
+                   CouplingParams(s, 0.0)):
+            assert np.array_equal(basics.system_matrix(cp), ref_system_matrix(basics, cp))
+            for k in range(4):
+                got = resolvent._solve(basics, cp, [k])
+                want = ref_solve(basics, cp, k)
+                assert got.shape == want.shape == (31, 4, 1)
+                assert np.array_equal(_bits(got), _bits(want)), (name, z, k)
+
+
+@pytest.mark.parametrize("phi", TAGS)
+def test_duel_integrand_matches_the_broadcast_basics_at_its_nodes(phi, monkeypatch):
+    model = MODELS["sample"]
+    calls = []
+    solve = averaging.green_from_basics
+
+    def recorded(basics, cp, phi, psi):
+        value = solve(basics, cp, phi, psi)
+        calls.append((basics, cp, TAGS.index(phi), TAGS.index(psi), value))
+        return value
+
+    monkeypatch.setattr(averaging, "green_from_basics", recorded)
+    averaging.averaged_poisson_quadrature(model, 1.0, phi, 1.5, 1e-3)
+    assert calls
+    for basics, cp, col, row, value in calls:
+        assert np.ndim(basics.l) == 0 and np.ndim(value) == 1
+        want = ref_solve(basics, cp, col)[..., row, 0]
+        assert np.array_equal(_bits(value), _bits(want))
+
+
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, math.nan, 1e200, -1.4e154,        # Python floats
+    10 ** 200,                                               # an int
+    np.float64(math.inf), np.float64(1e200), np.float32(math.nan),  # numpy scalars
+    np.array([0.5, math.nan]), np.array([1.0, 1e160]),     # arrays
+])
+@pytest.mark.parametrize("side", ["lam", "nu"])
+def test_coupling_rejects_non_finite_values_and_squares(value, side):
+    with pytest.raises(DomainError, match="coupling parameters must be finite"):
+        CouplingParams(**{side: value, ("nu" if side == "lam" else "lam"): 0.5})
+
+
+def test_coupling_accepts_finite_values():
+    for value in (0.0, -1e154, 1e154, 3, np.float64(2.5), np.array([0.5, -1e100])):
+        CouplingParams(value, value)

@@ -271,6 +271,20 @@ class TestExitCodes:
             # log((b - E)/(a - E)) = log(1 - 1e7 / E) on the real axis
             assert p["chi_l"]["value"][0] == pytest.approx(math.log(1 - 1e7 / p["E"]), rel=1e-9)
 
+    @pytest.mark.parametrize("command", [["validate"], ["greens", "--grid", "1.5:1.5:1"]])
+    def test_piece_with_overflowing_recurrence_exits_1(self, tmp_path, capsys, command):
+        # b^11 overflows on [3, 1e30]: rejected at load, not a traceback later
+        doc = json.loads(SAMPLE_PATH.read_text())
+        doc["model"]["reservoir_right"]["pieces"].append(
+            {"interval": [3.0, 1e30], "poly": [1.0] + [0.0] * 10 + [1e-300]})
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code = main([*command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "model.reservoir_right" in err and "piece [3.0, 1e+30]" in err
+        assert "Traceback" not in err
+
     def test_certify_run(self, config_file, capsys):
         code = main(["certify", "--config", config_file, "--grid", "1.05:1.95:10"])
         out = capsys.readouterr().out

@@ -93,6 +93,23 @@ class TestConstruction:
         with pytest.raises(InvalidModelError):
             SpectralMeasure(pieces=[([0.0, 2.0], [1.0]), ([1.0, 3.0], [1.0])])
 
+    def test_rejects_a_piece_whose_recurrence_overflows(self):
+        # b^11 overflows a double on [0, 1e30]; the piece's moments fall back
+        # to the scaled series, but its transform near it could not be finite
+        with pytest.raises(InvalidModelError, match=r"piece \[0\.0, 1e\+30\] of degree 11"):
+            SpectralMeasure(pieces=[([0.0, 1e30], [1.0] + [0.0] * 10 + [1e-300])])
+        with pytest.raises(InvalidModelError, match=r"\(b\^3 - a\^3\)/3 overflows"):
+            SpectralMeasure(pieces=[([-1e150, 1e150], [1.0, 0.0, 0.0, 0.0])])
+
+    @pytest.mark.parametrize("interval, coef", [
+        ([0.0, 1e7], [1.0, 0.0, 1e-14]),
+        ([0.0, 1e30], [1.0]),
+        ([-1e150, 1e150], [1.0, 0.0, 0.0]),
+    ])
+    def test_wide_pieces_with_finite_constants_build(self, interval, coef):
+        m = SpectralMeasure(pieces=[(interval, coef)])
+        assert np.isfinite(m.borel(4.0 * max(abs(x) for x in interval) * 1j))
+
     def test_rejects_empty_measure(self):
         with pytest.raises(InvalidModelError):
             SpectralMeasure()
