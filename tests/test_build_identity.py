@@ -10,7 +10,10 @@ same rule: the four system pairs in one call against one ``SystemBlock.green``
 call each, the one-column solves against the four-column one, and the Cauchy
 transform, which evaluates all pieces of a measure in one array expression,
 against the atoms plus each piece's own formula with both masks
-(``ref_piece_borel``), summed in piece order (``ref_borel``).
+(``ref_piece_borel``), summed in piece order (``ref_borel``).  The model's
+one kernel pass over both reservoirs must give each reservoir's own
+transform, and the 4x4 solve without broadcast copies the bits of the solve
+with the values broadcast to the bond strengths first (``ref_solve``).
 """
 
 import math
