@@ -52,7 +52,9 @@ converge or the slope is above -0.8.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -147,6 +149,29 @@ def _richardson(last: complex, prev: complex, ratio: float) -> complex:
     return (last - ratio * prev) / (1.0 - ratio)
 
 
+@functools.lru_cache(maxsize=32)
+def _ladder_fit(ladder: EpsilonLadder):
+    """What ``boundary_value`` reads of the ladder alone, built once per
+    ladder: the rungs eps (read-only, as every record shares them), i eps,
+    the slope window, and ``np.polyfit``'s degree-1 least-squares system on
+    log eps over the window (its column-scaled Vandermonde matrix, the
+    scale and rcond)."""
+    eps = ladder.epsilons()
+    window = min(SLOPE_WINDOW, eps.size)
+    lhs = np.vander(np.log(eps[-window:]), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = window * np.finfo(float).eps
+    if np.linalg.lstsq(lhs, np.zeros(window), rcond)[2] < 2:
+        # rungs too close for a slope: warn as np.polyfit does
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    fit = (eps, 1j * eps, lhs, scale)
+    for arr in fit:
+        arr.flags.writeable = False
+    return (*fit, window, rcond)
+
+
 def boundary_value(
     f: Callable,
     E: float,
@@ -157,14 +182,19 @@ def boundary_value(
     """Extrapolate f(E + i 0) along the ladder and classify the outcome.
 
     ``f`` must accept the array of ladder points z and is called once per
-    ladder; a constant result is broadcast over the rungs.  A numerical
-    failure of that call gives UNDETERMINED without rungs, and non-finite
-    values give UNDETERMINED with the finite prefix of the rungs.
+    ladder; a result of another shape than the rungs' (a constant) is
+    broadcast over them.  A numerical failure of that call gives
+    UNDETERMINED without rungs, and non-finite values give UNDETERMINED with
+    the finite prefix of the rungs.  The rungs and the slope's fit are built
+    once per ladder (``_ladder_fit``); a row costs f's values, their
+    magnitudes, one least-squares solve for the slope (the one
+    ``np.polyfit`` makes, so the same bits) and the decision tree.
     """
-    eps = ladder.epsilons()
-    zs = E + 1j * eps
+    eps, ieps, lhs, scale, window, rcond = _ladder_fit(ladder)
     try:
-        vals = np.broadcast_to(np.asarray(f(zs), dtype=complex), zs.shape)
+        vals = np.asarray(f(E + ieps), dtype=complex)
+        if vals.shape != eps.shape:
+            vals = np.broadcast_to(vals, eps.shape)
     except _NUMERICAL_ERRORS:
         return BoundaryRecord(E, UNDETERMINED)
     bad = ~np.isfinite(vals)
@@ -172,11 +202,8 @@ def boundary_value(
         n = bad.argmax()
         return BoundaryRecord(E, UNDETERMINED, eps=eps[:n], values=vals[:n])
     mags = np.abs(vals)
-    window = min(SLOPE_WINDOW, len(eps))
-    log_eps = np.log(eps[-window:])
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.maximum(mags[-window:], 1e-300))
-    slope = float(np.polyfit(log_eps, log_mag, 1)[0])
+    log_mag = np.log(np.maximum(mags[-window:], 1e-300))
+    slope = float(np.linalg.lstsq(lhs, log_mag, rcond)[0][0] / scale[0])
     common = {"slope": slope, "eps": eps, "values": vals}
 
     if slope <= -0.5 and mags[-1] > tol.div_tol:
@@ -382,7 +409,7 @@ def lattice_records(f: Callable, grid, columns: Sequence[tuple],
     handed to ``boundary_value`` to evaluate alone, so only the failing
     energy's records are UNDETERMINED, without rungs.
     """
-    eps = ladder.epsilons()
+    eps = _ladder_fit(ladder)[0]
     grid = np.asarray(grid, dtype=float)
     size = max(1, LATTICE_POINTS // eps.size)
     for start in range(0, grid.size, size):

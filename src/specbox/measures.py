@@ -99,6 +99,8 @@ def _piece_moments(a: float, b: float, coef: Sequence[float], count: int) -> np.
 def _validate_piece(a: float, b: float, coef: Sequence[float]) -> _Piece:
     if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
         raise InvalidModelError(f"piece interval [{a}, {b}] must be finite with a < b")
+    if not math.isfinite(float(b) - float(a)):  # the positivity samples would be inf or NaN
+        raise InvalidModelError(f"piece [{a}, {b}]: its width b - a overflows a double")
     coef = [float(c) for c in coef]
     if len(coef) == 0:
         raise InvalidModelError("piece needs at least one polynomial coefficient")

@@ -285,6 +285,21 @@ class TestExitCodes:
         assert "model.reservoir_right" in err and "piece [3.0, 1e+30]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["validate"], ["greens", "--grid", "1.5:1.5:1"]])
+    def test_piece_whose_width_overflows_exits_1(self, tmp_path, capsys, command):
+        # b - a overflows on [-1.5e308, 1.5e308]: rejected at load, where it
+        # once passed validate with a RuntimeWarning on stderr
+        doc = json.loads(SAMPLE_PATH.read_text())
+        doc["model"]["reservoir_right"] = {
+            "pieces": [{"interval": [-1.5e308, 1.5e308], "poly": [1e-300]}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code = main([*command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "model.reservoir_right" in err and "width b - a overflows" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_certify_run(self, config_file, capsys):
         code = main(["certify", "--config", config_file, "--grid", "1.05:1.95:10"])
         out = capsys.readouterr().out

@@ -101,6 +101,14 @@ class TestConstruction:
         with pytest.raises(InvalidModelError, match=r"\(b\^3 - a\^3\)/3 overflows"):
             SpectralMeasure(pieces=[([-1e150, 1e150], [1.0, 0.0, 0.0, 0.0])])
 
+    def test_rejects_a_piece_whose_width_overflows(self):
+        # b - a is inf: the positivity check's sample points would be inf or
+        # NaN, so it would sample nothing
+        with pytest.raises(InvalidModelError, match=r"width b - a overflows"):
+            SpectralMeasure(pieces=[([-1.5e308, 1.5e308], [1e-300])])
+        with pytest.raises(InvalidModelError, match=r"width b - a overflows"):
+            SpectralMeasure(pieces=[([-1e308, 1e308], [1e-300, 0.0, 0.0])])
+
     @pytest.mark.parametrize("interval, coef", [
         ([0.0, 1e7], [1.0, 0.0, 1e-14]),
         ([0.0, 1e30], [1.0]),
