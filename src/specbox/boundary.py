@@ -41,7 +41,10 @@ failure-local; ``density`` runs it on the four diagonal pairs of the
 batched 4x4 solve (``diagonal_records``), the averaged scan on each tag,
 and ``classify`` and ``certify`` on the reservoir transforms l and r
 (``classify_grid``), one lattice per side, so a failure on one side
-leaves the other side's record at that energy alone.
+leaves the other side's record at that energy alone.  ``boundary_value``
+judges each row; what depends on the ladder alone (the read-only rungs
+that every record shares, and the slope's least-squares system) is built
+once per ladder, so a row costs only its own values and one solve.
 
 Every ladder's atom weight comes from one rule, ``_ladder_mass``: a
 DIVERGENT record with slope <= -0.8 carries the converged Richardson
@@ -151,21 +154,17 @@ def _richardson(last: complex, prev: complex, ratio: float) -> complex:
 
 @functools.lru_cache(maxsize=32)
 def _ladder_fit(ladder: EpsilonLadder):
-    """What ``boundary_value`` reads of the ladder alone, built once per
-    ladder: the rungs eps (read-only, as every record shares them), i eps,
-    the slope window, and ``np.polyfit``'s degree-1 least-squares system on
-    log eps over the window (its column-scaled Vandermonde matrix, the
-    scale and rcond)."""
+    """What every row of a ladder shares, read-only: the rungs eps, i eps, and
+    ``np.polyfit``'s degree-1 least-squares system on log eps over the slope
+    window (its column-scaled Vandermonde matrix, the scale, window and rcond)."""
     eps = ladder.epsilons()
     window = min(SLOPE_WINDOW, eps.size)
     lhs = np.vander(np.log(eps[-window:]), 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
     rcond = window * np.finfo(float).eps
-    if np.linalg.lstsq(lhs, np.zeros(window), rcond)[2] < 2:
-        # rungs too close for a slope: warn as np.polyfit does
-        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
-                      stacklevel=2)
+    if np.linalg.lstsq(lhs, np.zeros(window), rcond)[2] < 2:  # rungs too close: as polyfit
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     fit = (eps, 1j * eps, lhs, scale)
     for arr in fit:
         arr.flags.writeable = False
@@ -185,10 +184,10 @@ def boundary_value(
     ladder; a result of another shape than the rungs' (a constant) is
     broadcast over them.  A numerical failure of that call gives
     UNDETERMINED without rungs, and non-finite values give UNDETERMINED with
-    the finite prefix of the rungs.  The rungs and the slope's fit are built
-    once per ladder (``_ladder_fit``); a row costs f's values, their
-    magnitudes, one least-squares solve for the slope (the one
-    ``np.polyfit`` makes, so the same bits) and the decision tree.
+    the finite prefix of the rungs.  The rungs and the slope's least-squares
+    system are built once per ladder (``_ladder_fit``); a row takes f's
+    values as they are, and its slope from the ``lstsq`` call that
+    ``np.polyfit`` makes, so the same bits.
     """
     eps, ieps, lhs, scale, window, rcond = _ladder_fit(ladder)
     try:

@@ -13,7 +13,10 @@ against the atoms plus each piece's own formula with both masks
 (``ref_piece_borel``), summed in piece order (``ref_borel``).  The model's
 one kernel pass over both reservoirs must give each reservoir's own
 transform, and the 4x4 solve without broadcast copies the bits of the solve
-with the values broadcast to the bond strengths first (``ref_solve``).
+with the values broadcast to the bond strengths first (``ref_solve``).  The
+ladder judge, which builds its rungs and slope fit once per ladder, must give
+every field of the record that the per-row body on ``np.polyfit`` gives
+(``ref_boundary_value``).
 """
 
 import math
@@ -22,8 +25,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specbox import averaging, measures, resolvent
+from specbox import averaging, boundary, measures, resolvent
 from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
+from specbox.boundary import (DIVERGENT, FINITE_NONZERO, UNDETERMINED, ZERO, BoundaryRecord,
+                              EpsilonLadder, Tolerances)
 from specbox.config import CouplingParams, build_run_config, load_config
 from specbox.errors import DomainError, PoleError
 from specbox.resolvent import G0Basics, _solve_all, discretize, green_from_basics
@@ -174,6 +179,12 @@ def test_shared_arrays_are_read_only():
         for table in (model.res_l._table, model.res_r._table, model.reservoir_pieces):
             for arr in (table._a, table._b, table._coef, table._live, table._cst, table._cut):
                 assert not arr.flags.writeable
+    # the ladder's rungs and fit, which every record of the ladder shares
+    for ladder in LADDERS.values():
+        for arr in boundary._ladder_fit(ladder)[:4]:
+            assert not arr.flags.writeable
+        first, second = (boundary.boundary_value(lambda z: 1.0 / z, E, ladder) for E in (0.5, 1.5))
+        assert first.eps is second.eps is boundary._ladder_fit(ladder)[0]
 
 
 def test_assemble_matches_reference():
@@ -633,3 +644,169 @@ def test_coupling_rejects_non_finite_values_and_squares(value, side):
 def test_coupling_accepts_finite_values():
     for value in (0.0, -1e154, 1e154, 3, np.float64(2.5), np.array([0.5, -1e100])):
         CouplingParams(value, value)
+
+
+# -- the ladder judge -----------------------------------------------------------
+
+LADDERS = {
+    "default": EpsilonLadder(),
+    "eps_min=5e-10": EpsilonLadder(eps_min=5e-10),
+    "ratio=0.3": EpsilonLadder(ratio=0.3),
+}
+
+
+def ref_boundary_value(f, E, ladder=EpsilonLadder(), *, tol=Tolerances()):
+    """``boundary_value`` as it was before its fit was built once per
+    ladder: the rungs, the points and the log-eps window per call, f's
+    values broadcast to the rungs' shape, and the slope from ``np.polyfit``."""
+    eps = ladder.epsilons()
+    zs = E + 1j * eps
+    try:
+        vals = np.broadcast_to(np.asarray(f(zs), dtype=complex), zs.shape)
+    except boundary._NUMERICAL_ERRORS:
+        return BoundaryRecord(E, UNDETERMINED)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        n = bad.argmax()
+        return BoundaryRecord(E, UNDETERMINED, eps=eps[:n], values=vals[:n])
+    mags = np.abs(vals)
+    window = min(boundary.SLOPE_WINDOW, len(eps))
+    log_eps = np.log(eps[-window:])
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.maximum(mags[-window:], 1e-300))
+    slope = float(np.polyfit(log_eps, log_mag, 1)[0])
+    common = {"slope": slope, "eps": eps, "values": vals}
+
+    if slope <= -0.5 and mags[-1] > tol.div_tol:
+        weight = boundary._ladder_mass(eps, vals, ladder.ratio) if slope <= -0.8 else None
+        return BoundaryRecord(E, DIVERGENT, pole_weight=weight, **common)
+
+    tail = mags[-window:]
+    if mags[-1] < tol.zero_tol and np.all(np.diff(tail) <= 1e-12 + 0.1 * tail[:-1]):
+        value = boundary._richardson(vals[-1], vals[-2], ladder.ratio)
+        return BoundaryRecord(E, ZERO, value=value, im_limit=0.0, **common)
+
+    diffs = np.abs(np.diff(vals[-(window + 1):]))
+    floor = 1e-12 * max(1.0, mags[-1])
+    converged = all(
+        d_next <= d_prev / boundary._CAUCHY_FACTOR or d_next <= floor
+        for d_prev, d_next in zip(diffs[:-1], diffs[1:])
+    )
+    if converged:
+        value = boundary._richardson(vals[-1], vals[-2], ladder.ratio)
+        if abs(value) <= tol.zero_tol:
+            return BoundaryRecord(E, ZERO, value=value, im_limit=0.0, **common)
+        if abs(value) < tol.div_tol:
+            return BoundaryRecord(
+                E, FINITE_NONZERO, value=value, im_limit=float(value.imag), **common
+            )
+    return BoundaryRecord(E, UNDETERMINED, **common)
+
+
+def _scalar_bits(x):
+    return None if x is None else _bits(x).tobytes()
+
+
+def _array_bits(x):
+    return None if x is None else (x.shape, _bits(x).tobytes())
+
+
+def assert_same_record(got, want):
+    """Every field of two ladder records, to the bit."""
+    assert (got.E, got.status) == (want.E, want.status)
+    for name in ("value", "im_limit", "pole_weight", "slope"):
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+        assert _scalar_bits(getattr(got, name)) == _scalar_bits(getattr(want, name)), name
+    for name in ("eps", "values"):
+        assert _array_bits(getattr(got, name)) == _array_bits(getattr(want, name)), name
+
+
+def _judged_against_the_reference(monkeypatch, kinds):
+    """``lattice_records``' judge replaced by one that judges each row also
+    with ``ref_boundary_value`` and asserts the same record; each record's
+    (status, has a weight) is added to ``kinds``."""
+    judge = boundary.boundary_value
+
+    def both(f, E, ladder, *, tol):
+        got = judge(f, E, ladder, tol=tol)
+        assert_same_record(got, ref_boundary_value(f, E, ladder, tol=tol))
+        kinds.add((got.status, got.pole_weight is not None))
+        return got
+
+    monkeypatch.setattr(boundary, "boundary_value", both)
+
+
+#: the grids of the README's commands on the sample config
+README_GRIDS = [np.linspace(-3, 3, 61), np.linspace(-3, 3, 121), np.linspace(1.1, 1.9, 17),
+                np.linspace(1.2, 1.8, 7), np.linspace(1.05, 1.95, 50)]
+
+
+def _lattice_cases():
+    cfg = build_run_config(load_config(str(SAMPLE_PATH)))
+    yield "sample", cfg.model, cfg.coupling, np.concatenate(README_GRIDS)
+    for k in range(6):
+        rng = np.random.default_rng([20261021, 31, k])
+        model = random_model(rng, max_pieces=2)
+        cp = CouplingParams(*rng.uniform(0.2, 1.5, 2))
+        # band edges, reservoir atoms and the coupled atoms in the gaps, where
+        # the ladders diverge or stay undetermined
+        marks = [x for m in (model.res_l, model.res_r) for p in m.pieces for x in (p.a, p.b)]
+        marks += [x for m in (model.res_l, model.res_r) for x, _ in m.atoms]
+        marks += [E for E, _, _ in boundary.point_mass_scan(model, cp)]
+        yield f"random{k}", model, cp, np.concatenate([np.linspace(-4, 4, 9), marks])
+
+
+LATTICE_CASES = {name: case for name, *case in _lattice_cases()}
+
+
+@pytest.mark.parametrize("ladder", list(LADDERS))
+def test_lattice_rows_judge_as_the_polyfit_reference(ladder, monkeypatch):
+    ladder = LADDERS[ladder]
+    kinds = set()
+    _judged_against_the_reference(monkeypatch, kinds)
+    for model, cp, grid in LATTICE_CASES.values():
+        for _ in boundary.diagonal_records(model, cp, grid, ladder):
+            pass
+        for _ in boundary.classify_grid(model, grid, cp.nu, ladder):
+            pass
+    assert {status for status, _ in kinds} == {FINITE_NONZERO, ZERO, DIVERGENT, UNDETERMINED}
+    assert (DIVERGENT, True) in kinds
+
+
+def _raise(error):
+    raise error
+
+
+#: f's that reach each branch of the judge at E = 0.5
+SYNTHETIC = {
+    "divergent with a weight": (lambda z: 0.7 / (0.5 - z), (DIVERGENT, True)),
+    "divergent without a weight": (lambda z: 100 * (-1j * (z - 0.5)) ** -0.6, (DIVERGENT, False)),
+    "zero": (lambda z: 3.0 * (z - 0.5), (ZERO, False)),
+    "finite nonzero": (lambda z: 1 + 2j + 0.5 * (z - 0.5), (FINITE_NONZERO, False)),
+    "log profile": (lambda z: np.log(z - 0.5), (UNDETERMINED, False)),
+    "non-finite prefix": (lambda z: np.where(z.imag < 1e-5, np.nan, 1.0 + 0j),
+                          (UNDETERMINED, False)),
+    "raises ArithmeticError": (lambda z: 1 / 0, (UNDETERMINED, False)),
+    "raises LinAlgError": (lambda z: _raise(np.linalg.LinAlgError("singular")),
+                           (UNDETERMINED, False)),
+    "constant": (lambda z: 2.5 - 1j, (FINITE_NONZERO, False)),
+    "constant zero": (lambda z: 0.0, (ZERO, False)),
+    "one-element constant": (lambda z: np.array([1.5]), (FINITE_NONZERO, False)),
+}
+
+
+@pytest.mark.parametrize("ladder", list(LADDERS))
+@pytest.mark.parametrize("case", list(SYNTHETIC))
+def test_synthetic_rows_judge_as_the_polyfit_reference(case, ladder):
+    f, (status, weighted) = SYNTHETIC[case]
+    got = boundary.boundary_value(f, 0.5, LADDERS[ladder])
+    assert_same_record(got, ref_boundary_value(f, 0.5, LADDERS[ladder]))
+    assert (got.status, got.pole_weight is not None) == (status, weighted)
+
+
+def test_a_ladder_too_dense_for_a_slope_warns_as_polyfit():
+    # rungs 1e-15 apart in ratio: the slope's least-squares system has rank 1
+    ladder = EpsilonLadder(eps_max=0.1, eps_min=0.1 * (1 - 1e-12), ratio=1 - 1e-15)
+    for judge in (boundary.boundary_value, ref_boundary_value):
+        with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+            judge(lambda z: 1.0 / z, 0.5, ladder)
