@@ -9,21 +9,24 @@ The decision tree (in order) on the ladder values f_k:
                    ``_ladder_mass``).
   ZERO             |f| below zero_tol and shrinking.
   FINITE_NONZERO   Cauchy convergence (successive differences shrinking by a
-                   factor >= 1.5, which cleanly excludes the sqrt(eps)
-                   profiles of band-edge densities); value is the Richardson
-                   extrapolation under the model f(E + i eps) = f0 + c eps.
+                   factor >= 1.5, which excludes the sqrt(eps) profiles of
+                   band-edge densities only for a ladder ratio above 1/2.25);
+                   value is the Richardson extrapolation under the model
+                   f(E + i eps) = f0 + c eps.
   UNDETERMINED     everything else: an honest fourth outcome instead of a
                    forced call at band edges or log singularities.
 
 Membership in the certified finite sets (sigma(H_S), S, N) is decided by
 their lists, never by ladder behavior; those sets have measure zero and a grid
 cannot see them; ``classify_grid`` compares the whole grid with each list
-at once.  The limit-profile checks read the Feshbach data a, b and
-d = a b - |c|^2 (``SystemBlock.d``) from one array call each over the grid
-energies off sigma(H_S).  The check c2 divides by d, so it applies only
-where the model is not degenerate and d(E) != 0; either check applies only
-where its target is finite in double precision (nu^2 d or nu^2 b can
-underflow to 0, and is 0 at nu = 0).
+at once.  It evaluates the Feshbach data a = G0(delta_l, delta_l),
+b = G0(delta_r, delta_r), c = G0(delta_l, delta_r) and d = a b - |c|^2 once
+per grid off sigma(H_S), from one ``green_pairs`` call and one ``d`` call;
+each classification carries its energy's data, which the limit-profile
+checks and ``certify_no_sc`` read.  The check c2 divides by d, so it
+applies only where the model is not degenerate and d(E) != 0; either check
+applies only where its target is finite in double precision (nu^2 d or
+nu^2 b can underflow to 0, and is 0 at nu = 0).
 
 Atoms in the gaps of the reservoir bands come from the Feshbach matrix
 K(E) = H - E - lam^2 l_c(E) delta_l delta_l* - nu^2 r_c(E) delta_r delta_r*
@@ -63,7 +66,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .blackbox import DELTA_L, DELTA_R, TAGS, BlackBoxModel
+from .blackbox import TAGS, BlackBoxModel
 # defined in config, which every command runs first; still importable from here
 from .config import MAX_RUNGS, CouplingParams, EpsilonLadder, Tolerances
 from .errors import PointMassPresentError, SpecboxError, UndeterminedLimitError
@@ -254,6 +257,8 @@ class EnergyClassification:
     rec_chi_r: BoundaryRecord
     c2: dict | None = None
     c3: dict | None = None
+    #: the Feshbach data (a, b, c, d) at E, None in sigma(H_S); not in to_dict
+    feshbach: tuple | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -314,15 +319,10 @@ def classify_grid(
     in_sigma = _near(grid, exc.sigma_hs)
     in_s = _near(grid, exc.s_zeros).tolist()
     in_n = [None] * grid.size if exc.degenerate else _near(grid, exc.n_points).tolist()
-    if nu is not None:
-        nu = float(nu)
-        # the Feshbach data a, b and d, one array call each, at the energies
-        # the profile checks read: off sigma(H_S)
-        needs = ~in_sigma
-        system, E_in = model.system, grid[needs]
-        feshbach = zip(system.green(DELTA_L, DELTA_L, E_in).real.tolist(),
-                       system.green(DELTA_R, DELTA_R, E_in).real.tolist(),
-                       system.d(E_in).tolist())
+    # off sigma(H_S) neither call meets a pole
+    system, off = model.system, grid[~in_sigma]
+    a, b, c, _ = system.green_pairs(off)
+    feshbach = zip(a.real.tolist(), b.real.tolist(), c.tolist(), system.d(off).tolist())
     sides = [lattice_records(lambda E, eps, m=measure: m.borel(E + 1j * eps), grid, [()],
                              ladder, tol=tol)
              for measure in (model.res_l, model.res_r)]
@@ -336,10 +336,10 @@ def classify_grid(
             in_m0 and rec_r.im_limit is not None
             and tol.im_tol < rec_r.im_limit < 1.0 / tol.im_tol
         )
+        data = None if in_sigma[k] else next(feshbach)
         c2 = c3 = None
         if nu is not None:
-            data = next(feshbach) if needs[k] else None
-            c2, c3 = _c_set_diagnostics(model, nu, rec_l, rec_r, data)
+            c2, c3 = _c_set_diagnostics(model, float(nu), rec_l, rec_r, data)
         yield EnergyClassification(
             E=rec_l.E,
             in_m0=in_m0,
@@ -352,12 +352,13 @@ def classify_grid(
             rec_chi_r=rec_r,
             c2=c2,
             c3=c3,
+            feshbach=data,
         )
 
 
 def _c_set_diagnostics(model, nu, rec_l, rec_r, data):
     """Limit-profile checks behind the averaged singular support, given nu
-    and the Feshbach data (a, b, d) at E, or None where E is in sigma(H_S).
+    and the Feshbach data (a, b, c, d) at E, or None where E is in sigma(H_S).
 
     Profile 2: left chi transform diverges while the right one approaches
     G0(delta_l, delta_l, E) / (nu^2 d(E)).  Profile 3: left chi transform
@@ -372,7 +373,7 @@ def _c_set_diagnostics(model, nu, rec_l, rec_r, data):
     c3 = {"applicable": False, "satisfied": False, "target": None}
     if data is None:
         return c2, c3
-    a, b, d = data
+    a, b, _, d = data
     r_val = rec_r.value if rec_r.finite else None
 
     def profile(num, den, left_status):
@@ -571,7 +572,11 @@ def _null_weights(k: "_Feshbach", E: np.ndarray, cols: list[np.ndarray]):
         a, b = psi.conj().T @ k.delta_l, psi.conj().T @ k.delta_r
         gram = np.eye(c.size) + k.lam2 * l1 * np.outer(a, a.conj()) \
             + k.nu2 * r1 * np.outer(b, b.conj())
-        weights[i] = [np.vdot(u, np.linalg.solve(gram, u)).real for u in (a, b)]
+        try:
+            weights[i] = [np.vdot(u, np.linalg.solve(gram, u)).real for u in (a, b)]
+        except np.linalg.LinAlgError:  # at a huge coupling G has rank one in doubles
+            raise SpecboxError(f"atom scan: singular Gram matrix at E = {float(E[i])!r}, "
+                               f"lambda = {k.cp.lam!r}, nu = {k.cp.nu!r}") from None
         mu[i], slope[i] = spectrum[i, c[0]], -gram[0, 0].real
     return mu, slope, weights
 
@@ -645,6 +650,7 @@ class _Feshbach:
 
     def __init__(self, model: BlackBoxModel, cp: CouplingParams):
         system = model.system
+        self.cp = cp
         self.lam2, self.nu2 = float(cp.lam) ** 2, float(cp.nu) ** 2
         sides = ((self.lam2, model.res_l, system.delta_l), (self.nu2, model.res_r, system.delta_r))
         atoms = [(x, math.sqrt(g2 * w) * v) for g2, m, v in sides if g2 != 0.0

@@ -15,10 +15,11 @@ and confirms the sign structure.  The claim is per sampled energy only: a
 finite grid cannot represent the countable exceptional intersections the
 full statement tolerates.
 
-The system data a, b, c and d come from one array call each over the
-in-scope energies; the arithmetic on them stays per energy.  Where |D| or
-an aux value is not finite in double precision (a huge coupling overflows
-it), the point is NUMERICALLY_UNRESOLVED and that value is None.
+The system data a, b, c and d are the Feshbach data that ``classify_grid``
+evaluates once per grid and carries on each classification; the arithmetic
+on them stays per energy.  Where |D| or an aux value is not finite in double
+precision (a huge coupling overflows it), the point is NUMERICALLY_UNRESOLVED
+and that value is None.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blackbox import DELTA_L, DELTA_R, BlackBoxModel, SystemBlock
+from .blackbox import BlackBoxModel, SystemBlock
 from .boundary import UNDETERMINED, classify_grid
 from .config import EpsilonLadder, Tolerances
 from .errors import UnsupportedScenarioError
@@ -118,24 +119,14 @@ def certify_no_sc(
     cp = _coupling(coupling)
     lam2, nu2 = cp.lam**2, cp.nu**2
     cert = Certificate(lam=cp.lam, nu=cp.nu)
-    rows = list(classify_grid(model, grid, ladder=ladder, tol=tol))
-    early = [_unreached(cls) for cls in rows]
-    # the Feshbach data a, b, c and d at the in-scope energies, one array
-    # call each; they avoid sigma(H_S), so no call meets a pole
-    E_in = np.array([cls.E for cls, v in zip(rows, early) if v is None], dtype=float)
-    system = model.system
-    feshbach = zip(system.green(DELTA_L, DELTA_L, E_in).real.tolist(),
-                   system.green(DELTA_R, DELTA_R, E_in).real.tolist(),
-                   system.green(DELTA_L, DELTA_R, E_in).tolist(),
-                   system.d(E_in).tolist())
-
-    for cls, verdict in zip(rows, early):
+    for cls in classify_grid(model, grid, ladder=ladder, tol=tol):
         E = cls.E
+        verdict = _unreached(cls)
         if verdict is not None:
             cert.points.append(CertificatePoint(E, verdict, False))
             continue
 
-        a, b, c, d = next(feshbach)
+        a, b, c, d = cls.feshbach
         l = cls.rec_chi_l.value
         r = cls.rec_chi_r.value
 

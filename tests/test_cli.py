@@ -474,6 +474,18 @@ class TestExitCodes:
             "internal numerical error: partner Green's function vanished exactly; "
             "input singular")
 
+    @pytest.mark.parametrize("lam", ["1e60", "1e100"])
+    def test_atom_scan_at_a_huge_coupling_exits_3(self, capsys, lam):
+        # the scan meets a crossing where G = I + lam^2 l_c' a a* has rank
+        # one in double precision: one line on stderr, no traceback
+        code = main(["density", "--config", str(SAMPLE_PATH), "--grid", "0:0:1",
+                     "--lambda", lam])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("internal numerical error: atom scan: singular Gram matrix at E = ")
+        assert line.endswith(f"lambda = {float(lam)!r}, nu = 1.0")
+
     def test_certify_scope_honours_tolerances(self, tmp_path, capsys):
         # im_tol = 0.5 puts Im chi(1.5 + i0) outside (im_tol, 1/im_tol)
         doc = copy.deepcopy(SAMPLE)
