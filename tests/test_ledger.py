@@ -64,8 +64,8 @@ def test_no_unresolved_count_rises(entry, monkeypatch, capsys, tmp_path):
     monkeypatch.chdir(ROOT)
     code = main([*argv, "--format", "json", "--strict"])
     out, err = capsys.readouterr()
-    doc = json.loads(out)
-    counts = _unresolved(doc["command"], doc)
+    payload = json.loads(out)
+    counts = _unresolved(payload["command"], payload)
     total = sum(counts.values())
     # the categories are the outcomes that --strict counts
     assert (code, err) == ((2, f"error: {total} unresolved outcome(s) under --strict\n")
@@ -75,4 +75,4 @@ def test_no_unresolved_count_rises(entry, monkeypatch, capsys, tmp_path):
     assert not risen, f"unresolved counts rose (ledger, now): {risen}"
     assert dict(counts) == entry["counts"], "counts fell: commit the lower counts to the ledger"
     if "verdict" in entry:
-        assert doc["abs_continuity"]["verdict"] == entry["verdict"]
+        assert payload["abs_continuity"]["verdict"] == entry["verdict"]
