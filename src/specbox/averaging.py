@@ -17,31 +17,33 @@ rank-one classic (a single bond averaged over its strength gives the
 Lebesgue measure, Poisson density pi) runs on the same map: its integrand
 is a Lorentzian in the bond strength, even about its own centre.
 
+Every grid evaluation reads the zero-bond values of all four tags from one
+``_zero_bond`` call: one ``G0Basics.at`` and one two-column solve per bond
+side, chi and delta of a side being each other's partner.  Left vectors are
+averaged over the left bond with the right one fixed at nu, right vectors
+over the right bond with the left one fixed at ``lam`` (``fixed_bond``).
+``duel_grid``, the ``average`` command's table, takes its closed column
+and every row's quadrature from one such call over the grid.
 ``verify_abs_continuity`` scans a grid for divergence of the averaged
 transform as eps shrinks, all four tags in one pass of ``boundary``'s
 (energy x eps) lattice path, ``lattice_records``, which owns the blocks and
-keeps a numerical failure with its own energy.  Each block takes the
-zero-bond values from one ``G0Basics.at`` and one two-column solve per bond
-side (``_closed_tags``): chi and delta of a side are each other's partner,
-so one solve gives both vectors' (v, w).  A vanished partner makes only its
-own vector's rows UNDETERMINED.  The ladder gets i times the
-transform, which is Im of the averaged measure's Cauchy transform, so the
-record's ``value.imag`` is the limit and its ``pole_weight`` (the one
-atom-weight rule of ``boundary``) is the atom indicator.  Left vectors are
-averaged over the left bond with the right one fixed at nu; right vectors
-over the right bond with the left one fixed at ``lam`` (``fixed_bond``).
+keeps a numerical failure with its own energy; a vanished partner makes only
+its own vector's rows UNDETERMINED.  The ladder gets i times the transform,
+which is Im of the averaged measure's Cauchy transform, so the record's
+``value.imag`` is the limit and its ``pole_weight`` (the one atom-weight
+rule of ``boundary``) is the atom indicator.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel
-from .boundary import DIVERGENT, _sorted_distinct, lattice_records
+from .boundary import DIVERGENT, lattice_records
 from .config import CouplingParams, EpsilonLadder, Tolerances
 from .errors import AccuracyError, DomainError
 from .measures import SpectralMeasure
@@ -50,6 +52,7 @@ from .resolvent import _TAG_INDEX, G0Basics, _solve, green_from_basics
 __all__ = [
     "averaged_poisson_closed",
     "averaged_poisson_quadrature",
+    "duel_grid",
     "fixed_bond",
     "rank_one_average",
     "verify_abs_continuity",
@@ -107,25 +110,17 @@ def _poisson(v, w):
     return np.pi * np.abs(np.sqrt(v / w).real)
 
 
-def _closed_tags(model: BlackBoxModel, lam: float, nu: float, z, *, strict: bool = True):
-    """The closed averaged transform of every tag at z, stacked on a last
-    axis in TAGS order: one ``G0Basics.at`` and one ``_side_values`` solve
-    per bond side, the other bond fixed by ``fixed_bond``.  With ``strict``
-    a vanished partner raises DomainError, as in ``averaged_poisson_closed``;
-    otherwise (the scan's lattice) it leaves only its own vector's values
-    not finite, as it does a quotient v / w that overflows at the bottom of
-    the double range.
-    """
+def _zero_bond(model: BlackBoxModel, lam: float, nu: float, z):
+    """v and w of every tag at z, each stacked on a last axis in TAGS order,
+    and the basics: one ``G0Basics.at`` and one ``_side_values`` solve per
+    bond side, the other bond fixed by ``fixed_bond``."""
     basics = G0Basics.at(model, z)
-    columns = []
+    v, w = [], []
     for chi in (CHI_L, CHI_R):
         g_chi, g_delta = _side_values(basics, chi, fixed_bond(chi, lam, nu))
-        if strict and ((g_chi == 0).any() or (g_delta == 0).any()):
-            raise DomainError(_VANISHED)
-        # a vanished partner; off ``strict``, also an overflowing quotient
-        with np.errstate(divide="ignore", invalid="ignore", over=None if strict else "ignore"):
-            columns += [_poisson(g_chi, g_delta), _poisson(g_delta, g_chi)]
-    return np.stack(columns, axis=-1)
+        v += [g_chi, g_delta]
+        w += [g_delta, g_chi]
+    return np.stack(v, axis=-1), np.stack(w, axis=-1), basics
 
 
 def averaged_poisson_closed(model: BlackBoxModel, nu: float, phi: str, E, eps):
@@ -195,6 +190,16 @@ def _gauss_kronrod(func, lo: np.ndarray, hi: np.ndarray):
     floor = resabs > _UFLOW / (50 * _EPS)
     err = np.where(floor, np.maximum(50 * _EPS * resabs, err), err)
     return resk * half, err
+
+
+def _sorted_distinct(x) -> np.ndarray:
+    """``np.unique`` of finite values, without the import of ``numpy.ma`` that
+    its first call costs: sort, then keep each value that differs from the
+    one before it."""
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
@@ -292,19 +297,27 @@ def averaged_poisson_quadrature(
     """Adaptive quadrature of s -> Im G_(s-bond)(phi, phi, E + i eps).
 
     Every integrand evaluation goes through the linear-system resolvent path,
-    so this is an independent check on the residue formula.  The uncoupled
-    values are cached across s (they do not depend on the averaged bond), and
-    the near-real pole pair +-p of 1/(1 - s^2 v w) sets the variable of
-    ``_peak_quadrature``.  Raises AccuracyError with ``reason``
-    PEAK_BELOW_ROUNDING where v w underflows, overflows or is NaN, or where
-    u c / h (u the double spacing at 1, c = |Re p|, h = |Im p|), the 4x4
-    integrand's relative rounding at its peak, exceeds tol; and with
-    QUADRATURE_STALLED where the rule stalls.
+    so this is an independent check on the residue formula (``_duel``).
     """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     nu = float(nu)
     v, w, basics = _vw(model, nu, phi, complex(E, eps))
+    return _duel(v, w, basics, phi, nu, E, tol)
+
+
+def _duel(v, w, basics: G0Basics, phi: str, kappa: float, E: float, tol: float) -> float:
+    """The quadrature of phi's averaged transform from its zero-bond values
+    v, w and the basics at one z, the other bond at kappa.
+
+    The uncoupled values are cached across s (they do not depend on the
+    averaged bond), and the near-real pole pair +-p of 1/(1 - s^2 v w) sets
+    the variable of ``_peak_quadrature``.  Raises AccuracyError with
+    ``reason`` PEAK_BELOW_ROUNDING where v w underflows, overflows or is NaN,
+    or where u c / h (u the double spacing at 1, c = |Re p|, h = |Im p|), the
+    4x4 integrand's relative rounding at its peak, exceeds tol; and with
+    QUADRATURE_STALLED where the rule stalls.
+    """
     vw = complex(v) * complex(w)
     p = 1.0 / cmath.sqrt(vw) if vw != 0 else complex(math.inf)
     c, h = abs(p.real), abs(p.imag)
@@ -318,9 +331,32 @@ def averaged_poisson_quadrature(
                             reason=PEAK_BELOW_ROUNDING)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return np.imag(green_from_basics(basics, _bond_coupling(phi, s, nu), phi, phi))
+        return np.imag(green_from_basics(basics, _bond_coupling(phi, s, kappa), phi, phi))
 
     return _peak_quadrature(integrand, p, tol)
+
+
+def duel_grid(model: BlackBoxModel, lam: float, nu: float, grid, eps: float, tol: float):
+    """(E, phi, closed, quadrature, rel_diff, reason) per energy and tag at
+    height eps, all from one ``_zero_bond`` call.  A vanished partner raises
+    DomainError, as in ``averaged_poisson_closed``; a null duel leaves its
+    quadrature and rel_diff None and gives its AccuracyError's reason."""
+    grid = np.asarray(grid, dtype=float)
+    v, w, basics = _zero_bond(model, lam, nu, grid + 1j * eps)
+    if (w == 0).any():
+        raise DomainError(_VANISHED)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = _poisson(v, w).tolist()
+    for k, E in enumerate(grid.tolist()):
+        basics_k = G0Basics(*(getattr(basics, f.name)[k] for f in fields(G0Basics)))
+        for j, (phi, cl) in enumerate(zip(TAGS, closed[k])):
+            quadr = rel = reason = None
+            try:
+                quadr = _duel(v[k, j], w[k, j], basics_k, phi, fixed_bond(phi, lam, nu), E, tol)
+                rel = abs(cl - quadr) / max(abs(cl), abs(quadr), 1e-300)
+            except AccuracyError as exc:
+                reason = exc.reason
+            yield E, phi, cl, quadr, rel, reason
 
 
 def rank_one_average(measure: SpectralMeasure, E: float, eps: float) -> float:
@@ -415,11 +451,12 @@ def verify_abs_continuity(
             kept.append(E)
 
     def transform(E, eps):
-        # Im of a Cauchy transform: the ladder gets i times it; i times a
-        # value that is not finite reads nan in its real part, silently
-        values = _closed_tags(model, fixed_lam, nu, E + 1j * eps, strict=False)
-        with np.errstate(invalid="ignore"):
-            return 1j * values
+        # Im of a Cauchy transform: the ladder gets i times it.  A vanished
+        # partner or an overflowing v / w leaves its own values not finite,
+        # and i times those reads nan in its real part, silently
+        v, w, _ = _zero_bond(model, fixed_lam, nu, E + 1j * eps)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return 1j * _poisson(v, w)
 
     records = lattice_records(transform, kept, [(k,) for k in range(len(TAGS))], ladder, tol=tol)
     for row in records:

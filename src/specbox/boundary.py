@@ -67,15 +67,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .blackbox import TAGS, BlackBoxModel
-# defined in config, which every command runs first; still importable from here
-from .config import MAX_RUNGS, CouplingParams, EpsilonLadder, Tolerances
+from .config import CouplingParams, EpsilonLadder, Tolerances
 from .errors import PointMassPresentError, SpecboxError, UndeterminedLimitError
 from .resolvent import _coupling, green, green_all
 
 __all__ = [
-    "Tolerances",
-    "EpsilonLadder",
-    "MAX_RUNGS",
     "BoundaryRecord",
     "EnergyClassification",
     "boundary_value",
@@ -713,13 +709,3 @@ def _gaps(model: BlackBoxModel, cp: CouplingParams) -> tuple[np.ndarray, np.ndar
     lo = np.array([a if a == -bound else math.nextafter(a, math.inf) for a, _ in gaps])
     hi = np.array([b if b == bound else math.nextafter(b, -math.inf) for _, b in gaps])
     return lo[lo < hi], hi[lo < hi]
-
-
-def _sorted_distinct(x) -> np.ndarray:
-    """``np.unique`` of finite values, without the import of ``numpy.ma`` that
-    its first call costs: sort, then keep each value that differs from the
-    one before it."""
-    x = np.sort(x)
-    keep = np.ones(x.size, dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]

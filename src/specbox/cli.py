@@ -24,7 +24,7 @@ import click
 # goes by another name because the certify command takes its own
 from . import averaging, blackbox, boundary, config, emit, resolvent
 from . import certify as certification
-from .errors import AccuracyError, ConfigError, SpecboxError
+from .errors import ConfigError, SpecboxError
 
 __all__ = ["cli", "main"]
 
@@ -240,28 +240,10 @@ def average(cfg):
     report = averaging.verify_abs_continuity(model, cfg.coupling.nu, grid, cfg.ladder,
                                              lam=cfg.coupling.lam, tol=cfg.tolerances)
     status_by_key = {(p["E"], p["phi"]): p["status"] for p in report.points}
-    kappas = {phi: averaging.fixed_bond(phi, cfg.coupling.lam, cfg.coupling.nu)
-              for phi in blackbox.TAGS}
-    # the closed column of every phi over the grid: one evaluation of the
-    # zero-bond values and one solve per bond side
-    closed_rows = averaging._closed_tags(model, cfg.coupling.lam, cfg.coupling.nu,
-                                         grid + 1j * eps).tolist()
-    entries = []
-    for k, E in enumerate(grid):
-        for (phi, kappa), closed in zip(kappas.items(), closed_rows[k]):
-            reason = None
-            try:
-                quadr = averaging.averaged_poisson_quadrature(
-                    model, kappa, phi, float(E), eps, tol=cfg.tolerances.quad_tol
-                )
-                rel = abs(closed - quadr) / max(abs(closed), abs(quadr), 1e-300)
-            except AccuracyError as exc:  # a null duel leaves its cells empty
-                quadr = rel = None
-                reason = exc.reason
-            entries.append({"E": float(E), "phi": phi, "closed": closed,
-                            "quadrature": quadr, "rel_diff": rel,
-                            "ladder_status": status_by_key.get((float(E), phi)),
-                            "reason": reason})
+    entries = [{"E": E, "phi": phi, "closed": closed, "quadrature": quadr, "rel_diff": rel,
+                "ladder_status": status_by_key.get((E, phi)), "reason": reason}
+               for E, phi, closed, quadr, rel, reason in averaging.duel_grid(
+                   model, cfg.coupling.lam, cfg.coupling.nu, grid, eps, cfg.tolerances.quad_tol)]
     payload = _meta(cfg, "average")
     payload["eps"] = eps
     payload["table"] = entries

@@ -231,12 +231,6 @@ class DiscretizedModel:
         self.delta_l[self._sys_slice] = model.system.delta_l
         self.delta_r = np.zeros(self.dim, dtype=complex)
         self.delta_r[self._sys_slice] = model.system.delta_r
-        self._vectors = {
-            CHI_L: self.chi_l,
-            DELTA_L: self.delta_l,
-            CHI_R: self.chi_r,
-            DELTA_R: self.delta_r,
-        }
 
         self.h0_diag = np.concatenate(
             [
@@ -245,9 +239,6 @@ class DiscretizedModel:
                 xr.astype(complex),
             ]
         )
-
-    def vector(self, tag: str) -> np.ndarray:
-        return self._vectors[tag]
 
     def _bonds(self, cp: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
         """H[res, sys] and H[sys, res], reservoir nodes left then right.

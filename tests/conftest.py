@@ -1,6 +1,6 @@
-"""Shared fixtures: the two reference models used throughout the suite, and
-two referees built from the block structure: the uncoupled pairs and the
-dense discretized H."""
+"""Shared fixtures: the two reference models used throughout the suite, two
+referees built from the block structure (the uncoupled pairs and the dense
+discretized H), and the config document of a built model."""
 
 import numpy as np
 import pytest
@@ -94,6 +94,24 @@ def g0(model: BlackBoxModel, phi: str, psi: str, z):
             return (model.res_l if phi == CHI_L else model.res_r).borel(z)
         return np.zeros_like(np.asarray(z, dtype=complex))[()]
     return model.system.green(phi, psi, z)
+
+
+def model_doc(model) -> dict:
+    """The config document's model section for a built model."""
+    def vector(v):
+        return [[float(x.real), float(x.imag)] for x in v]
+
+    def measure(m):
+        return {"atoms": [list(atom) for atom in m.atoms],
+                "pieces": [{"interval": [p.a, p.b], "poly": list(p.coef)} for p in m.pieces]}
+
+    system = model.system
+    return {
+        "system": {"matrix": [vector(row) for row in system.h_s],
+                   "delta_l": vector(system.delta_l), "delta_r": vector(system.delta_r)},
+        "reservoir_left": measure(model.res_l),
+        "reservoir_right": measure(model.res_r),
+    }
 
 
 def ref_assemble(disc, coupling):

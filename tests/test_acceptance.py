@@ -21,7 +21,6 @@ from specbox.boundary import (
     FINITE_NONZERO,
     UNDETERMINED,
     ZERO,
-    EpsilonLadder,
     boundary_value,
     classify_energy,
     density_from_record,
@@ -30,6 +29,7 @@ from specbox.boundary import (
     point_mass_scan,
 )
 from specbox.certify import CERTIFIED, certify_no_sc, eigen_residual, remark2_model
+from specbox.config import EpsilonLadder
 from specbox.errors import PointMassPresentError, UndeterminedLimitError
 from specbox.resolvent import (
     CouplingParams,

@@ -21,12 +21,12 @@ from specbox.averaging import (
     _vw,
     averaged_poisson_closed,
     averaged_poisson_quadrature,
+    duel_grid,
     rank_one_average,
     verify_abs_continuity,
 )
 from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS
-from specbox.boundary import EpsilonLadder, Tolerances
-from specbox.config import build_run_config, load_config
+from specbox.config import EpsilonLadder, Tolerances, build_run_config, load_config
 from specbox.errors import AccuracyError, DomainError
 from specbox.measures import SpectralMeasure
 from specbox.resolvent import CouplingParams, G0Basics, green, green_from_basics
@@ -272,6 +272,73 @@ class TestQuadpackReferee:
         # u c / h passes quad_tol near E = 4,500: every row up to
         # E = 10^(1 + 7 * 18 / 48) = 4,217 is answered
         assert answered == 4 * 19
+
+
+def _duel_rows(model, lam, nu, grid, eps, tol):
+    """Each duel_grid row with the per-point closed form and quadrature at
+    its (E, phi, kappa); a null duel's per-point reason stands in for its
+    quadrature."""
+    for E, phi, closed, quadr, rel, reason in duel_grid(model, lam, nu, grid, eps, tol):
+        kappa = nu if phi in (CHI_L, DELTA_L) else lam
+        try:
+            point = averaged_poisson_quadrature(model, kappa, phi, E, eps, tol=tol)
+        except AccuracyError as exc:
+            point = exc.reason
+        yield (E, phi), (closed, quadr if reason is None else reason), \
+            (averaged_poisson_closed(model, kappa, phi, E, eps), point)
+
+
+class TestDuelGrid:
+    """``average``'s table reads one zero-bond evaluation per grid, and each
+    row keeps the bits of the per-point functions."""
+
+    @pytest.mark.parametrize("grid", ["1.2:1.8:7", "-3:3:61"])
+    def test_one_g0_evaluation_outside_the_scan(self, grid, monkeypatch, capsys):
+        from specbox import averaging
+        from specbox.cli import main
+
+        calls, scanning = [], []
+        at, scan = G0Basics.at.__func__, averaging.verify_abs_continuity
+
+        def counted(cls, model, z):
+            if not scanning:
+                calls.append(np.shape(z))
+            return at(cls, model, z)
+
+        def counted_scan(*args, **kwargs):
+            scanning.append(True)
+            try:
+                return scan(*args, **kwargs)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(G0Basics, "at", classmethod(counted))
+        monkeypatch.setattr(averaging, "verify_abs_continuity", counted_scan)
+        assert main(["average", "--config", str(SAMPLE_PATH), "--grid", grid]) == 0
+        capsys.readouterr()
+        assert calls == [(int(grid.split(":")[-1]),)]
+
+    @pytest.mark.parametrize("draw", [None, *range(6)],
+                             ids=["sample", *(f"rng-7-{k}" for k in range(6))])
+    def test_rows_keep_the_per_point_bits(self, draw):
+        cfg = build_run_config(load_config(str(SAMPLE_PATH)), {})
+        model = (cfg.require_model() if draw is None
+                 else random_model(np.random.default_rng([7, draw])))
+        rows = _duel_rows(model, cfg.coupling.lam, cfg.coupling.nu, np.linspace(-3, 3, 61),
+                          cfg.average_eps, cfg.tolerances.quad_tol)
+        for key, grid_row, point_row in rows:
+            assert repr(grid_row) == repr(point_row), key  # the same doubles
+
+    def test_far_rows_within_rounding(self):
+        # past 3 max(radius, 1) of a piece the transform's far-field series
+        # rounds with the length of the array it is given, so the grid's
+        # rows and the one-point calls differ in their last bits there
+        cfg = build_run_config(load_config(str(SAMPLE_PATH)), {})
+        rows = _duel_rows(cfg.require_model(), cfg.coupling.lam, cfg.coupling.nu,
+                          np.linspace(-9, 9, 13), cfg.average_eps, cfg.tolerances.quad_tol)
+        for key, grid_row, point_row in rows:
+            for x, y in zip(grid_row, point_row):
+                assert abs(x - y) <= 1e-12 * abs(y), (key, x, y)
 
 
 class TestRankOne:

@@ -12,7 +12,6 @@ from specbox.boundary import (
     FINITE_NONZERO,
     UNDETERMINED,
     ZERO,
-    EpsilonLadder,
     _Feshbach,
     boundary_value,
     classify_energy,
@@ -21,7 +20,7 @@ from specbox.boundary import (
     point_mass,
     point_mass_scan,
 )
-from specbox.config import build_run_config, load_config
+from specbox.config import EpsilonLadder, build_run_config, load_config
 from specbox.errors import DomainError, NearSingularError, PointMassPresentError
 from specbox.measures import SpectralMeasure
 from specbox.resolvent import discretize, green, green_oracle

@@ -27,9 +27,9 @@ import pytest
 
 from specbox import averaging, boundary, measures, resolvent
 from specbox.blackbox import CHI_L, CHI_R, DELTA_L, DELTA_R, TAGS, BlackBoxModel, SystemBlock
-from specbox.boundary import (DIVERGENT, FINITE_NONZERO, UNDETERMINED, ZERO, BoundaryRecord,
-                              EpsilonLadder, Tolerances)
-from specbox.config import CouplingParams, build_run_config, load_config
+from specbox.boundary import DIVERGENT, FINITE_NONZERO, UNDETERMINED, ZERO, BoundaryRecord
+from specbox.config import (CouplingParams, EpsilonLadder, Tolerances, build_run_config,
+                            load_config)
 from specbox.errors import DomainError, PoleError
 from specbox.resolvent import G0Basics, _solve_all, discretize, green_from_basics
 

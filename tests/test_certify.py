@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specbox.blackbox import DEGENERATE_WHOLE_LINE, DELTA_L
-from specbox.boundary import EpsilonLadder, point_mass
+from specbox.boundary import point_mass
 from specbox.certify import (
     CERTIFIED,
     NUMERICALLY_UNRESOLVED,
@@ -15,6 +15,7 @@ from specbox.certify import (
     eigen_residual,
     remark2_model,
 )
+from specbox.config import EpsilonLadder
 from specbox.errors import UnsupportedScenarioError
 from specbox.measures import SpectralMeasure
 

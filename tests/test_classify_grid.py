@@ -22,8 +22,6 @@ from specbox.boundary import (
     UNDETERMINED,
     ZERO,
     EnergyClassification,
-    EpsilonLadder,
-    Tolerances,
     boundary_value,
     classify_energy,
     classify_grid,
@@ -39,7 +37,7 @@ from specbox.certify import (
     certify_no_sc,
 )
 from specbox.cli import main
-from specbox.config import RunConfig, build_run_config, load_config
+from specbox.config import EpsilonLadder, RunConfig, Tolerances, build_run_config, load_config
 from specbox.measures import SpectralMeasure
 from specbox.resolvent import G0Basics, _coupling, green_all
 

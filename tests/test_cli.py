@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from specbox.blackbox import TAGS
 from specbox.boundary import (
-    EpsilonLadder,
     boundary_value,
     density_from_record,
     point_mass,
@@ -31,6 +30,8 @@ from specbox.cli import (
 from specbox.config import (
     MAX_GRID_POINTS,
     MAX_NODES_PER_PIECE,
+    MAX_RUNGS,
+    EpsilonLadder,
     build_run_config,
     load_config,
     parse_grid_flag,
@@ -43,7 +44,7 @@ from specbox.errors import (
 )
 from specbox.resolvent import green
 
-from conftest import random_model
+from conftest import model_doc, random_model
 
 
 def remark2_config(**extra) -> dict:
@@ -145,10 +146,8 @@ class TestConfig:
             build_run_config(remark2_config(ladder={"ratio": 1e-300}))
 
     def test_ladder_rung_cap(self):
-        # imported first: without the cap, the ratio 1 - 1e-8 below would
-        # allocate about 1.8e9 rungs
-        from specbox.boundary import MAX_RUNGS
-
+        # without the cap, the ratio 1 - 1e-8 below would allocate about
+        # 1.8e9 rungs
         log_span = math.log(1e-9 / 0.1)  # the default eps_min / eps_max
         at_cap = math.exp(log_span / (MAX_RUNGS - 0.5))
         over_cap = math.exp(log_span / (MAX_RUNGS + 0.5))
@@ -370,11 +369,10 @@ class TestExitCodes:
         # a quadrature off by more than quad_tol is an unresolved row
         import specbox.averaging
 
-        quadrature = specbox.averaging.averaged_poisson_quadrature
+        duel = specbox.averaging._duel
         args = ["average", "--config", str(SAMPLE_PATH), "--grid", "1.5:1.5:1"]
         assert main([*args, "--strict"]) == 0
-        monkeypatch.setattr(specbox.averaging, "averaged_poisson_quadrature",
-                            lambda *a, **k: quadrature(*a, **k) * (1 + 1e-6))
+        monkeypatch.setattr(specbox.averaging, "_duel", lambda *a, **k: duel(*a, **k) * (1 + 1e-6))
         assert main(args) == 0
         capsys.readouterr()
         assert main([*args, "--strict"]) == 2
@@ -546,31 +544,13 @@ class TestExitCodes:
         assert payload["exceptional_sets"]["sigma_hs"] == [0.0]
 
 
-def _model_doc(model) -> dict:
-    """The config document's model section for a built model."""
-    def vector(v):
-        return [[float(x.real), float(x.imag)] for x in v]
-
-    def measure(m):
-        return {"atoms": [list(atom) for atom in m.atoms],
-                "pieces": [{"interval": [p.a, p.b], "poly": list(p.coef)} for p in m.pieces]}
-
-    system = model.system
-    return {
-        "system": {"matrix": [vector(row) for row in system.h_s],
-                   "delta_l": vector(system.delta_l), "delta_r": vector(system.delta_r)},
-        "reservoir_left": measure(model.res_l),
-        "reservoir_right": measure(model.res_r),
-    }
-
-
 def _random_density_doc(seed: int) -> dict:
     """A random model whose grid holds 21 points of [-5, 5] and every atom
     the secular scan finds, so that some ladders diverge."""
     model = random_model(np.random.default_rng([20261018, seed]), max_dim=4, max_pieces=2)
     coupling = (0.7, 1.3)
     atoms = [E for E, *_ in point_mass_scan(model, coupling)]
-    return {"model": _model_doc(model), "coupling": {"lambda": 0.7, "nu": 1.3},
+    return {"model": model_doc(model), "coupling": {"lambda": 0.7, "nu": 1.3},
             "grid": {"list": list(np.linspace(-5.0, 5.0, 21)) + atoms}}
 
 

@@ -21,6 +21,9 @@ from specbox.certify import NUMERICALLY_UNRESOLVED
 from specbox.cli import main
 from specbox.config import build_run_config
 
+import models
+from conftest import model_doc
+
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = json.loads((ROOT / "sample-config.json").read_text())
 LEDGER = json.loads((ROOT / "tests" / "ledger.json").read_text())["inputs"]
@@ -58,6 +61,9 @@ def test_no_unresolved_count_rises(entry, monkeypatch, capsys, tmp_path):
     if "grid" in entry:
         doc = copy.deepcopy(SAMPLE)
         doc["grid"] = {"list": entry["grid"]}
+        if "model" in entry:  # a catalogue builder and its arguments
+            name, *args = entry["model"]
+            doc["model"] = model_doc(getattr(models, name)(*args))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         argv[argv.index("--config") + 1] = str(path)

@@ -192,7 +192,7 @@ class TestDiscretize:
         for model, cp in cases:
             disc = discretize(model, 30)
             H = ref_assemble(disc, cp)
-            B = np.stack([disc.vector(t) for t in TAGS], axis=1)
+            B = np.stack([getattr(disc, t) for t in TAGS], axis=1)
             for z in (0.4 + 1e-2j, -1.5 + 1e-4j, 4.5 + 1e-6j, 2.7 + 1e-8j):
                 dense = B.conj().T @ np.linalg.solve(H - z * np.eye(disc.dim), B)
                 vals = green_oracle_all(disc, cp, z)
@@ -217,7 +217,7 @@ class TestDiscretize:
             disc = discretize(model, 60)
             H = ref_assemble(disc, cp)
             H_ld = H.astype(np.clongdouble)
-            B = np.stack([disc.vector(t) for t in TAGS], axis=1)
+            B = np.stack([getattr(disc, t) for t in TAGS], axis=1)
             for k in (2, 4, 6, 8, 10):
                 z = complex(rng.uniform(-4, 4), 10.0 ** -k)
                 lu = lu_factor(H - z * np.eye(disc.dim))
@@ -288,7 +288,7 @@ class TestOracle:
         z = -0.2 + 0.15j
         A = ref_assemble(disc, cp) - z * np.eye(disc.dim)
         for phi, psi in [(DELTA_L, DELTA_L), (CHI_L, DELTA_R), (CHI_R, CHI_L)]:
-            d = complex(np.vdot(disc.vector(phi), np.linalg.solve(A, disc.vector(psi))))
+            d = complex(np.vdot(getattr(disc, phi), np.linalg.solve(A, getattr(disc, psi))))
             s = green_oracle(disc, cp, phi, psi, z)
             assert s == pytest.approx(d, rel=1e-12)
 
