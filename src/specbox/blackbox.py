@@ -217,6 +217,16 @@ class SystemBlock:
             return tuple(complex(v) for v in vals[:, 0])
         return tuple(vals.reshape(weights.shape[:1] + z_arr.shape))
 
+    def rounding(self, E: np.ndarray) -> tuple:
+        """The rounding levels of a, b and d at the 1-d real E outside
+        sigma(H_S): 16 n eps times the sum of the absolute terms of each
+        one's pole sum (d's Cauchy-Binet sum), n = dim H_S, a bound on the
+        rounding of the sum and of the eigenvectors it reads."""
+        u = np.abs(1.0 / (self.poles - E[:, None]))
+        scale = 16 * self.dim * np.finfo(float).eps
+        a, b = scale * (np.abs(self._pair_rows[:2]) @ u.T)
+        return a, b, scale * 0.5 * np.sum((u @ self.minors) * u, axis=-1)
+
     def d(self, E):
         """d = a b - |c|^2, the determinant of the 2x2 system Green matrix,
         at real E outside sigma(H_S); array-capable in E.

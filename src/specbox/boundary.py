@@ -1,6 +1,7 @@
 """Boundary values G(E + i0) from an epsilon ladder, and energy classification.
 
-A geometric ladder eps_max * ratio^k realizes the limit eps -> 0 numerically.
+A geometric ladder eps_max * ratio^k realizes the limit eps -> 0 numerically
+where no exact limit is at hand (``density`` and the averaged scan).
 The decision tree (in order) on the ladder values f_k:
 
   DIVERGENT        log|f| vs log eps slope <= -0.5 on the last rungs and
@@ -19,14 +20,17 @@ The decision tree (in order) on the ladder values f_k:
 Membership in the certified finite sets (sigma(H_S), S, N) is decided by
 their lists, never by ladder behavior; those sets have measure zero and a grid
 cannot see them; ``classify_grid`` compares the whole grid with each list
-at once.  It evaluates the Feshbach data a = G0(delta_l, delta_l),
+at once.  It reads the reservoir transforms l and r at E + i0 exactly, from
+one real-axis kernel pass per grid, with no ladder (``_axis_records``).
+It evaluates the Feshbach data a = G0(delta_l, delta_l),
 b = G0(delta_r, delta_r), c = G0(delta_l, delta_r) and d = a b - |c|^2 once
 per grid off sigma(H_S), from one ``green_pairs`` call and one ``d`` call;
 each classification carries its energy's data, which the limit-profile
 checks and ``certify_no_sc`` read.  The check c2 divides by d, so it
-applies only where the model is not degenerate and d(E) != 0; either check
-applies only where its target is finite in double precision (nu^2 d or
-nu^2 b can underflow to 0, and is 0 at nu = 0).
+applies only where the model is not degenerate; either check applies only
+where its target is finite in double precision (nu^2 d or nu^2 b can
+underflow to 0, and is 0 at nu = 0) and its inputs (a and d, or b) lie
+above their rounding levels (``SystemBlock.rounding``).
 
 Atoms in the gaps of the reservoir bands come from the Feshbach matrix
 K(E) = H - E - lam^2 l_c(E) delta_l delta_l* - nu^2 r_c(E) delta_r delta_r*
@@ -41,13 +45,11 @@ It does not see atoms embedded in a band.
 
 ``lattice_records`` is the one (energy x eps) lattice path, blocked and
 failure-local; ``density`` runs it on the four diagonal pairs of the
-batched 4x4 solve (``diagonal_records``), the averaged scan on each tag,
-and ``classify`` and ``certify`` on the reservoir transforms l and r
-(``classify_grid``), one lattice per side, so a failure on one side
-leaves the other side's record at that energy alone.  ``boundary_value``
-judges each row; what depends on the ladder alone (the read-only rungs
-that every record shares, and the slope's least-squares system) is built
-once per ladder, so a row costs only its own values and one solve.
+batched 4x4 solve (``diagonal_records``), and the averaged scan on each
+tag.  ``boundary_value`` judges each row; what depends on the ladder alone
+(the read-only rungs that every record shares, and the slope's
+least-squares system) is built once per ladder, so a row costs only its
+own values and one solve.
 
 Every ladder's atom weight comes from one rule, ``_ladder_mass``: a
 DIVERGENT record with slope <= -0.8 carries the converged Richardson
@@ -279,24 +281,47 @@ def _near(grid: np.ndarray, points: Sequence[float]) -> np.ndarray:
     return np.any(np.abs(grid[:, None] - p) <= _MATCH_TOL * np.maximum(1.0, np.abs(p)), axis=1)
 
 
+def _axis_records(grid: np.ndarray, values: np.ndarray, measure,
+                  tol: Tolerances) -> Iterator[BoundaryRecord]:
+    """A reservoir transform's records from its exact values F(E + i0)
+    (``measures.PieceTable.boundary``), with no slope or rungs: an atom
+    within the match tolerance is DIVERGENT with its weight, a band edge
+    UNDETERMINED (as the ladder reads it), and any other energy is judged by
+    |F| with the judge's zero_tol and div_tol, UNDETERMINED where F is not
+    finite."""
+    weights = sum((np.where(_near(grid, [x0]), w, 0.0) for x0, w in measure.atoms),
+                  np.zeros(grid.size)).tolist()
+    edges = _near(grid, [x for p in measure.pieces for x in (p.a, p.b)])
+    for E, value, weight, edge in zip(grid.tolist(), values, weights, edges):
+        size = abs(value)
+        if weight:
+            yield BoundaryRecord(E, DIVERGENT, pole_weight=weight)
+        elif edge or not np.isfinite(size):
+            yield BoundaryRecord(E, UNDETERMINED)
+        elif size <= tol.zero_tol:
+            yield BoundaryRecord(E, ZERO, value=value, im_limit=0.0)
+        elif size < tol.div_tol:
+            yield BoundaryRecord(E, FINITE_NONZERO, value=value, im_limit=float(value.imag))
+        else:
+            yield BoundaryRecord(E, DIVERGENT)
+
+
 def classify_energy(
     model: BlackBoxModel,
     E: float,
     nu: float | None = None,
-    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     tol: Tolerances = Tolerances(),
 ) -> EnergyClassification:
     """Classify E against the certified sets and the boundary-value sets:
     the one-energy case of ``classify_grid``."""
-    return next(classify_grid(model, [E], nu, ladder, tol=tol))
+    return next(classify_grid(model, [E], nu, tol=tol))
 
 
 def classify_grid(
     model: BlackBoxModel,
     grid,
     nu: float | None = None,
-    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     tol: Tolerances = Tolerances(),
 ) -> Iterator[EnergyClassification]:
@@ -306,9 +331,9 @@ def classify_grid(
     ``exceptional_sets`` with match tolerance 1e-9.  The reservoir sets need
     both chi transforms to have finite nonzero boundary values; the
     dissipative subsets additionally need the imaginary part inside
-    (im_tol, 1/im_tol).  Each transform's ladders
-    come from its own ``lattice_records`` run, so a numerical failure of one
-    side's evaluation makes only that side's record UNDETERMINED.
+    (im_tol, 1/im_tol).  Both transforms come from one real-axis kernel
+    pass over the grid, each side's records from its own values, so a value
+    that is not finite makes only its side's record there UNDETERMINED.
     """
     exc = model.exceptional_sets
     grid = np.asarray(grid, dtype=float).reshape(-1)
@@ -319,23 +344,17 @@ def classify_grid(
     system, off = model.system, grid[~in_sigma]
     a, b, c, _ = system.green_pairs(off)
     feshbach = zip(a.real.tolist(), b.real.tolist(), c.tolist(), system.d(off).tolist())
-    sides = [lattice_records(lambda E, eps, m=measure: m.borel(E + 1j * eps), grid, [()],
-                             ladder, tol=tol)
-             for measure in (model.res_l, model.res_r)]
-    for k, ((rec_l,), (rec_r,)) in enumerate(zip(*sides)):
+    levels = zip(*system.rounding(off))
+    sides = [_axis_records(grid, values, measure, tol) for values, measure
+             in zip(model.reservoir_pieces.boundary(grid), (model.res_l, model.res_r))]
+    for k, (rec_l, rec_r) in enumerate(zip(*sides)):
         in_m0 = rec_l.status == FINITE_NONZERO and rec_r.status == FINITE_NONZERO
-        in_ml = bool(
-            in_m0 and rec_l.im_limit is not None
-            and tol.im_tol < rec_l.im_limit < 1.0 / tol.im_tol
-        )
-        in_mr = bool(
-            in_m0 and rec_r.im_limit is not None
-            and tol.im_tol < rec_r.im_limit < 1.0 / tol.im_tol
-        )
-        data = None if in_sigma[k] else next(feshbach)
+        in_ml, in_mr = (bool(in_m0 and tol.im_tol < rec.im_limit < 1.0 / tol.im_tol)
+                        for rec in (rec_l, rec_r))
+        data, level = (None, None) if in_sigma[k] else (next(feshbach), next(levels))
         c2 = c3 = None
         if nu is not None:
-            c2, c3 = _c_set_diagnostics(model, float(nu), rec_l, rec_r, data)
+            c2, c3 = _c_set_diagnostics(model, float(nu), rec_l, rec_r, data, level)
         yield EnergyClassification(
             E=rec_l.E,
             in_m0=in_m0,
@@ -352,24 +371,26 @@ def classify_grid(
         )
 
 
-def _c_set_diagnostics(model, nu, rec_l, rec_r, data):
-    """Limit-profile checks behind the averaged singular support, given nu
-    and the Feshbach data (a, b, c, d) at E, or None where E is in sigma(H_S).
+def _c_set_diagnostics(model, nu, rec_l, rec_r, data, level):
+    """Limit-profile checks behind the averaged singular support, given nu,
+    the Feshbach data (a, b, c, d) at E and the rounding levels of a, b and
+    d there (``SystemBlock.rounding``), or None where E is in sigma(H_S).
 
     Profile 2: left chi transform diverges while the right one approaches
     G0(delta_l, delta_l, E) / (nu^2 d(E)).  Profile 3: left chi transform
     vanishes while the right one approaches 1 / (nu^2 G0(delta_r, delta_r, E)).
     Both need E outside sigma(H_S) and a target that is finite in double
-    precision (nu^2 d or nu^2 b may underflow, and is 0 at nu = 0).  Profile
-    2 also needs d(E) != 0 on a model that is not degenerate: where d
-    vanishes identically its computed value is roundoff, and the target
-    would divide by it.
+    precision (nu^2 d or nu^2 b may underflow, and is 0 at nu = 0), and
+    inputs, a and d or b, above their rounding levels: at or below it an
+    input is 0 up to rounding (b(1) = 0 on the sample), and the target would
+    be noise.  Profile 2 also needs a model that is not degenerate.
     """
     c2 = {"applicable": False, "satisfied": False, "target": None}
     c3 = {"applicable": False, "satisfied": False, "target": None}
     if data is None:
         return c2, c3
     a, b, _, d = data
+    level_a, level_b, level_d = level
     r_val = rec_r.value if rec_r.finite else None
 
     def profile(num, den, left_status):
@@ -384,9 +405,9 @@ def _c_set_diagnostics(model, nu, rec_l, rec_r, data):
         )
         return {"applicable": True, "satisfied": bool(satisfied), "target": target}
 
-    if d != 0.0 and not model.exceptional_sets.degenerate:
+    if abs(a) > level_a and abs(d) > level_d and not model.exceptional_sets.degenerate:
         c2 = profile(a, nu**2 * d, DIVERGENT) or c2
-    if b != 0.0:
+    if abs(b) > level_b:
         c3 = profile(1.0, nu**2 * b, ZERO) or c3
     return c2, c3
 

@@ -10,7 +10,8 @@ imaginary-part identities
 
 to hold simultaneously; their right-hand sides are nonnegative while at least
 one left-hand side is strictly negative.  The certificate evaluates both
-sides from extrapolated boundary values, checks |D(E + i0)| against a floor,
+sides from the exact boundary values l and r at E + i0 that
+``classify_grid`` reads (no ladder), checks |D(E + i0)| against a floor,
 and confirms the sign structure.  The claim is per sampled energy only: a
 finite grid cannot represent the countable exceptional intersections the
 full statement tolerates.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .blackbox import BlackBoxModel, SystemBlock
 from .boundary import UNDETERMINED, classify_grid
-from .config import EpsilonLadder, Tolerances
+from .config import Tolerances
 from .errors import UnsupportedScenarioError
 from .measures import SpectralMeasure
 from .resolvent import G0Basics, _coupling, discretize
@@ -105,21 +106,21 @@ def certify_no_sc(
     model: BlackBoxModel,
     coupling,
     grid,
-    ladder: EpsilonLadder = EpsilonLadder(),
     *,
     tol: Tolerances = Tolerances(),
 ) -> Certificate:
     """Evaluate the certificate at every grid energy.
 
     Scope: E must lie in the dissipative reservoir set (either side) and
-    avoid sigma(H_S) and the cross-pair zero set S.  Unresolved ladders,
-    |D| at or below the floor and a |D| or aux value that is not finite
-    yield NUMERICALLY_UNRESOLVED, never a silent failure.
+    avoid sigma(H_S) and the cross-pair zero set S.  An UNDETERMINED
+    boundary value (at a band edge), |D| at or below the floor and a |D| or
+    aux value that is not finite yield NUMERICALLY_UNRESOLVED, never a
+    silent failure.
     """
     cp = _coupling(coupling)
     lam2, nu2 = cp.lam**2, cp.nu**2
     cert = Certificate(lam=cp.lam, nu=cp.nu)
-    for cls in classify_grid(model, grid, ladder=ladder, tol=tol):
+    for cls in classify_grid(model, grid, tol=tol):
         E = cls.E
         verdict = _unreached(cls)
         if verdict is not None:
@@ -167,7 +168,7 @@ def certify_no_sc(
 
 def _unreached(cls) -> str | None:
     """The verdict at an energy the certificate does not reach: an
-    unresolved ladder, or out of scope; None where it is in scope."""
+    UNDETERMINED boundary value, or out of scope; None where it is in scope."""
     if UNDETERMINED in (cls.rec_chi_l.status, cls.rec_chi_r.status):
         return NUMERICALLY_UNRESOLVED
     if (cls.in_ml or cls.in_mr) and not (cls.in_sigma_hs or cls.in_s):

@@ -167,8 +167,7 @@ def classify(cfg):
     model = cfg.require_model()
     grid = cfg.require_grid()
     rows, entries, unresolved = [], [], 0
-    for c in boundary.classify_grid(model, grid, cfg.coupling.nu, cfg.ladder,
-                                    tol=cfg.tolerances):
+    for c in boundary.classify_grid(model, grid, cfg.coupling.nu, tol=cfg.tolerances):
         entries.append(c.to_dict())
         if boundary.UNDETERMINED in (c.rec_chi_l.status, c.rec_chi_r.status):
             unresolved += 1
@@ -267,7 +266,7 @@ def certify(cfg):
     """Pointwise no-singular-continuous certificate over the grid."""
     model = cfg.require_model()
     grid = cfg.require_grid()
-    cert = certification.certify_no_sc(model, cfg.coupling, grid, cfg.ladder, tol=cfg.tolerances)
+    cert = certification.certify_no_sc(model, cfg.coupling, grid, tol=cfg.tolerances)
     payload = _meta(cfg, "certify")
     payload["certificate"] = cert.to_dict()
     _emit(cfg, payload, CERTIFY_HEADER,

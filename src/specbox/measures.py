@@ -36,6 +36,10 @@ model's table of both reservoirs (``BlackBoxModel.reservoir_pieces``), and
 the gap counts of ``boundary`` on the same table without the atoms; a
 measure's value has the same bits in each.  The Poisson transform at
 E + i eps is the imaginary part of F there.
+
+At real E the kernel gives F(E + i0) exactly (``PieceTable.boundary``, by
+Plemelj-Sokhotski): the same recurrence and series in real arithmetic on
+I_0 = log|b - E| - log|a - E|, plus i pi p(E) inside a piece.
 """
 
 from __future__ import annotations
@@ -297,28 +301,50 @@ class PieceTable:
                 outs[owner] += acc[k]
         return outs
 
+    def boundary(self, E: np.ndarray) -> list:
+        """Each measure's F(E + i0) at the 1-D real E: ``sums`` at the real E
+        (the atoms and each piece's principal value) plus i pi p(E) strictly
+        inside a piece.  Only real float operations run, so a value has the
+        same bits however many E share the call.  Not finite on an atom or
+        a band edge."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            real, density = self.sums(E), np.zeros((len(self.pieces), E.size))
+            for k in range(self._coef.shape[1] - 1, -1, -1):  # Horner's p(E)
+                density = density * E + self._coef[:, k:k + 1]
+        density = np.where((E > self._a) & (E < self._b), np.pi * density, 0.0)
+        imag = [np.zeros(E.size) for _ in real]
+        for k, owner in enumerate(self._owner):
+            imag[owner] += density[k]
+        # a finite imag keeps every bit of real: no sum here reads -0.0
+        return [re + 1j * im for re, im in zip(real, imag)]
+
     def rows(self, z: np.ndarray) -> np.ndarray:
-        """The Cauchy transform of each piece at the 1-D complex z, one row
-        per piece.
+        """The Cauchy transform of each piece at the 1-D z, one row per
+        piece: complex z, or real z for the principal value (``boundary``).
 
         The recurrence I_n from I_0 runs for every piece at every z as one
         (pieces x z) array expression; a piece's term beyond its own degree
         is not added.  Where (b - z) / (a - z) over- or underflows (by an
-        edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z).
+        edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z);
+        at real z it is log|b - z| - log|a - z|, the principal value's.
         At a piece's far points the moment series replaces the recurrence;
         it runs on that piece's far points alone, or on all of z where every
         point is far, since its in-place products round some elements
         differently on arrays of another length.
         """
         zz = z[None, :]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            ratio = (self._b - zz) / (self._a - zz)  # complex overflow can read nan
-            exact = np.isfinite(ratio) & (np.abs(ratio) >= _TINY)
-            term = np.log(np.where(exact, ratio, 1.0))  # I_0
-            if not exact.all():
-                rows, cols = np.nonzero(~exact)
-                zx = z[cols]
-                term[rows, cols] = np.log(self._b[rows, 0] - zx) - np.log(self._a[rows, 0] - zx)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            if z.dtype.kind == "f":  # real z: the principal value's I_0
+                term = np.log(np.abs(self._b - zz)) - np.log(np.abs(self._a - zz))
+            else:
+                ratio = (self._b - zz) / (self._a - zz)  # complex overflow can read nan
+                exact = np.isfinite(ratio) & (np.abs(ratio) >= _TINY)
+                term = np.log(np.where(exact, ratio, 1.0))  # I_0
+                if not exact.all():
+                    rows, cols = np.nonzero(~exact)
+                    zx = z[cols]
+                    term[rows, cols] = (np.log(self._b[rows, 0] - zx)
+                                        - np.log(self._a[rows, 0] - zx))
             acc = self._coef[:, :1] * term
             for cst, coef, live in self._steps:
                 term = cst + zz * term  # I_n from I_{n-1}

@@ -6,8 +6,9 @@ that differs between passes.  This runs a few requests of each command or
 kind of seed 1 the same way: twice untraced and once traced, with one
 fingerprint (exit code and output) each time and no problem from the
 workload's check.  It also holds the ladder judge to the tracer's contract:
-one ``boundary.ladder`` span per lattice row, one evaluation of f each, and
-the same records traced as untraced.  ``workloads`` and ``spans`` are read
+one ``boundary.ladder`` span per lattice row of ``diagonal_records``, one
+evaluation of f each, and the same records traced as untraced; classify,
+which reads its records at E + i0, records no ladder.  ``workloads`` and ``spans`` are read
 from ``perfbench/`` by path; nothing there changes.
 """
 
@@ -90,7 +91,7 @@ def _rows(records):
 def test_the_judge_keeps_its_span_contract(perfbench, producer, columns, n):
     # the tracer wraps ``boundary_value`` by name and counts f's calls: one
     # ladder span per lattice row, each with one evaluation of f, and the
-    # same records as without it
+    # same records as without it; ``columns`` records per energy either way
     _, spans = perfbench
     import specbox.cli  # noqa: F401  (registers every module the tracer patches)
     from specbox import boundary, config
@@ -102,10 +103,11 @@ def test_the_judge_keeps_its_span_contract(perfbench, producer, columns, n):
         if producer == "diagonal":
             rows = boundary.diagonal_records(cfg.model, cfg.coupling, grid, cfg.ladder)
             return _rows(r for row in rows for r in row)
-        rows = boundary.classify_grid(cfg.model, grid, cfg.coupling.nu, cfg.ladder)
+        rows = boundary.classify_grid(cfg.model, grid, cfg.coupling.nu)
         return _rows(r for c in rows for r in (c.rec_chi_l, c.rec_chi_r))
 
     untraced = records()
+    assert len(untraced) == columns * n
     tracer = spans.Tracer()
     tracer.install()
     tracer.enabled = True
@@ -115,6 +117,9 @@ def test_the_judge_keeps_its_span_contract(perfbench, producer, columns, n):
         tracer.enabled = False
         tracer.uninstall()
     layers = spans.layer_metrics(*tracer.take())
-    assert layers["boundary.ladders"] == columns * n
-    assert layers["boundary.f_calls_per_ladder"] == 1
+    if producer == "diagonal":
+        assert layers["boundary.ladders"] == columns * n
+        assert layers["boundary.f_calls_per_ladder"] == 1
+    else:
+        assert layers["boundary.ladders"] == layers["measures.borel.calls"] == 0
     assert traced == untraced

@@ -767,8 +767,6 @@ def test_lattice_rows_judge_as_the_polyfit_reference(ladder, monkeypatch):
     for model, cp, grid in LATTICE_CASES.values():
         for _ in boundary.diagonal_records(model, cp, grid, ladder):
             pass
-        for _ in boundary.classify_grid(model, grid, cp.nu, ladder):
-            pass
     assert {status for status, _ in kinds} == {FINITE_NONZERO, ZERO, DIVERGENT, UNDETERMINED}
     assert (DIVERGENT, True) in kinds
 

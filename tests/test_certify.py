@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specbox.blackbox import DEGENERATE_WHOLE_LINE, DELTA_L
-from specbox.boundary import point_mass
+from specbox.boundary import boundary_value, point_mass
 from specbox.certify import (
     CERTIFIED,
     NUMERICALLY_UNRESOLVED,
@@ -15,9 +15,10 @@ from specbox.certify import (
     eigen_residual,
     remark2_model,
 )
-from specbox.config import EpsilonLadder
+from specbox.config import EpsilonLadder, Tolerances
 from specbox.errors import UnsupportedScenarioError
 from specbox.measures import SpectralMeasure
+from specbox.resolvent import det_D
 
 
 class TestRemark2Model:
@@ -74,14 +75,16 @@ class TestCertify:
         assert scoped and all(p.verdict == CERTIFIED for p in scoped)
 
     def test_ladder_refinement_never_flips_certified(self, remark2):
+        # the certificate reads D at E + i0 exactly; a refined ladder on
+        # D(E + i eps) agrees, and clears the floor wherever it certified
         grid = np.linspace(1.05, 1.95, 8)
         base = certify_no_sc(remark2, (1.0, 1.0), grid)
-        fine = certify_no_sc(
-            remark2, (1.0, 1.0), grid, EpsilonLadder(eps_min=1e-11)
-        )
-        for p_base, p_fine in zip(base.points, fine.points):
-            if p_base.verdict == CERTIFIED:
-                assert p_fine.verdict == CERTIFIED
+        for p in base.points:
+            rec = boundary_value(lambda z: det_D(remark2, (1.0, 1.0), z), p.E,
+                                 EpsilonLadder(eps_min=1e-11))
+            assert rec.finite and abs(abs(rec.value) - p.abs_D) <= 1e-8 * p.abs_D
+            if p.verdict == CERTIFIED:
+                assert abs(rec.value) > Tolerances().d_floor
 
     def test_composite_model(self, t2_model):
         cert = certify_no_sc(t2_model, (0.7, 1.3), np.linspace(1.1, 1.9, 9))

@@ -1,8 +1,10 @@
-"""classify and certify read the reservoir transforms on the (energy x eps)
-lattice and the Feshbach data a, b, c, d in one array call per grid, and
-greens builds its table from one array: the same bytes as the per-energy
-loops, one ``borel`` call per side and block, and a failure that stays with
-its side and energy."""
+"""classify and certify read the reservoir transforms at E + i0 from one
+real-axis kernel pass per grid and the Feshbach data a, b, c, d in one array
+call per grid, and greens builds its table from one array.  Referees: the
+per-energy ladders, wherever they resolve (the same statuses, memberships,
+profile flags and verdicts, and values within the ladders' own error), and
+the one-energy call, to the bit.  A value that is not finite stays with its
+side and energy."""
 
 import json
 import math
@@ -38,7 +40,7 @@ from specbox.certify import (
 )
 from specbox.cli import main
 from specbox.config import EpsilonLadder, RunConfig, Tolerances, build_run_config, load_config
-from specbox.measures import SpectralMeasure
+from specbox.measures import PieceTable, SpectralMeasure
 from specbox.resolvent import G0Basics, _coupling, green_all
 
 from conftest import make_t2_system, random_model, two_band_measure
@@ -60,6 +62,18 @@ def _finite_target(num, den):
     return target if math.isfinite(target) else None
 
 
+def _levels(system, E):
+    """The rounding levels of a, b and d at E, each 16 n eps times the sum
+    of the absolute terms of its pole sum, n = dim H_S; one loop per sum."""
+    scale = 16 * system.dim * np.finfo(float).eps
+    u = [1.0 / abs(p - E) for p in system.poles.tolist()]
+    a, b = (scale * sum(abs(w) * uk for w, uk in zip(system.pair_weights(phi, phi).tolist(), u))
+            for phi in (DELTA_L, DELTA_R))
+    d = scale * 0.5 * sum(system.minors[k, j] * u[k] * u[j]
+                          for k in range(len(u)) for j in range(len(u)))
+    return a, b, d
+
+
 def _profiles(model, E, nu, rec_l, rec_r, in_sigma):
     """The c2/c3 checks at one energy from its own scalar a, b and d."""
     c2 = {"applicable": False, "satisfied": False, "target": None}
@@ -69,6 +83,7 @@ def _profiles(model, E, nu, rec_l, rec_r, in_sigma):
     a = model.system.green(DELTA_L, DELTA_L, float(E)).real
     b = model.system.green(DELTA_R, DELTA_R, float(E)).real
     d = model.system.d(float(E))
+    level_a, level_b, level_d = _levels(model.system, float(E))
     r_val = rec_r.value if rec_r.finite else None
 
     def profile(target, left_status, unset):
@@ -79,9 +94,9 @@ def _profiles(model, E, nu, rec_l, rec_r, in_sigma):
         )
         return {"applicable": True, "satisfied": bool(satisfied), "target": target}
 
-    if d != 0.0 and not model.exceptional_sets.degenerate:
+    if abs(a) > level_a and abs(d) > level_d and not model.exceptional_sets.degenerate:
         c2 = profile(_finite_target(a, nu**2 * d), DIVERGENT, c2)
-    if b != 0.0:
+    if abs(b) > level_b:
         c3 = profile(_finite_target(1.0, nu**2 * b), ZERO, c3)
     return c2, c3
 
@@ -196,37 +211,100 @@ def models():
     return [(name, model, _special_grid(model, rng)) for name, model in models]
 
 
-def _dumps(classifications):
-    return [json.dumps(c.to_dict()) for c in classifications]
+#: FINITE_NONZERO and ZERO values against the ladder's Richardson limit,
+#: relative to max(1, |value|): the ladder's own error, seen up to 5.9e-10
+VALUE_REL = 1e-8
+
+
+def assert_resolved_alike(got, ref):
+    """A record read at E + i0 against the ladder's record at E: where the
+    ladder resolves, the same status, a value within VALUE_REL, and a pole
+    weight within the last step of the ladder's eps * Im f plus the floor
+    of its convergence test (``boundary._ladder_mass``).  Returns whether
+    the ladder resolved."""
+    assert (got.E, got.slope, got.eps, got.values) == (ref.E, None, None, None)
+    if got.value is not None:
+        assert type(got.value) is np.complex128  # certify's overflow reads numpy's inf
+    if ref.status == UNDETERMINED:
+        return False
+    assert got.status == ref.status, (got.E, got.status, ref.status)
+    if ref.finite:
+        assert abs(got.value - ref.value) <= VALUE_REL * max(1.0, abs(ref.value)), got.E
+        assert abs(got.im_limit - ref.im_limit) <= VALUE_REL * max(1.0, abs(ref.value)), got.E
+    if ref.pole_weight is not None:
+        m = ref.eps * ref.values.imag
+        step = abs(m[-1] - m[-2]) + 1e-10 * max(1.0, abs(m[-1]))
+        assert abs(got.pole_weight - ref.pole_weight) <= step, got.E
+    return True
+
+
+def _close(x, y):
+    return x is y is None or abs(x - y) <= VALUE_REL * max(1.0, abs(y))
 
 
 class TestIdentity:
     @pytest.mark.parametrize("ladder", [EpsilonLadder(), DEEP], ids=["default", "deep"])
     def test_same_bytes_as_per_energy_ladders(self, models, ladder):
-        statuses, c2, c3, verdicts = set(), set(), set(), set()
+        # the per-energy ladders are the referee: every grid energy and every
+        # set membership that needs no ladder, the profiles' applicability
+        # and targets, and wherever both ladders resolve, the statuses,
+        # memberships, profile verdicts and values; where classify gives up
+        # at an energy, so does the ladder
+        statuses, c2, c3, verdicts, compared = set(), set(), set(), set(), 0
         for name, model, grid in models:
             for nu in (None, 0.8):
-                rows = list(classify_grid(model, grid, nu, ladder))
-                assert _dumps(rows) == _dumps(_reference_grid(model, grid, nu, ladder)), \
-                    (name, nu)
+                rows = list(classify_grid(model, grid, nu))
+                for got, ref in zip(rows, _reference_grid(model, grid, nu, ladder), strict=True):
+                    assert (got.E, got.in_sigma_hs, got.in_s, got.in_n) \
+                        == (ref.E, ref.in_sigma_hs, ref.in_s, ref.in_n), name
+                    resolved = [assert_resolved_alike(g, r) for g, r in
+                                ((got.rec_chi_l, ref.rec_chi_l), (got.rec_chi_r, ref.rec_chi_r))]
+                    for g, r in ((got.rec_chi_l, ref.rec_chi_l), (got.rec_chi_r, ref.rec_chi_r)):
+                        assert g.status != UNDETERMINED or r.status == UNDETERMINED, (name, g.E)
+                    for key in ("c2", "c3"):
+                        g, r = getattr(got, key), getattr(ref, key)
+                        assert (g is None) == (r is None)
+                        if g is not None:
+                            assert (g["applicable"], g["target"]) \
+                                == (r["applicable"], r["target"]), (name, got.E)
+                    if all(resolved):
+                        compared += 1
+                        assert (got.in_m0, got.in_ml, got.in_mr, got.c2, got.c3) \
+                            == (ref.in_m0, ref.in_ml, ref.in_mr, ref.c2, ref.c3), (name, got.E)
             for c in rows:
                 statuses |= {c.rec_chi_l.status, c.rec_chi_r.status}
                 c2.add(c.c2["applicable"])
                 c3.add(c.c3["applicable"])
             for coupling in ((0.7, 0.8), (0.0, 1.3)):
-                cert = certify_no_sc(model, coupling, grid, ladder)
-                assert json.dumps(cert.to_dict()) \
-                    == json.dumps(_reference_certify(model, coupling, grid, ladder).to_dict()), \
-                    (name, coupling)
+                cert = certify_no_sc(model, coupling, grid)
+                ref = _reference_certify(model, coupling, grid, ladder)
+                for got, want in zip(cert.points, ref.points, strict=True):
+                    assert got.E == want.E
+                    if (want.verdict, want.in_scope) == (NUMERICALLY_UNRESOLVED, False):
+                        continue  # an unresolved ladder
+                    assert (got.verdict, got.in_scope) == (want.verdict, want.in_scope), \
+                        (name, coupling, got.E)
+                    for key in ("abs_D", "aux1_lhs", "aux1_rhs", "aux2_lhs", "aux2_rhs"):
+                        assert _close(getattr(got, key), getattr(want, key)), (name, got.E, key)
                 verdicts |= {p.verdict for p in cert.points}
         assert statuses == {FINITE_NONZERO, ZERO, DIVERGENT, UNDETERMINED}
         assert c2 == c3 == {True, False}
         assert verdicts == {CERTIFIED, OUT_OF_SCOPE, NUMERICALLY_UNRESOLVED}
+        assert compared > 1000
 
-    def test_classify_energy_is_the_one_energy_grid(self, t2_model):
-        for E in (-1.0, 0.0, 0.3, 1.5):
-            assert classify_energy(t2_model, E, 1.0).to_dict() \
-                == _reference(t2_model, E, 1.0).to_dict()
+    def test_classify_energy_is_the_one_energy_grid(self, models):
+        # the real-axis kernel runs only real float operations, so a row has
+        # the same bits alone as in a grid, at the far points of -40:40:17
+        # (past every piece's moment-series cut) as elsewhere
+        for name, model, special in models:
+            grid = np.concatenate([np.linspace(-40.0, 40.0, 17), special])
+            for E, row in zip(grid.tolist(), classify_grid(model, grid, 0.8), strict=True):
+                one = classify_energy(model, E, 0.8)
+                assert json.dumps(one.to_dict()) == json.dumps(row.to_dict()), (name, E)
+                for a, b in ((one.rec_chi_l, row.rec_chi_l), (one.rec_chi_r, row.rec_chi_r)):
+                    assert (a.value is None and b.value is None) \
+                        or a.value.tobytes() == b.value.tobytes(), (name, E)
+                assert one.feshbach == row.feshbach
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_greens_same_bytes_as_cell_loop(self, models, monkeypatch, fmt):
@@ -249,7 +327,7 @@ class TestIdentity:
 
 class TestBlocks:
     GRID = np.linspace(1.05, 1.95, 9)
-    BAD = 3  # with 2 energies a block, the second block holds energies 2 and 3
+    BAD = 3
 
     @pytest.mark.parametrize("side", ["res_l", "res_r"])
     def test_failure_stays_with_its_side_and_energy(self, t2_model, monkeypatch, side):
@@ -260,49 +338,80 @@ class TestBlocks:
                    for p in clean)
         assert all(p["verdict"] != NUMERICALLY_UNRESOLVED for p in clean_cert)
 
-        rungs = EpsilonLadder().epsilons().size
-        monkeypatch.setattr(specbox.boundary, "LATTICE_POINTS", 2 * rungs)
-        shapes = {"res_l": [], "res_r": []}
-        for name in shapes:
-            measure = getattr(t2_model, name)
+        table, shapes = t2_model.reservoir_pieces, []
 
-            def borel(z, name=name, original=measure.borel):
-                shapes[name].append(np.shape(z))
-                if name == side and bad in np.real(z):
-                    raise ArithmeticError("borel failed")
-                return original(z)
+        def boundary(E, kernel=table.boundary):
+            shapes.append(E.shape)
+            values = kernel(E)
+            values[0 if side == "res_l" else 1][E == bad] = complex(np.inf, np.nan)
+            return values
 
-            monkeypatch.setattr(measure, "borel", borel)
-
+        monkeypatch.setattr(table, "boundary", boundary)
         rows = [c.to_dict() for c in classify_grid(t2_model, grid, 1.0)]
         key, other = ("chi_l", "chi_r") if side == "res_l" else ("chi_r", "chi_l")
         assert rows[self.BAD][key] == {"E": bad, "status": UNDETERMINED, "value": None,
                                        "im_limit": None, "pole_weight": None, "slope": None}
         assert rows[self.BAD][other] == clean[self.BAD][other]
         assert rows[:self.BAD] + rows[self.BAD + 1:] == clean[:self.BAD] + clean[self.BAD + 1:]
-        # five blocks on each side; the failing side's second block is
-        # evaluated again one energy at a time
-        blocks = [(2, rungs)] * 4 + [(1, rungs)]
-        assert shapes[side] == blocks[:2] + [(rungs,)] * 2 + blocks[2:]
-        assert shapes["res_r" if side == "res_l" else "res_l"] == blocks
 
         points = certify_no_sc(t2_model, (0.7, 1.0), grid).to_dict()["points"]
         assert points[self.BAD]["verdict"] == NUMERICALLY_UNRESOLVED
         assert points[:self.BAD] + points[self.BAD + 1:] \
             == clean_cert[:self.BAD] + clean_cert[self.BAD + 1:]
+        assert shapes == [grid.shape] * 2  # one pass per grid
 
     @pytest.mark.parametrize("argv", [["classify", "--grid", "-1:1:9"],
                                       ["certify", "--grid", "1.05:1.95:9"]],
                              ids=["classify", "certify"])
-    def test_one_borel_call_per_side(self, monkeypatch, capsys, argv):
-        borel = SpectralMeasure.borel
-        shapes = []
+    def test_one_kernel_pass_per_grid(self, monkeypatch, capsys, argv):
+        # no ladder and no borel call: both reservoir transforms at E + i0
+        # come from one real-axis pass of the kernel over the grid
+        calls = []
+        for owner, name in ((SpectralMeasure, "borel"), (PieceTable, "boundary"),
+                            (specbox.boundary, "boundary_value")):
+            def counted(*args, name=name, original=getattr(owner, name), **kwargs):
+                calls.append((name, np.shape(args[-1])))
+                return original(*args, **kwargs)
 
-        def counted(self, z):
-            shapes.append(np.shape(z))
-            return borel(self, z)
-
-        monkeypatch.setattr(SpectralMeasure, "borel", counted)
+            monkeypatch.setattr(owner, name, counted)
         assert main([*argv, "--config", SAMPLE]) == 0
         capsys.readouterr()
-        assert shapes == [(9, EpsilonLadder().epsilons().size)] * 2
+        assert calls == [("boundary", (9,))]
+
+
+class TestProfileRounding:
+    """c2 and c3 do not apply where an input of their target is 0 up to
+    rounding.  On the sample a(-1) = 0 and b(1) = 0 exactly (h = [[1, 0.5],
+    [0.5, -1]], delta_l = e_1, delta_r = e_2), and the computed a(-1) and
+    b(1) are rounding: c2's target read -5.55e-17 at E = -1 and c3's
+    -2^52 at E = 1.  So does a complex rotation of H_S and the deltas."""
+
+    UNSET = {"applicable": False, "satisfied": False, "target": None}
+
+    @staticmethod
+    def _rotated(model, seed):
+        u, _ = np.linalg.qr(np.random.default_rng([21, seed]).normal(size=(2, 2, 2)) @ [1, 1j])
+        system = model.system
+        h = u @ system.h_s @ u.conj().T
+        return BlackBoxModel(specbox.blackbox.SystemBlock((h + h.conj().T) / 2,
+                                                          u @ system.delta_l, u @ system.delta_r),
+                             model.res_l, model.res_r)
+
+    @pytest.mark.parametrize("seed", [None, *range(12)],
+                             ids=["sample", *(f"rotated{k}" for k in range(12))])
+    def test_rounding_input_is_not_applicable(self, seed):
+        model = build_run_config(load_config(SAMPLE)).model
+        if seed is not None:
+            model = self._rotated(model, seed)
+        minus, plus, generic = classify_grid(model, [-1.0, 1.0, 0.3], 1.0)
+        assert minus.c2 == self.UNSET and minus.c3["applicable"]
+        assert plus.c3 == self.UNSET and plus.c2["applicable"]
+        assert generic.c2["applicable"] and generic.c3["applicable"]
+        # the targets that apply are far above the rounding
+        assert 1e-3 < abs(minus.c3["target"]) < 1e3 and 1e-3 < abs(plus.c2["target"]) < 1e3
+
+    def test_the_cli_prints_them_not_applicable(self, capsys):
+        assert main(["classify", "--config", SAMPLE, "--grid", "-1:1:3", "--format", "json"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [(p["c2"]["applicable"], p["c3"]["applicable"]) for p in points] \
+            == [(False, True), (True, True), (True, False)]

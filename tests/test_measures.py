@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from specbox.errors import DomainError, InvalidModelError
-from specbox.measures import SpectralMeasure
+from specbox.measures import PieceTable, SpectralMeasure
 
 
 def quad_borel(measure: SpectralMeasure, z: complex, tol: float = 1e-13) -> complex:
@@ -285,3 +285,71 @@ class TestPoisson:
         for x0, w in m.atoms:
             eps = 1e-9
             assert eps * m.borel(complex(x0, eps)).imag == pytest.approx(w, abs=1e-6)
+
+
+# -- the real-axis kernel against the 40-digit referee ---------------------------
+
+#: F(E + i0) from ``PieceTable.boundary`` against ``referee.boundary``, relative
+AXIS_REL = 1e-12
+
+
+def _axis_points(measure):
+    """Band interiors, gaps, far points, and the points 1e-6 and 1e-12 from
+    each band edge on either side; none within 1e-6 of an atom."""
+    edges = sorted(x for p in measure.pieces for x in (p.a, p.b))
+    radius = max(abs(x) for x in edges)
+    points = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]  # interiors and gaps
+    points += [s * f * max(radius, 1.0) for s in (-1, 1) for f in (2.0, 10.0, 1e3, 1e6)]
+    points += [x + s * d * max(1.0, abs(x)) for x in edges for s in (-1, 1) for d in (1e-6, 1e-12)]
+    return [E for E in points
+            if all(abs(E - x0) > 1e-6 for x0, _ in measure.atoms) and E not in edges]
+
+
+def assert_axis_matches_referee(measure, points):
+    from referee import boundary as referee
+
+    values = PieceTable((measure,)).boundary(np.asarray(points, dtype=float))[0]
+    for E, got in zip(points, values):
+        want = referee(measure, E)
+        assert abs(got - want) <= AXIS_REL * abs(want), (E, got, want)
+
+
+class TestAxisReferee:
+    def test_random_measures(self):
+        rng = np.random.default_rng(20261022)
+        for _ in range(12):
+            m = random_measure(rng)
+            assert_axis_matches_referee(m, _axis_points(m))
+
+    @pytest.mark.parametrize("interval, coef", [
+        ([0.0, 1e7], [1.0]),
+        ([-1e7, 1e7], [1.0, 1e-7, 1e-14]),
+        ([1e6, 3e9], [2.0, 1e-9]),
+    ])
+    def test_wide_pieces(self, interval, coef):
+        m = SpectralMeasure(atoms=[(-5.0, 0.5)], pieces=[(interval, coef)])
+        assert_axis_matches_referee(m, _axis_points(m) + [-3.0, 0.5 * interval[1]])
+
+    def test_catalogue_reservoirs(self):
+        # every reservoir of tests/models.py, -3:3:13 off the band edges, and
+        # the double next to an edge at 0
+        import models
+
+        for build in (models.double_level, models.left_edge_at_zero,
+                      models.right_edge_at_zero, models.touching_pieces):
+            model = build()
+            for m in (model.res_l, model.res_r):
+                grid = [E for E in np.linspace(-3, 3, 13).tolist()
+                        if all(E not in (p.a, p.b) for p in m.pieces)]
+                tiny = [s * 5e-324 for s in (-1, 1)]
+                assert_axis_matches_referee(m, grid + _axis_points(m) + tiny)
+
+    def test_one_value_per_measure_of_a_table(self):
+        # the measures of one table keep their own values: each reads as in
+        # its own table, to the bit
+        rng = np.random.default_rng(5)
+        measures = [random_measure(rng) for _ in range(3)]
+        E = np.linspace(-6.0, 6.0, 49)
+        together = PieceTable(measures).boundary(E)
+        for m, value in zip(measures, together):
+            assert value.tobytes() == PieceTable((m,)).boundary(E)[0].tobytes()
