@@ -284,7 +284,7 @@ def _near(grid: np.ndarray, points: Sequence[float]) -> np.ndarray:
 def _axis_records(grid: np.ndarray, values: np.ndarray, measure,
                   tol: Tolerances) -> Iterator[BoundaryRecord]:
     """A reservoir transform's records from its exact values F(E + i0)
-    (``measures.PieceTable.boundary``), with no slope or rungs: an atom
+    (``measures.PieceTable.sums`` at real E), with no slope or rungs: an atom
     within the match tolerance is DIVERGENT with its weight, a band edge
     UNDETERMINED (as the ladder reads it), and any other energy is judged by
     |F| with the judge's zero_tol and div_tol, UNDETERMINED where F is not
@@ -344,17 +344,18 @@ def classify_grid(
     system, off = model.system, grid[~in_sigma]
     a, b, c, _ = system.green_pairs(off)
     feshbach = zip(a.real.tolist(), b.real.tolist(), c.tolist(), system.d(off).tolist())
-    levels = zip(*system.rounding(off))
+    levels = zip(*system.rounding(off)) if nu is not None else None
     sides = [_axis_records(grid, values, measure, tol) for values, measure
-             in zip(model.reservoir_pieces.boundary(grid), (model.res_l, model.res_r))]
+             in zip(model.reservoir_pieces.sums(grid), (model.res_l, model.res_r))]
     for k, (rec_l, rec_r) in enumerate(zip(*sides)):
         in_m0 = rec_l.status == FINITE_NONZERO and rec_r.status == FINITE_NONZERO
         in_ml, in_mr = (bool(in_m0 and tol.im_tol < rec.im_limit < 1.0 / tol.im_tol)
                         for rec in (rec_l, rec_r))
-        data, level = (None, None) if in_sigma[k] else (next(feshbach), next(levels))
+        data = None if in_sigma[k] else next(feshbach)
         c2 = c3 = None
         if nu is not None:
-            c2, c3 = _c_set_diagnostics(model, float(nu), rec_l, rec_r, data, level)
+            c2, c3 = _c_set_diagnostics(model, float(nu), rec_l, rec_r, data,
+                                        None if data is None else next(levels))
         yield EnergyClassification(
             E=rec_l.E,
             in_m0=in_m0,

@@ -37,9 +37,10 @@ the gap counts of ``boundary`` on the same table without the atoms; a
 measure's value has the same bits in each.  The Poisson transform at
 E + i eps is the imaginary part of F there.
 
-At real E the kernel gives F(E + i0) exactly (``PieceTable.boundary``, by
-Plemelj-Sokhotski): the same recurrence and series in real arithmetic on
-I_0 = log|b - E| - log|a - E|, plus i pi p(E) inside a piece.
+At real E the kernel gives F(E + i0) exactly (``PieceTable.sums`` and
+``rows`` at real E, by Plemelj-Sokhotski): the same recurrence and series in
+real arithmetic on I_0 = log|b - E| - log|a - E|, plus i pi p(E) inside a
+piece; ``boundary.classify_grid`` reads l and r so.
 """
 
 from __future__ import annotations
@@ -287,46 +288,35 @@ class PieceTable:
                     raise DomainError(f"real z inside density piece [{p.a}, {p.b}]")
 
     def sums(self, z: np.ndarray, atoms: bool = True) -> list:
-        """Each measure's transform at the 1-D complex z: into zeros, its
-        atoms' sum (left out where ``atoms`` is false), then its own rows of
-        ``rows`` in piece order."""
-        outs = [np.zeros_like(z) for _ in self._measures]
-        if atoms:
-            for out, (_, x, w, _) in zip(outs, self._measures):
-                if x.size:
-                    out += np.sum(w / (x - z[..., None]), axis=-1)
-        if self.pieces:
-            acc = self.rows(z)
-            for k, owner in enumerate(self._owner):  # indexing: iterating an array costs more
-                outs[owner] += acc[k]
+        """Each measure's transform at the 1-D z, complex, or real for
+        F(E + i0) (the real-axis mode of ``rows``; not finite on an atom or
+        a band edge): into zeros, its atoms' sum (left out where ``atoms`` is
+        false), then its own rows of ``rows`` in piece order.  At real z only
+        real float operations run, so a value has the same bits however many
+        z share the call."""
+        outs = [np.zeros(z.shape, dtype=complex) for _ in self._measures]
+        with np.errstate(divide="ignore", invalid="ignore"):  # real z on an atom or edge
+            if atoms:
+                for out, (_, x, w, _) in zip(outs, self._measures):
+                    if x.size:
+                        out += np.sum(w / (x - z[..., None]), axis=-1)
+            if self.pieces:
+                acc = self.rows(z)
+                for k, owner in enumerate(self._owner):  # indexing: iterating an array costs more
+                    outs[owner] += acc[k]
         return outs
-
-    def boundary(self, E: np.ndarray) -> list:
-        """Each measure's F(E + i0) at the 1-D real E: ``sums`` at the real E
-        (the atoms and each piece's principal value) plus i pi p(E) strictly
-        inside a piece.  Only real float operations run, so a value has the
-        same bits however many E share the call.  Not finite on an atom or
-        a band edge."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            real, density = self.sums(E), np.zeros((len(self.pieces), E.size))
-            for k in range(self._coef.shape[1] - 1, -1, -1):  # Horner's p(E)
-                density = density * E + self._coef[:, k:k + 1]
-        density = np.where((E > self._a) & (E < self._b), np.pi * density, 0.0)
-        imag = [np.zeros(E.size) for _ in real]
-        for k, owner in enumerate(self._owner):
-            imag[owner] += density[k]
-        # a finite imag keeps every bit of real: no sum here reads -0.0
-        return [re + 1j * im for re, im in zip(real, imag)]
 
     def rows(self, z: np.ndarray) -> np.ndarray:
         """The Cauchy transform of each piece at the 1-D z, one row per
-        piece: complex z, or real z for the principal value (``boundary``).
+        piece: at complex z, or at z + i0 for real z.
 
         The recurrence I_n from I_0 runs for every piece at every z as one
         (pieces x z) array expression; a piece's term beyond its own degree
         is not added.  Where (b - z) / (a - z) over- or underflows (by an
-        edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z);
-        at real z it is log|b - z| - log|a - z|, the principal value's.
+        edge at 0: z = -5e-324 and [0, 1]), I_0 is log(b - z) - log(a - z).
+        At real z the recurrence runs in real arithmetic on the principal
+        value's I_0 = log|b - z| - log|a - z|, and a piece then adds
+        i pi p(z) strictly inside it (Plemelj-Sokhotski).
         At a piece's far points the moment series replaces the recurrence;
         it runs on that piece's far points alone, or on all of z where every
         point is far, since its in-place products round some elements
@@ -334,8 +324,12 @@ class PieceTable:
         """
         zz = z[None, :]
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            if z.dtype.kind == "f":  # real z: the principal value's I_0
+            axis = z.dtype.kind == "f"
+            if axis:  # the principal value's I_0, and p(z) by Horner's rule
                 term = np.log(np.abs(self._b - zz)) - np.log(np.abs(self._a - zz))
+                density = np.zeros_like(term)
+                for k in range(self._coef.shape[1] - 1, -1, -1):
+                    density = density * zz + self._coef[:, k:k + 1]
             else:
                 ratio = (self._b - zz) / (self._a - zz)  # complex overflow can read nan
                 exact = np.isfinite(ratio) & (np.abs(ratio) >= _TINY)
@@ -356,6 +350,8 @@ class PieceTable:
                     row[:] = _far_borel(p, z)
                 elif f.any():
                     row[f] = _far_borel(p, z[f])
+        if axis:
+            return acc + 1j * np.where((zz > self._a) & (zz < self._b), np.pi * density, 0.0)
         return acc
 
 

@@ -289,7 +289,7 @@ class TestPoisson:
 
 # -- the real-axis kernel against the 40-digit referee ---------------------------
 
-#: F(E + i0) from ``PieceTable.boundary`` against ``referee.boundary``, relative
+#: F(E + i0) from ``PieceTable.sums`` at real E against ``referee.boundary``, relative
 AXIS_REL = 1e-12
 
 
@@ -308,7 +308,7 @@ def _axis_points(measure):
 def assert_axis_matches_referee(measure, points):
     from referee import boundary as referee
 
-    values = PieceTable((measure,)).boundary(np.asarray(points, dtype=float))[0]
+    values = PieceTable((measure,)).sums(np.asarray(points, dtype=float))[0]
     for E, got in zip(points, values):
         want = referee(measure, E)
         assert abs(got - want) <= AXIS_REL * abs(want), (E, got, want)
@@ -344,12 +344,21 @@ class TestAxisReferee:
                 tiny = [s * 5e-324 for s in (-1, 1)]
                 assert_axis_matches_referee(m, grid + _axis_points(m) + tiny)
 
+    def test_not_finite_on_an_atom_or_an_edge_and_silent(self):
+        # the suite turns numpy's warnings into errors: at an atom (w / 0),
+        # an edge (log 0) and where two pieces touch (inf - inf) the value
+        # is not finite, and nothing is printed
+        m = SpectralMeasure(atoms=[(0.5, 1.0), (-1.0, 0.3)], pieces=[
+            ([-2.0, -1.0], [1.0]), ([-1.0, -0.5], [2.0]), ([1.0, 2.0], [1.0, 0.5])])
+        E = np.array([0.5, -2.0, -1.0, -0.5, 1.0, 2.0])
+        assert not np.isfinite(PieceTable((m,)).sums(E)[0]).any()
+
     def test_one_value_per_measure_of_a_table(self):
         # the measures of one table keep their own values: each reads as in
         # its own table, to the bit
         rng = np.random.default_rng(5)
         measures = [random_measure(rng) for _ in range(3)]
         E = np.linspace(-6.0, 6.0, 49)
-        together = PieceTable(measures).boundary(E)
+        together = PieceTable(measures).sums(E)
         for m, value in zip(measures, together):
-            assert value.tobytes() == PieceTable((m,)).boundary(E)[0].tobytes()
+            assert value.tobytes() == PieceTable((m,)).sums(E)[0].tobytes()
