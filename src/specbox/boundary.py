@@ -116,18 +116,21 @@ LATTICE_POINTS = 1024
 
 @dataclass
 class BoundaryRecord:
-    """Outcome of one ladder extrapolation at energy E."""
+    """Outcome of one ladder extrapolation at energy E, or of an exact
+    value at E + i0 (``_axis_records``: no slope and no rungs)."""
 
     E: float
     status: str
     value: complex | None = None
     im_limit: float | None = None
-    #: mu({E}) from ``_ladder_mass`` on a DIVERGENT record with slope <= -0.8;
-    #: None on every other record and where eps * Im f does not converge
+    #: mu({E}) from ``_ladder_mass`` on a DIVERGENT record with slope <= -0.8,
+    #: or the atom's weight at a reservoir atom; None on every other record
+    #: and where eps * Im f does not converge
     pole_weight: float | None = None
     slope: float | None = None
     #: the rungs: eps_k and f(E + i eps_k), cut to the finite prefix where a
-    #: value is not finite, and None where the evaluation of f raised
+    #: value is not finite, and None where the evaluation of f raised or no
+    #: ladder ran
     eps: np.ndarray | None = None
     values: np.ndarray | None = None
 
